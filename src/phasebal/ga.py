@@ -123,12 +123,6 @@ class FitnessEvaluator:
         return [self.cache[tuple(int(p) for p in c)] for c in population]
 
 
-def fitness(c, problem: Problem, penalty_multiplier: float = 100.0,
-            baseline: float | None = None) -> float:
-    """One-shot fitness of a configuration (fresh evaluator)."""
-    return FitnessEvaluator(problem, penalty_multiplier, baseline)(c)
-
-
 def tournament_select(population, fitnesses, rng) -> list[tuple]:
     """p/2 parent pairs; each parent wins a uniform 2-candidate tournament."""
     n = len(population)

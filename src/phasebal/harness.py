@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ga, metrics, miqp, oracle, powerflow
-from .errors import ValidationError
+from .errors import PhasebalError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
                       binary_feasible, original_assignment, switch_count)
@@ -37,10 +37,8 @@ def metric_table(feeder: Feeder, loads: LoadSeries,
         warnings.simplefilter("ignore")
         for name in REPORT_METRICS:
             spec = ObjectiveSpec(name)
-            vals = metric_values_exact(spec, feeder, loads, sols)
-            table[name] = metrics.aggregate(spec, vals)
-    table["loss_percent"] = float(np.mean([powerflow.losses(s, feeder)
-                                           for s in sols]))
+            table[name] = metrics.aggregate(spec, metric_values_exact(spec, feeder, loads, sols))
+    table["loss_percent"] = float(np.mean(powerflow.losses(sols, feeder)))
     return table
 
 
@@ -167,21 +165,20 @@ def cmd_validate(feeder: Feeder, assignment: PhaseAssignment,
     a0 = original_assignment(feeder)
     report = {"schema_version": SCHEMA_VERSION,
               "horizon": validation_loads.horizon, "metrics": {}}
+    specs = [ObjectiveSpec(name) for name in metric_names]
+    solved = {tag: powerflow.solve_series(feeder, a, validation_loads)
+              for tag, a in (("original", a0), ("solution", assignment))}
     per_t = {}
-    for name in metric_names:
-        spec = ObjectiveSpec(name)
-        series = {}
-        for tag, a in (("original", a0), ("solution", assignment)):
-            sols = powerflow.solve_series(feeder, a, validation_loads)
+    for spec in specs:
+        series = per_t[spec.metric] = {}
+        for tag, sols in solved.items():
             vals = metric_values_exact(spec, feeder, validation_loads, sols)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                reduced = (vals.max(axis=0) if spec.is_voltage_metric
-                           else np.nanmean(vals, axis=0))
-            series[tag] = reduced
-        report["metrics"][name] = {tag: _distribution(v[np.isfinite(v)])
-                                   for tag, v in series.items()}
-        per_t[name] = series
+                series[tag] = (vals.max(axis=0) if spec.is_voltage_metric
+                               else np.nanmean(vals, axis=0))
+        report["metrics"][spec.metric] = {tag: _distribution(v[np.isfinite(v)])
+                                          for tag, v in series.items()}
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -240,7 +237,7 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
                                       seed=seed)
                 best = assignment_from_payload(feeder, report.assignment)
                 value = report.objective_value
-        except Exception as exc:  # record, keep sweeping
+        except PhasebalError as exc:  # record, keep sweeping
             failures[budget] = f"{type(exc).__name__}: {exc}"
             values.append(None)
             used.append(None)

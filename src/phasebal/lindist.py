@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .network import Feeder, LoadSeries, PhaseAssignment, injection_series
 
 _ALPHA = np.exp(-2j * np.pi / 3)
@@ -60,10 +59,6 @@ class Ld3fState:
     omega: np.ndarray
     flow_p: dict  # branch key -> (T, 3) active flow away from the reference
     flow_q: dict  # branch key -> (T, 3) reactive flow
-
-    def at(self, t: int) -> tuple[np.ndarray, dict]:
-        flows = {k: (self.flow_p[k][t], self.flow_q[k][t]) for k in self.flow_p}
-        return self.omega[t], flows
 
 
 def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
@@ -103,14 +98,6 @@ def evaluate_series(feeder: Feeder, assignment: PhaseAssignment,
                     loads: LoadSeries) -> Ld3fState:
     s = injection_series(feeder, assignment, loads) / feeder.base_power
     return _sweep(feeder, s.real, s.imag)
-
-
-def evaluate_ld3f(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
-                  t: int) -> tuple[np.ndarray, dict]:
-    """(omega per bus, {branch key: (p, q)}) at one timestep, per-unit."""
-    if t < 0 or t >= loads.horizon:
-        raise ValidationError(f"timestep {t} outside horizon {loads.horizon}")
-    return evaluate_series(feeder, assignment, loads).at(t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,10 @@ set of balance buses and aggregated with the worst bus per timestep; flow
 metrics (I_U, P_U and the quadratic proxy) are evaluated at a set of
 balance branches and averaged over them.  The time axis is always reduced
 by the mean.  All metrics return percent.
+
+Each formula has one implementation over the last axis (the phases),
+broadcast over leading axes such as (T, locations); the scalar functions
+``pvur`` ... ``p_u_star`` apply it to one 3-vector.
 """
 
 from __future__ import annotations
@@ -26,47 +30,65 @@ ALL_METRICS = VOLTAGE_METRICS + FLOW_METRICS
 ZERO_MEAN_PU = 1e-6
 
 
-def pvur(u_mags) -> float:
+def pvur_values(u_mags) -> np.ndarray:
     """Phase voltage unbalance rate: worst relative deviation from the mean."""
     m = np.asarray(u_mags, dtype=float)
     if np.any(m <= 0.0):
-        raise MetricError(f"pvur needs positive magnitudes, got {m}")
-    mean = m.mean()
-    return float(np.max(np.abs(1.0 - m / mean)) * 100.0)
+        raise MetricError(f"pvur needs positive magnitudes, got minimum {m.min():g}")
+    return np.max(np.abs(1.0 - m / m.mean(axis=-1, keepdims=True)), axis=-1) * 100.0
+
+
+def pvur_star_values(omega) -> np.ndarray:
+    """Proxy on squared magnitudes; unit-mean normalization dropped."""
+    w = np.asarray(omega, dtype=float)
+    return np.max(np.abs(w - w.mean(axis=-1, keepdims=True)), axis=-1) * 100.0
+
+
+def unbalance_rate_values(values) -> np.ndarray:
+    """Unbalance rate of current magnitudes (I_U) or signed active flows
+    (P_U); NaN where the phase mean is (near) zero."""
+    v = np.asarray(values, dtype=float)
+    mean = v.mean(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.max(np.abs(1.0 - v / mean), axis=-1) * 100.0
+    return np.where(np.abs(mean[..., 0]) < ZERO_MEAN_PU, np.nan, rate)
+
+
+def p_u_star_values(p_flows, denom) -> np.ndarray:
+    """Quadratic cyclic-difference proxy, normalized by the estimated
+    per-phase mean flow ``denom``; NaN where ``denom`` is not positive."""
+    p, d = np.asarray(p_flows, dtype=float), np.asarray(denom, dtype=float)
+    diffs = p - np.roll(p, -1, axis=-1)  # pairs (1,2), (2,3), (3,1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d > 0.0, np.sum(diffs ** 2, axis=-1) / d ** 2 * 100.0, np.nan)
+
+
+def pvur(u_mags) -> float:
+    return float(pvur_values(u_mags))
 
 
 def pvur_star(omega) -> float:
-    """Proxy on squared magnitudes; unit-mean normalization dropped."""
-    w = np.asarray(omega, dtype=float)
-    return float(np.max(np.abs(w - w.mean())) * 100.0)
+    return float(pvur_star_values(omega))
 
 
-def _unbalance_rate(values, what: str) -> float:
-    v = np.asarray(values, dtype=float)
-    mean = v.mean()
-    if abs(mean) < ZERO_MEAN_PU:
-        raise MetricError(f"{what} undefined: phase mean {mean:g} is (near) zero")
-    return float(np.max(np.abs(1.0 - v / mean)) * 100.0)
+def _defined(value, what: str) -> float:
+    if np.isnan(value):
+        raise MetricError(f"{what} undefined: phase mean is (near) zero")
+    return float(value)
 
 
 def i_u(i_mags) -> float:
-    """Current unbalance rate over per-phase current magnitudes."""
-    return _unbalance_rate(i_mags, "i_u")
+    return _defined(unbalance_rate_values(i_mags), "i_u")
 
 
 def p_u(p_flows) -> float:
-    """Power unbalance rate over per-phase active flows (signed)."""
-    return _unbalance_rate(p_flows, "p_u")
+    return _defined(unbalance_rate_values(p_flows), "p_u")
 
 
 def p_u_star(p_flows, denom: float) -> float:
-    """Quadratic cyclic-difference proxy, normalized by the estimated
-    per-phase mean flow ``denom``."""
     if denom <= 0.0:
         raise MetricError(f"p_u_star needs a positive denominator, got {denom}")
-    p = np.asarray(p_flows, dtype=float)
-    diffs = p - np.roll(p, -1)  # pairs (1,2), (2,3), (3,1)
-    return float(np.sum(diffs ** 2) / denom ** 2 * 100.0)
+    return float(p_u_star_values(p_flows, denom))
 
 
 def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:

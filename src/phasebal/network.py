@@ -150,6 +150,8 @@ class Feeder:
         object.__setattr__(self, "_bus_index", {b: i for i, b in enumerate(self.buses)})
         object.__setattr__(
             self, "_branch_by_key", {br.key: br for br in self.branches})
+        object.__setattr__(
+            self, "_branch_index", {br.key: k for k, br in enumerate(self.branches)})
 
     # -- bases -------------------------------------------------------------
 
@@ -175,8 +177,8 @@ class Feeder:
         except KeyError:
             raise ValidationError(f"unknown branch ({from_bus!r}, {to_bus!r})") from None
 
-    def parent_branch(self, bus: str) -> Branch | None:
-        return self._parent.get(bus)
+    def branch_index(self, branch: Branch) -> int:
+        return self._branch_index[branch.key]
 
     def topo_branches(self) -> tuple[Branch, ...]:
         """Branches ordered root-first (every parent before its children)."""
@@ -189,9 +191,6 @@ class Feeder:
             path.append(br)
             bus = br.from_bus
         return tuple(reversed(path))
-
-    def users_at(self, bus: str) -> tuple[User, ...]:
-        return tuple(u for u in self.users if u.bus == bus)
 
     def reconfigurable_users(self) -> tuple[User, ...]:
         """Reconfigurable users in canonical (id-sorted) order.

@@ -6,18 +6,27 @@ iteration converts the load powers into current injections at the present
 voltages and solves the reduced nodal admittance system for the
 non-reference voltages; convergence is declared when the infinity norm of
 the per-(bus, phase) power mismatch drops below the tolerance.
+
+All timesteps of a series are solved as one block, one column each; a
+column leaves the block once converged, so it takes the iterations of an
+independent solve.  A column's result must not depend on the block width,
+or a series would differ from its single-step solves.  BLAS products and
+a multi-right-hand-side LU solve pick kernels and summation orders by
+shape, so the iteration contracts with ``np.einsum`` (a fixed-order loop)
+against a dense inverse of the reduced Y-bus cached per feeder.  No
+``lu_solve`` runs in the loop, so worker threads share no pivot array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConvergenceError, MetricError, ValidationError
-from .network import Branch, Feeder, LoadSeries, PhaseAssignment, injection_series
+from .network import Branch, Feeder, LoadSeries, PhaseAssignment, injection_series, injections
 
 REFERENCE_PHASORS = np.array([1.0,
                               np.exp(-2j * np.pi / 3),
@@ -49,26 +58,26 @@ def build_ybus(feeder: Feeder) -> np.ndarray:
 
 
 class _FeederSolver:
-    """Per-feeder factorization of the reduced Y-bus, shared read-only.
+    """Per-feeder operators of the fixed-point iteration, shared read-only.
 
     The admittance structure does not depend on the phase assignment, so
-    one LU factorization serves every candidate and timestep.
+    one inverse of the reduced Y-bus serves every candidate and timestep.
+    Branch arrays follow ``feeder.branches`` order.
     """
 
     def __init__(self, feeder: Feeder):
-        self.feeder = feeder
-        self.y = build_ybus(feeder)
+        y = build_ybus(feeder)
         r = 3 * feeder.bus_index(feeder.reference_bus)
-        n = self.y.shape[0]
-        self.ref_idx = np.arange(r, r + 3)
-        self.other_idx = np.array([k for k in range(n) if k not in set(self.ref_idx)])
-        self.y_nn = self.y[np.ix_(self.other_idx, self.other_idx)]
-        self.y_ns = self.y[np.ix_(self.other_idx, self.ref_idx)]
-        self.lu = lu_factor(self.y_nn)
-        self.slack_rhs = self.y_ns @ REFERENCE_PHASORS
-        self.u_flat = np.tile(REFERENCE_PHASORS, len(feeder.buses))
-        self.y_branch = {br.key: np.linalg.inv(feeder.z_pu(br))
-                         for br in feeder.branches}
+        ref_idx = np.arange(r, r + 3)
+        self.other_idx = np.setdiff1d(np.arange(y.shape[0]), ref_idx)
+        self.y_nn = y[np.ix_(self.other_idx, self.other_idx)]
+        self.z_nn = np.linalg.inv(self.y_nn)
+        self.slack_rhs = (y[np.ix_(self.other_idx, ref_idx)] @ REFERENCE_PHASORS)[:, None]
+        self.y_branch = np.stack([np.linalg.inv(feeder.z_pu(br)) for br in feeder.branches])
+        self.from_idx = [feeder.bus_index(br.from_bus) for br in feeder.branches]
+        self.to_idx = [feeder.bus_index(br.to_bus) for br in feeder.branches]
+        self.ref_branches = [k for k, br in enumerate(feeder.branches)
+                             if br.from_bus == feeder.reference_bus]
 
 
 @lru_cache(maxsize=None)
@@ -78,13 +87,25 @@ def _solver_for(feeder: Feeder) -> _FeederSolver:
 
 @dataclass(frozen=True, eq=False)
 class PFSolution:
-    """Converged (or flagged) state for one timestep, everything per-unit."""
+    """Converged (or flagged) state for one timestep, everything per-unit.
+
+    Branch arrays follow ``feeder.branches`` order.
+    """
 
     u: np.ndarray                 # (n_buses, 3) complex voltages
-    flows: dict                   # branch key -> (s_from, s_to), complex 3-vectors
+    s_from: np.ndarray            # (n_branches, 3) power leaving the from bus
+    s_to: np.ndarray              # (n_branches, 3) power leaving the to bus
+    current: np.ndarray           # (n_branches, 3) current from -> to
     converged: bool
     iterations: int
     max_mismatch: float
+    feeder: Feeder
+
+    @property
+    def flows(self) -> dict:
+        """Branch key -> (s_from, s_to), complex 3-vectors."""
+        return {br.key: (self.s_from[k], self.s_to[k])
+                for k, br in enumerate(self.feeder.branches)}
 
     def u_mag(self) -> np.ndarray:
         return np.abs(self.u)
@@ -94,95 +115,102 @@ class PFSolution:
 
     def branch_current(self, feeder: Feeder, branch: Branch) -> np.ndarray:
         """Complex per-phase current from branch.from_bus to branch.to_bus."""
-        yb = np.linalg.inv(feeder.z_pu(branch))
-        ui = self.u[feeder.bus_index(branch.from_bus)]
-        uj = self.u[feeder.bus_index(branch.to_bus)]
-        return yb @ (ui - uj)
+        return self.current[feeder.branch_index(branch)]
 
 
-def _branch_flows(solver: _FeederSolver, u: np.ndarray) -> dict:
-    feeder = solver.feeder
-    flows = {}
-    for br in feeder.branches:
-        yb = solver.y_branch[br.key]
-        ui = u[feeder.bus_index(br.from_bus)]
-        uj = u[feeder.bus_index(br.to_bus)]
-        i_fwd = yb @ (ui - uj)
-        s_from = ui * np.conj(i_fwd)
-        s_to = uj * np.conj(-i_fwd)
-        flows[br.key] = (s_from, s_to)
-    return flows
+@dataclass(frozen=True, eq=False)
+class PFSeries(Sequence):
+    """PFSolution fields stacked on a leading T axis; indexing yields the
+    PFSolution of one timestep, a slice a shorter series."""
+
+    u: np.ndarray
+    s_from: np.ndarray
+    s_to: np.ndarray
+    current: np.ndarray
+    converged: np.ndarray         # (T,) bool
+    iterations: np.ndarray        # (T,) int
+    max_mismatch: np.ndarray      # (T,) float
+    feeder: Feeder
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __getitem__(self, t):
+        arrays = (self.u[t], self.s_from[t], self.s_to[t], self.current[t])
+        if isinstance(t, slice):
+            return PFSeries(*arrays, self.converged[t], self.iterations[t],
+                            self.max_mismatch[t], self.feeder)
+        return PFSolution(*arrays, bool(self.converged[t]), int(self.iterations[t]),
+                          float(self.max_mismatch[t]), self.feeder)
+
+
+def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int,
+                 start: np.ndarray | None = None) -> PFSeries:
+    """Solve every timestep of the (T, n_buses, 3) injections, one column
+    each; a converged column is frozen and leaves the block."""
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    solver = _solver_for(feeder)
+    horizon, n_buses = s_bus_w.shape[:2]
+    # net injected power: loads consume, so the net injection is negative
+    s_inj = -(s_bus_w.reshape(horizon, -1) / feeder.base_power)[:, solver.other_idx].T
+    start = np.tile(REFERENCE_PHASORS, n_buses) if start is None else np.asarray(start, complex)
+    un = start.reshape(-1, 1)[solver.other_idx].repeat(horizon, axis=1)
+    converged, iterations = np.zeros(horizon, dtype=bool), np.zeros(horizon, dtype=int)
+    mismatch, active = np.full(horizon, np.inf), np.arange(horizon)
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        ua, sa = un[:, active], s_inj[:, active]
+        if np.any(np.abs(ua) < _COLLAPSE_PU):
+            raise ConvergenceError(
+                f"voltage collapsed below {_COLLAPSE_PU} pu after {it - 1} iterations")
+        ua = np.einsum("ij,jt->it", solver.z_nn, np.conj(sa / ua) - solver.slack_rhs)
+        s_calc = ua * np.conj(np.einsum("ij,jt->it", solver.y_nn, ua) + solver.slack_rhs)
+        un[:, active] = ua
+        iterations[active] = it
+        mismatch[active] = np.max(np.abs(s_calc - sa), axis=0)
+        converged[active] = mismatch[active] <= tol
+        active = active[~converged[active]]
+    u = np.tile(REFERENCE_PHASORS, (horizon, n_buses))
+    u[:, solver.other_idx] = un.T
+    u = u.reshape(horizon, n_buses, 3)
+    ui, uj = u[:, solver.from_idx], u[:, solver.to_idx]
+    current = np.einsum("kab,tkb->tka", solver.y_branch, ui - uj)
+    return PFSeries(u, ui * np.conj(current), uj * np.conj(-current), current,
+                    converged, iterations, mismatch, feeder)
 
 
 def solve_pf(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
              t: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
              start: np.ndarray | None = None) -> PFSolution:
     """Solve one timestep; returns a PFSolution (non-convergence is flagged)."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    s_bus = injection_series(feeder, assignment, loads)[t]
-    return _solve_injections(feeder, s_bus, tol, max_iter, start)
-
-
-def _solve_injections(feeder: Feeder, s_bus_w: np.ndarray, tol: float,
-                      max_iter: int, start: np.ndarray | None = None) -> PFSolution:
-    solver = _solver_for(feeder)
-    # net injected power: loads consume, so the net injection is negative
-    s_inj = -(s_bus_w.reshape(-1) / feeder.base_power)[solver.other_idx]
-    u = (solver.u_flat.copy() if start is None
-         else np.asarray(start, dtype=complex).reshape(-1).copy())
-    u[solver.ref_idx] = REFERENCE_PHASORS
-    un = u[solver.other_idx]
-    converged = False
-    iterations = 0
-    mismatch = np.inf
-    for iterations in range(1, max_iter + 1):
-        if np.any(np.abs(un) < _COLLAPSE_PU):
-            raise ConvergenceError(
-                f"voltage collapsed below {_COLLAPSE_PU} pu after {iterations - 1} iterations")
-        i_inj = np.conj(s_inj / un)
-        un = lu_solve(solver.lu, i_inj - solver.slack_rhs)
-        u[solver.other_idx] = un
-        s_calc = un * np.conj(solver.y_nn @ un + solver.slack_rhs)
-        mismatch = float(np.max(np.abs(s_calc - s_inj)))
-        if mismatch <= tol:
-            converged = True
-            break
-    u_mat = u.reshape(len(feeder.buses), 3)
-    return PFSolution(u=u_mat, flows=_branch_flows(solver, u_mat),
-                      converged=converged, iterations=iterations,
-                      max_mismatch=mismatch)
+    s_bus = injections(feeder, assignment, loads, t)
+    return _solve_block(feeder, s_bus[None], tol, max_iter, start)[0]
 
 
 def solve_series(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-                 ) -> list[PFSolution]:
-    """Independent flat-start solves, one per timestep."""
-    s_all = injection_series(feeder, assignment, loads)
-    return [_solve_injections(feeder, s_all[t], tol, max_iter)
-            for t in range(loads.horizon)]
+                 ) -> PFSeries:
+    """Independent flat-start solves of every timestep, as one block."""
+    return _solve_block(feeder, injection_series(feeder, assignment, loads),
+                        tol, max_iter)
 
 
 def reference_injection(feeder: Feeder, sol: PFSolution) -> complex:
     """Total complex power flowing from the reference bus into the network."""
-    total = 0j
-    for br in feeder.reference_branches():
-        total += np.sum(sol.flows[br.key][0])
-    return total
+    return complex(np.sum(sol.s_from[_solver_for(feeder).ref_branches]))
 
 
-def losses(sol: PFSolution, feeder: Feeder) -> float:
+def losses(sol: PFSolution | PFSeries, feeder: Feeder):
     """Series losses as a percentage of the active power entering at the
-    reference bus."""
-    if not sol.converged:
+    reference bus: a float for one PFSolution, a (T,) array for a PFSeries."""
+    if not np.all(sol.converged):
         raise ConvergenceError("losses require a converged solution")
-    loss = 0.0
-    for br in feeder.branches:
-        s_from, s_to = sol.flows[br.key]
-        loss += float(np.sum(np.real(s_from + s_to)))
-    p_ref = float(np.real(reference_injection(feeder, sol)))
-    if abs(p_ref) < 1e-12:
-        if abs(loss) < 1e-12:
-            return 0.0
+    loss = np.sum(np.real(sol.s_from + sol.s_to), axis=(-2, -1))
+    p_ref = np.sum(np.real(sol.s_from[..., _solver_for(feeder).ref_branches, :]), axis=(-2, -1))
+    idle = np.abs(p_ref) < 1e-12
+    if np.any(idle & (np.abs(loss) >= 1e-12)):
         raise MetricError("loss fraction undefined: zero reference injection")
-    return 100.0 * loss / p_ref
+    percent = np.where(idle, 0.0, 100.0 * loss / np.where(idle, 1.0, p_ref))
+    return float(percent) if percent.ndim == 0 else percent

@@ -5,6 +5,11 @@ the objective together.  Two evaluators are available: the exact
 fixed-point power flow and the lossless linear model.  Both feed the same
 metric aggregation, so a configuration can be scored consistently by
 either route.
+
+Both routes hand over whole (T, location, phase) arrays, a block-solved
+``powerflow.PFSeries`` or an ``Ld3fState``.  The operational checks and
+the metric values read them in one vectorized pass through the formulas
+of ``metrics``; only violation messages are built per timestep.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from . import lindist, metrics, powerflow
 from .errors import ConvergenceError, MetricError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
-                      binary_feasible, original_assignment)
+                      original_assignment)
 
 EVALUATORS = ("exact", "ld3f")
 
@@ -45,52 +50,34 @@ def branch_denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:
     return _denominator_cache(feeder, loads, branch.key)
 
 
-def _flow_metric_values(metric: str, feeder: Feeder, loads: LoadSeries,
-                        branches, p_by_branch, i_by_branch) -> np.ndarray:
-    """(n_branches, T) metric values; NaN marks undefined timesteps."""
-    horizon = next(iter(p_by_branch.values())).shape[0]
-    vals = np.empty((len(branches), horizon))
-    for k, br in enumerate(branches):
-        for t in range(horizon):
+def _flow_values(metric: str, feeder: Feeder, loads: LoadSeries, branches,
+                 flows: np.ndarray) -> np.ndarray:
+    """(n_branches, T) flow metric values from (T, n_branches, 3) current
+    magnitudes (``iu``) or active flows; NaN marks undefined timesteps."""
+    if metric == "pu_star":
+        denom = np.empty(len(branches))
+        for k, br in enumerate(branches):
             try:
-                if metric == "iu":
-                    vals[k, t] = metrics.i_u(i_by_branch[br.key][t])
-                elif metric == "pu":
-                    vals[k, t] = metrics.p_u(p_by_branch[br.key][t])
-                else:
-                    vals[k, t] = metrics.p_u_star(
-                        p_by_branch[br.key][t],
-                        branch_denominator(feeder, loads, br))
+                denom[k] = branch_denominator(feeder, loads, br)
             except MetricError:
-                vals[k, t] = np.nan
-    return vals
+                denom[k] = np.nan
+        return metrics.p_u_star_values(flows, denom).T
+    return metrics.unbalance_rate_values(flows).T
 
 
 def metric_values_exact(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
-                        solutions) -> np.ndarray:
+                        solutions: powerflow.PFSeries) -> np.ndarray:
     """Per-location, per-timestep values of ``spec.metric`` from exact PF."""
-    horizon = len(solutions)
     if spec.is_voltage_metric:
-        buses = spec.buses_for(feeder)
-        vals = np.empty((len(buses), horizon))
-        for k, bus in enumerate(buses):
-            b = feeder.bus_index(bus)
-            for t, sol in enumerate(solutions):
-                mags = sol.u_mag()[b]
-                vals[k, t] = (metrics.pvur(mags) if spec.metric == "pvur"
-                              else metrics.pvur_star(mags ** 2))
-        return vals
+        idx = [feeder.bus_index(bus) for bus in spec.buses_for(feeder)]
+        mags = np.abs(solutions.u[:, idx])
+        return (metrics.pvur_values(mags) if spec.metric == "pvur"
+                else metrics.pvur_star_values(mags ** 2)).T
     branches = spec.branches_for(feeder)
-    p_by_branch = {}
-    i_by_branch = {}
-    for br in branches:
-        p_by_branch[br.key] = np.stack(
-            [np.real(sol.flows[br.key][0]) for sol in solutions])
-        if spec.metric == "iu":
-            i_by_branch[br.key] = np.stack(
-                [np.abs(sol.branch_current(feeder, br)) for sol in solutions])
-    return _flow_metric_values(spec.metric, feeder, loads, branches,
-                               p_by_branch, i_by_branch)
+    idx = [feeder.branch_index(br) for br in branches]
+    flows = (np.abs(solutions.current[:, idx]) if spec.metric == "iu"
+             else np.real(solutions.s_from[:, idx]))
+    return _flow_values(spec.metric, feeder, loads, branches, flows)
 
 
 def metric_values_ld3f(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
@@ -98,25 +85,18 @@ def metric_values_ld3f(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
     if spec.metric == "iu":
         raise ValidationError("the linear model carries no currents; "
                               "i_u needs the exact evaluator")
-    horizon = state.omega.shape[0]
     if spec.is_voltage_metric:
         buses = spec.buses_for(feeder)
-        vals = np.empty((len(buses), horizon))
-        for k, bus in enumerate(buses):
-            b = feeder.bus_index(bus)
-            for t in range(horizon):
-                w = state.omega[t, b]
-                if spec.metric == "pvur_star":
-                    vals[k, t] = metrics.pvur_star(w)
-                else:
-                    if np.any(w <= 0.0):
-                        raise MetricError(f"omega not positive at bus {bus}")
-                    vals[k, t] = metrics.pvur(np.sqrt(w))
-        return vals
+        w = state.omega[:, [feeder.bus_index(bus) for bus in buses]]
+        if spec.metric == "pvur_star":
+            return metrics.pvur_star_values(w).T
+        bad = np.any(w <= 0.0, axis=(0, 2))
+        if np.any(bad):
+            raise MetricError(f"omega not positive at bus {buses[np.argmax(bad)]}")
+        return metrics.pvur_values(np.sqrt(w)).T
     branches = spec.branches_for(feeder)
-    p_by_branch = {br.key: state.flow_p[br.key] for br in branches}
-    return _flow_metric_values(spec.metric, feeder, loads, branches,
-                               p_by_branch, {})
+    flows = np.stack([state.flow_p[br.key] for br in branches], axis=1)
+    return _flow_values(spec.metric, feeder, loads, branches, flows)
 
 
 @dataclass(frozen=True)
@@ -127,38 +107,35 @@ class Evaluation:
 
 
 def check_operational(feeder: Feeder, constraints: ConstraintConfig,
-                      solutions) -> tuple[str, ...]:
-    """Voltage band, thermal limits and convergence over a solved series."""
+                      solutions: powerflow.PFSeries) -> tuple[str, ...]:
+    """Voltage band, thermal limits and convergence over a solved series.
+
+    Violations are listed by timestep, then bus, then branch; a
+    non-converged timestep reports only that.
+    """
+    mags = np.abs(solutions.u)
+    lo, hi = mags.min(axis=2), mags.max(axis=2)
+    bus_bad = (lo < constraints.v_min) | (hi > constraints.v_max)
+    bus_bad[:, feeder.bus_index(feeder.reference_bus)] = False
+    limits = np.array([[np.inf if lim is None else lim / base for lim, base in
+                        ((br.power_limit_va, feeder.base_power), (br.ampacity_a, feeder.i_base))]
+                       for br in feeder.branches])
+    peak = np.stack([np.abs(solutions.s_from).max(axis=2),
+                     np.abs(solutions.current).max(axis=2)], axis=2)  # (T, branch, kind)
+    over = peak > limits
     violations = []
-    ref = feeder.bus_index(feeder.reference_bus)
-    for t, sol in enumerate(solutions):
-        if not sol.converged:
+    for t in np.flatnonzero(~solutions.converged | bus_bad.any(axis=1) | over.any(axis=(1, 2))):
+        if not solutions.converged[t]:
             violations.append(f"t={t}: power flow did not converge")
             continue
-        mags = sol.u_mag()
-        for b, bus in enumerate(feeder.buses):
-            if b == ref:
-                continue
-            lo, hi = mags[b].min(), mags[b].max()
-            if lo < constraints.v_min or hi > constraints.v_max:
-                violations.append(
-                    f"t={t}: bus {bus} voltage [{lo:.4f}, {hi:.4f}] outside "
-                    f"[{constraints.v_min}, {constraints.v_max}] pu")
-        for br in feeder.branches:
-            if br.power_limit_va is not None:
-                s_lim = br.power_limit_va / feeder.base_power
-                s_mag = np.abs(sol.flows[br.key][0])
-                if np.any(s_mag > s_lim):
-                    violations.append(
-                        f"t={t}: branch {br.key} apparent power {s_mag.max():.4f} pu "
-                        f"exceeds {s_lim:.4f} pu")
-            if br.ampacity_a is not None:
-                i_lim = br.ampacity_a / feeder.i_base
-                i_mag = np.abs(sol.branch_current(feeder, br))
-                if np.any(i_mag > i_lim):
-                    violations.append(
-                        f"t={t}: branch {br.key} current {i_mag.max():.4f} pu "
-                        f"exceeds {i_lim:.4f} pu")
+        for b in np.flatnonzero(bus_bad[t]):
+            violations.append(
+                f"t={t}: bus {feeder.buses[b]} voltage [{lo[t, b]:.4f}, {hi[t, b]:.4f}] "
+                f"outside [{constraints.v_min}, {constraints.v_max}] pu")
+        for k, kind in zip(*np.nonzero(over[t])):
+            violations.append(
+                f"t={t}: branch {feeder.branches[k].key} {('apparent power', 'current')[kind]} "
+                f"{peak[t, k, kind]:.4f} pu exceeds {limits[k, kind]:.4f} pu")
     return tuple(violations)
 
 
@@ -194,7 +171,3 @@ def evaluate(problem: Problem, assignment: PhaseAssignment,
     if evaluator == "ld3f":
         return evaluate_ld3f(problem, assignment)
     raise ValidationError(f"unknown evaluator {evaluator!r}; pick from {EVALUATORS}")
-
-
-def is_feasible(problem: Problem, assignment: PhaseAssignment) -> bool:
-    return binary_feasible(problem.feeder, assignment, problem.constraints)

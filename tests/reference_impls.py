@@ -2,12 +2,15 @@
 
 Nothing here shares code paths with the package solvers: the power flow
 oracle is a Newton-Raphson iteration on the real/imaginary mismatch system
-with a finite-difference Jacobian, and the loss oracle recomputes I^2 R
-branch by branch from first principles.
+with a finite-difference Jacobian, the loss oracle recomputes I^2 R
+branch by branch from first principles, and the metric oracle evaluates
+every (location, timestep) one at a time in plain Python.
 """
 
 import numpy as np
 
+from phasebal.errors import MetricError
+from phasebal.metrics import denominator
 from phasebal.network import injection_series
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
@@ -90,3 +93,69 @@ def i2r_losses_percent(feeder, u):
         i_ph = np.linalg.inv(z) @ (ui - uj)
         p_in += float(np.real(np.sum(ui * np.conj(i_ph))))
     return 100.0 * loss_w / p_in
+
+
+def _spread_pct(values, mean):
+    return 100.0 * max(abs(1.0 - v / mean) for v in values)
+
+
+def _metric_at(metric, values, denom):
+    """One metric on one phase 3-vector, in plain Python; None if undefined."""
+    values = [float(v) for v in values]
+    mean = sum(values) / 3.0
+    if metric == "pvur":
+        if min(values) <= 0.0:
+            raise ValueError("pvur needs positive magnitudes")
+        return _spread_pct(values, mean)
+    if metric == "pvur_star":
+        return 100.0 * max(abs(v - mean) for v in values)
+    if metric in ("iu", "pu"):
+        return None if abs(mean) < 1e-6 else _spread_pct(values, mean)
+    if denom is None or denom <= 0.0:
+        return None
+    cyclic = sum((values[k] - values[(k + 1) % 3]) ** 2 for k in range(3))
+    return 100.0 * cyclic / denom ** 2
+
+
+def metric_values_loop(spec, feeder, loads, solutions=None, state=None):
+    """(locations, T) metric values, one (location, timestep) at a time.
+
+    Reads the exact route from a sequence of per-timestep PF solutions
+    (currents recomputed from the voltages with an explicit inverse) or
+    the linear route from an Ld3fState.  NaN marks an undefined value.
+    """
+    horizon = len(solutions) if solutions is not None else state.omega.shape[0]
+    if spec.is_voltage_metric:
+        locations = [feeder.bus_index(b) for b in spec.buses_for(feeder)]
+    else:
+        locations = list(spec.branches_for(feeder))
+    vals = np.empty((len(locations), horizon))
+    for k, loc in enumerate(locations):
+        denom = None
+        if spec.metric == "pu_star":
+            try:
+                denom = denominator(feeder, loads, loc)
+            except MetricError:
+                denom = None
+        for t in range(horizon):
+            if spec.is_voltage_metric:
+                if solutions is not None:
+                    phases = np.abs(solutions[t].u[loc])
+                    if spec.metric == "pvur_star":
+                        phases = phases ** 2
+                else:
+                    phases = state.omega[t, loc]
+                    if spec.metric == "pvur":
+                        phases = np.sqrt(phases)
+            elif state is not None:
+                phases = state.flow_p[loc.key][t]
+            else:
+                u = solutions[t].u
+                ui = u[feeder.bus_index(loc.from_bus)]
+                uj = u[feeder.bus_index(loc.to_bus)]
+                current = np.linalg.inv((loc.r + 1j * loc.x) / feeder.z_base) @ (ui - uj)
+                phases = (np.abs(current) if spec.metric == "iu"
+                          else np.real(ui * np.conj(current)))
+            value = _metric_at(spec.metric, phases, denom)
+            vals[k, t] = np.nan if value is None else value
+    return vals

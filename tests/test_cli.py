@@ -22,6 +22,15 @@ def test_pf_verb(line_paths, tmp_path, capsys):
     assert payload["timesteps"]["0"]["converged"]
 
 
+def test_pf_timestep_outside_horizon_is_exit_2(line_paths, tmp_path, capsys):
+    feeder_path, profiles_path = line_paths
+    code = main(["pf", "--feeder", str(feeder_path),
+                 "--profiles", str(profiles_path), "--t", "999",
+                 "--out", str(tmp_path / "pf.json")])
+    assert code == 2
+    assert "outside horizon" in capsys.readouterr().err
+
+
 def test_optimize_verb_miqp(line_paths, tmp_path):
     feeder_path, profiles_path = line_paths
     out = tmp_path / "report.json"

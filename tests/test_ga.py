@@ -1,11 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import phasebal
 from phasebal import fixtures, oracle
 from phasebal.errors import ValidationError
 from phasebal.ga import (FitnessEvaluator, GAConfig, crossover_single_point,
-                         fitness, mutate_random_reset, run_ga,
+                         mutate_random_reset, run_ga,
                          tournament_select)
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import ConstraintConfig, PhaseAssignment
@@ -79,7 +85,8 @@ def test_memo_cache_counts_calls_but_not_pf(line_problem):
 
 
 def test_fitness_oneshot_helper(line_problem):
-    assert fitness((1, 1, 1), line_problem) == FitnessEvaluator(line_problem).i0
+    # one-shot use of a fresh evaluator
+    assert FitnessEvaluator(line_problem)((1, 1, 1)) == FitnessEvaluator(line_problem).i0
 
 
 # -- operators -------------------------------------------------------------------
@@ -221,6 +228,39 @@ def test_ga_deterministic_across_thread_counts(line_problem):
     assert base.best == threaded.best
     assert base.trace == threaded.trace
     assert base.pf_evaluations == threaded.pf_evaluations
+
+
+_THREADED_GA = """
+import json, sys
+from phasebal import fixtures
+from phasebal.ga import GAConfig, run_ga
+from phasebal.metrics import ObjectiveSpec
+from phasebal.network import ConstraintConfig
+from phasebal.problem import Problem
+feeder, loads = fixtures.fixture("twenty_user")
+problem = Problem(feeder, loads, ConstraintConfig(delta_max=5), ObjectiveSpec("pu"))
+res = run_ga(problem, GAConfig(population_size=100, max_fitness_calls=3000,
+                               rng_seed=5, threads=int(sys.argv[1])))
+print(json.dumps([list(res.best.phases), res.pf_evaluations]))
+"""
+
+
+def test_threaded_ga_runs_cleanly_and_matches_one_thread():
+    """Worker threads once shared one LU pivot array and corrupted the heap;
+    each run gets its own process so a native crash shows as an exit code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(phasebal.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(threads):
+        out = subprocess.run([sys.executable, "-c", _THREADED_GA, str(threads)],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr[-2000:]
+        return json.loads(out.stdout)
+
+    base = run(1)
+    for _ in range(5):
+        assert run(2) == base
 
 
 def test_ga_call_budget_respected(line_problem):

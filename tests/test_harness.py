@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phasebal import cli, fixtures, harness, oracle
+from phasebal.errors import MetricError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
                               original_assignment)
@@ -157,6 +158,29 @@ def test_sweep_csv(tmp_path, line):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "delta_max,objective,switches_used"
     assert len(lines) == 3
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+def test_sweep_records_package_errors(line, monkeypatch):
+    feeder, loads = line
+    monkeypatch.setattr(harness.miqp, "build_program", _raise(MetricError("undefined")))
+    report = harness.cmd_sweep_switches(feeder, loads, ObjectiveSpec("pu_star"),
+                                        grid=(0, 1))
+    assert report.values == [None, None]
+    assert report.failures == {0: "MetricError: undefined", 1: "MetricError: undefined"}
+
+
+def test_sweep_lets_programming_errors_through(line, monkeypatch):
+    feeder, loads = line
+    monkeypatch.setattr(harness.miqp, "build_program", _raise(KeyError("bug")))
+    with pytest.raises(KeyError, match="bug"):
+        harness.cmd_sweep_switches(feeder, loads, ObjectiveSpec("pu_star"),
+                                   grid=(0, 1))
 
 
 # -- cmd_scaling -------------------------------------------------------------------

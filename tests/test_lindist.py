@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from phasebal import fixtures, powerflow
 from phasebal.lindist import (GAMMA_IM, GAMMA_RE, AffineSensitivity,
-                              ab_matrices, evaluate_ld3f, evaluate_series,
-                              sensitivity)
+                              ab_matrices, evaluate_series, sensitivity)
 from phasebal.network import (Branch, LoadSeries, PhaseAssignment, User,
                               downstream_users, make_feeder,
                               original_assignment)
@@ -79,17 +78,16 @@ def zero_loads(feeder, horizon=1):
 
 def test_zero_load_unit_omega(line):
     feeder, _ = line
-    omega, flows = evaluate_ld3f(feeder, original_assignment(feeder),
-                                 zero_loads(feeder), 0)
-    assert np.allclose(omega, 1.0)
-    for p, q in flows.values():
-        assert np.allclose(p, 0.0)
-        assert np.allclose(q, 0.0)
+    state = evaluate_series(feeder, original_assignment(feeder), zero_loads(feeder))
+    assert np.allclose(state.omega[0], 1.0)
+    for key in state.flow_p:
+        assert np.allclose(state.flow_p[key][0], 0.0)
+        assert np.allclose(state.flow_q[key][0], 0.0)
 
 
 def test_balanced_two_bus_equal_omega(two_bus):
     feeder, loads = two_bus
-    omega, _ = evaluate_ld3f(feeder, PhaseAssignment((1, 2, 3)), loads, 0)
+    omega = evaluate_series(feeder, PhaseAssignment((1, 2, 3)), loads).omega[0]
     w = omega[feeder.bus_index("b1")]
     assert np.ptp(w) < 1e-12
 
@@ -97,8 +95,9 @@ def test_balanced_two_bus_equal_omega(two_bus):
 def test_line_matches_exact_pf_squared(line):
     feeder, loads = line
     a = PhaseAssignment((1, 1, 1))
+    state = evaluate_series(feeder, a, loads)
     for t in range(loads.horizon):
-        omega, _ = evaluate_ld3f(feeder, a, loads, t)
+        omega = state.omega[t]
         sol = powerflow.solve_pf(feeder, a, loads, t)
         err = np.abs(omega[feeder.bus_index("b3")]
                      - sol.omega()[feeder.bus_index("b3")])

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebal import fixtures
+from phasebal import fixtures, lindist, powerflow
 from phasebal.errors import MetricError, ValidationError
-from phasebal.metrics import (ObjectiveSpec, aggregate, denominator, i_u, p_u,
-                              p_u_star, pvur, pvur_star)
+from phasebal.metrics import (ALL_METRICS, ObjectiveSpec, aggregate, denominator,
+                              i_u, p_u, p_u_star, pvur, pvur_star)
+from phasebal.network import LoadSeries, original_assignment
+from phasebal.problem import metric_values_exact, metric_values_ld3f
+from reference_impls import metric_values_loop
 
 finite_pos = st.floats(0.2, 5.0, allow_nan=False)
 
@@ -213,3 +216,44 @@ def test_objective_spec_explicit_sets(line):
     assert spec.buses_for(feeder) == ("b3",)
     flow = ObjectiveSpec("pu_star", balance_branches=(("b1", "b2"),))
     assert [br.key for br in flow.branches_for(feeder)] == [("b1", "b2")]
+
+
+# -- vectorized evaluation against the per-(location, t) loop ---------------------
+
+IDLE_STEPS = [3, 10]
+
+
+def _with_idle_steps(loads):
+    """Zero demand at IDLE_STEPS: every flow's phase mean vanishes there."""
+    p, q = loads.p.copy(), loads.q.copy()
+    p[IDLE_STEPS] = 0.0
+    q[IDLE_STEPS] = 0.0
+    return LoadSeries(loads.user_ids, p, q, loads.resolution_s)
+
+
+@pytest.mark.parametrize("name", ["line", "twenty_user"])
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_metric_values_match_loop(name, metric):
+    feeder, loads = fixtures.fixture(name)
+    loads = _with_idle_steps(loads)
+    a = original_assignment(feeder)
+    specs = [ObjectiveSpec(metric)]
+    if metric in ("iu", "pu", "pu_star"):
+        specs.append(ObjectiveSpec(metric, balance_branches=[br.key for br in
+                                                             feeder.branches]))
+    sols = powerflow.solve_series(feeder, a, loads)
+    state = lindist.evaluate_series(feeder, a, loads)
+    for spec in specs:
+        vals = metric_values_exact(spec, feeder, loads, sols)
+        np.testing.assert_allclose(
+            vals, metric_values_loop(spec, feeder, loads, solutions=sols),
+            rtol=1e-12, atol=1e-12)
+        if metric in ("iu", "pu"):
+            assert np.all(np.isnan(vals[:, IDLE_STEPS]))
+            assert not np.any(np.isnan(np.delete(vals, IDLE_STEPS, axis=1)))
+        if metric == "iu":
+            continue
+        np.testing.assert_allclose(
+            metric_values_ld3f(spec, feeder, loads, state),
+            metric_values_loop(spec, feeder, loads, state=state),
+            rtol=1e-12, atol=1e-12)

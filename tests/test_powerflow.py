@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebal import fixtures
-from phasebal.errors import ConvergenceError, MetricError
+from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.network import (Branch, LoadSeries, PhaseAssignment, User,
                               make_feeder, original_assignment)
 from phasebal.powerflow import (REFERENCE_PHASORS, build_ybus, losses,
@@ -149,6 +151,13 @@ def test_uniform_phase_rotation_rotates_solution(line):
                        atol=1e-9)
 
 
+@pytest.mark.parametrize("t", [999, 24, -1])
+def test_timestep_outside_horizon_rejected(line, t):
+    feeder, loads = line
+    with pytest.raises(ValidationError, match="outside horizon"):
+        solve_pf(feeder, original_assignment(feeder), loads, t)
+
+
 def test_non_convergence_flagged_not_fatal(line):
     feeder, _ = line
     ids = tuple(u.id for u in feeder.users)
@@ -235,3 +244,38 @@ def test_series_matches_single_solves(line):
     for t in range(loads.horizon):
         solo = solve_pf(feeder, a, loads, t)
         assert np.array_equal(sols[t].u, solo.u)
+
+
+def test_series_losses_match_single_solves(line):
+    feeder, loads = line
+    a = original_assignment(feeder)
+    per_step = losses(solve_series(feeder, a, loads), feeder)
+    assert per_step.shape == (loads.horizon,)
+    for t in (0, 12, 18):
+        assert abs(per_step[t] - losses(solve_pf(feeder, a, loads, t), feeder)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["line", "twenty_user"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_block_columns_independent_of_block(name, data):
+    """A timestep solved inside any block equals its one-column solve bitwise."""
+    feeder, loads = fixtures.fixture(name)
+    n_genes = len(feeder.reconfigurable_users())
+    a = PhaseAssignment(data.draw(st.lists(st.integers(1, 3), min_size=n_genes,
+                                           max_size=n_genes)))
+    scale = data.draw(st.floats(0.1, 1.5))
+    scaled = LoadSeries(loads.user_ids, loads.p * scale, loads.q * scale)
+    steps = data.draw(st.lists(st.integers(0, loads.horizon - 1), min_size=1,
+                               max_size=loads.horizon, unique=True))
+    block = LoadSeries(loads.user_ids, scaled.p[steps], scaled.q[steps])
+    full = solve_series(feeder, a, scaled)
+    sols = solve_series(feeder, a, block)
+    for arr in ("u", "s_from", "s_to", "current", "iterations", "converged",
+                "max_mismatch"):
+        assert np.array_equal(getattr(sols, arr), getattr(full, arr)[steps]), arr
+    for k in range(len(steps)):
+        solo = solve_pf(feeder, a, block, k)
+        assert np.array_equal(sols[k].u, solo.u)
+        assert np.array_equal(sols[k].current, solo.current)
+        assert sols[k].iterations == solo.iterations
