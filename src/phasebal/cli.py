@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import ga, harness, lpfile, miqp
-from .errors import (CapExceededError, ConvergenceError, InfeasibleProgramError,
-                     InputParseError, ValidationError)
+from .errors import ConvergenceError, InputParseError, PhasebalError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import ConstraintConfig, load_feeder, load_profiles
 
@@ -237,13 +236,12 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (InputParseError, ValidationError, CapExceededError,
-            InfeasibleProgramError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
+    except PhasebalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import PhaseAssignment, binary_feasible, original_assignment
+from .network import (PhaseAssignment, binary_feasible, feasible_mask, fixed_phase_counts,
+                      original_assignment)
 from .problem import Problem, evaluate_exact
 
 PHASE_CHOICES = (1, 2, 3)
@@ -70,6 +71,9 @@ class FitnessEvaluator:
         self.problem = problem
         self.m = penalty_multiplier
         self.a0 = original_assignment(problem.feeder)
+        cons = problem.constraints
+        self._mask_args = (self.a0.phases, cons.delta_max,
+                           fixed_phase_counts(problem.feeder), cons.phase_count_bounds)
         self.cache: dict[tuple, float] = {}
         self.fitness_calls = 0
         self.pf_evaluations = 0
@@ -79,48 +83,41 @@ class FitnessEvaluator:
             baseline = ev.objective
         self.i0 = baseline
 
-    def _compute(self, c: tuple) -> tuple[float, bool]:
-        """(fitness, pf_used); pure so it can run on worker threads."""
-        assignment = PhaseAssignment(c)
-        if not binary_feasible(self.problem.feeder, assignment,
-                               self.problem.constraints, self.a0):
-            return self.m * self.i0, False
-        ev = evaluate_exact(self.problem, assignment)
+    def _exact(self, c: tuple) -> float:
+        """Penalized exact-PF fitness of a budget- and count-feasible
+        candidate; pure so it can run on worker threads."""
+        ev = evaluate_exact(self.problem, PhaseAssignment(c))
         value = ev.objective
         if not ev.operational_ok or not np.isfinite(value):
             value = (value if np.isfinite(value) else 0.0) + self.m * self.i0
-        return value, True
+        return value
 
     def __call__(self, c) -> float:
-        c = tuple(int(p) for p in c)
-        self.fitness_calls += 1
-        if c not in self.cache:
-            value, pf_used = self._compute(c)
-            self.cache[c] = value
-            self.pf_evaluations += int(pf_used)
-        return self.cache[c]
+        return self.evaluate_population([c])[0]
 
     def evaluate_population(self, population, threads: int = 1) -> list[float]:
         """Fitness of each candidate; deterministic for any thread count.
 
-        Duplicates are collapsed before dispatch so the PF work (and its
-        accounting) does not depend on scheduling.
+        Duplicates are collapsed and the switch budget and phase counts
+        are checked for the whole batch before dispatch, so the PF work
+        (and its accounting) does not depend on scheduling.
         """
         self.fitness_calls += len(population)
-        unique = []
-        for c in population:
-            c = tuple(int(p) for p in c)
-            if c not in self.cache and c not in unique:
-                unique.append(c)
-        if threads > 1 and len(unique) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(self._compute, unique))
-        else:
-            results = [self._compute(c) for c in unique]
-        for c, (value, pf_used) in zip(unique, results):
-            self.cache[c] = value
-            self.pf_evaluations += int(pf_used)
-        return [self.cache[tuple(int(p) for p in c)] for c in population]
+        keys = [tuple(int(p) for p in c) for c in population]
+        unique = [c for c in dict.fromkeys(keys) if c not in self.cache]
+        if unique:
+            ok = feasible_mask(unique, *self._mask_args)
+            todo = [c for c, good in zip(unique, ok) if good]
+            if threads > 1 and len(todo) > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    values = list(pool.map(self._exact, todo))
+            else:
+                values = [self._exact(c) for c in todo]
+            self.pf_evaluations += len(todo)
+            exact = dict(zip(todo, values))
+            for c in unique:
+                self.cache[c] = exact.get(c, self.m * self.i0)
+        return [self.cache[c] for c in keys]
 
 
 def tournament_select(population, fitnesses, rng) -> list[tuple]:

@@ -77,8 +77,7 @@ class RunReport:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
 
-def _bnb_options(constraints: ConstraintConfig, time_limit_s=None,
-                 initial=None) -> miqp.BnBOptions:
+def _bnb_options(time_limit_s=None, initial=None) -> miqp.BnBOptions:
     return miqp.BnBOptions(leaf_enum_cap=16384, time_limit_s=time_limit_s,
                            initial_incumbent=initial)
 
@@ -105,7 +104,7 @@ def cmd_optimize(feeder: Feeder, loads: LoadSeries, method: str,
             write_trace_csv(result, trace_path)
     elif method == "miqp":
         prog = miqp.build_program(feeder, loads, constraints, objective)
-        res = miqp.branch_and_bound(prog, _bnb_options(constraints, time_limit_s))
+        res = miqp.branch_and_bound(prog, _bnb_options(time_limit_s))
         best, value = res.assignment, res.objective
         solver = {"bound": res.bound, "gap": res.gap, "nodes": res.nodes,
                   "status": res.status,
@@ -230,7 +229,7 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
             if method == "miqp":
                 prog = miqp.build_program(feeder, loads, cons, objective)
                 res = miqp.branch_and_bound(
-                    prog, _bnb_options(cons, time_limit_s, initial=prev))
+                    prog, _bnb_options(time_limit_s, initial=prev))
                 best, value = res.assignment, res.objective
             else:
                 report = cmd_optimize(feeder, loads, method, objective, cons,

@@ -98,8 +98,9 @@ def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:
     if not users:
         raise MetricError(f"branch {branch.key} has no downstream users")
     total = 0.0
-    for uid in users:
-        total += float(loads.p[:, loads.column(uid)].mean())
+    for u in feeder.users:  # a fixed order: the set's order depends on the hash seed
+        if u.id in users:
+            total += float(loads.p[:, loads.column(u.id)].mean())
     total /= feeder.base_power
     if total <= 0.0:
         raise MetricError(f"branch {branch.key}: zero downstream demand")

@@ -22,7 +22,9 @@ a dense simplex with lazily generated epigraph rows for the linear
 objective, and Frank-Wolfe over the node polytope for the quadratic one.
 Each Frank-Wolfe iteration yields a certified lower bound from the
 linearization gap, so early termination never produces an invalid bound.
-Small subtrees are closed by exact enumeration.
+A node whose budget-feasible completions (``network.completion_count``)
+fit the leaf cap is closed exactly: its completions are generated in
+lexicographic order by ``network.completions`` and scored in chunks.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ import numpy as np
 from . import lindist
 from .errors import InfeasibleProgramError, ValidationError
 from .metrics import ObjectiveSpec
-from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment)
+from .network import (PHASES, ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
+                      completion_count, completions, feasible_mask, fixed_phase_counts)
 from .problem import branch_denominator
 from .simplex import solve_lp
 
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
+LEAF_CHUNK = 2048  # completions scored per objective_batch call
 
 
 @dataclass(frozen=True)
@@ -120,25 +124,19 @@ class BinaryProgram:
         per_branch = (diff ** 2).sum(axis=3) * self.branch_weight[None, None, :]
         return per_branch.mean(axis=2).mean(axis=1)
 
-    def switches(self, assignment: PhaseAssignment) -> int:
-        return sum(1 for p, p0 in zip(assignment.phases, self.c0) if p != p0)
+    def feasible_mask(self, phases: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Which of the (M, n) configurations ``phases``, given also as
+        one-hot ``deltas`` (M, n, 3), meet the budget, the phase counts and
+        every screened side row."""
+        ok = feasible_mask(phases, self.c0, self.delta_max,
+                           self.fixed_phase_counts, self.gamma)
+        for _, coef, rhs in self.side_rows:
+            ok &= np.einsum("muf,uf->m", deltas, coef) <= rhs + 1e-9
+        return ok
 
     def point_feasible(self, assignment: PhaseAssignment) -> bool:
-        if self.switches(assignment) > self.delta_max:
-            return False
-        if self.gamma is not None:
-            counts = list(self.fixed_phase_counts)
-            for p in assignment.phases:
-                counts[p - 1] += 1
-            lo, hi = self.gamma
-            if not all(lo <= k <= hi for k in counts):
-                return False
-        if self.side_rows:
-            d = self._delta(assignment)
-            for _, coef, rhs in self.side_rows:
-                if float(np.sum(coef * d)) > rhs + 1e-9:
-                    return False
-        return True
+        delta = self._delta(assignment)
+        return bool(self.feasible_mask([assignment.phases], delta[None])[0])
 
 
 def _screen_rows(rows, n_users):
@@ -177,12 +175,6 @@ def build_program(feeder: Feeder, loads: LoadSeries,
     c0 = tuple(u.original_phase for u in pr)
     n = len(users)
     horizon = loads.horizon
-    fixed_counts = [0, 0, 0]
-    for u in feeder.users:
-        if not u.reconfigurable:
-            fixed_counts[u.original_phase - 1] += 1
-    gamma = ((constraints.gamma_low, constraints.gamma_upp)
-             if constraints.enforce_phase_counts else None)
 
     # voltage band and thermal limits as screened linear rows over delta
     side = []
@@ -213,8 +205,8 @@ def build_program(feeder: Feeder, loads: LoadSeries,
     side_rows = _screen_rows(side, n)
 
     kwargs = dict(feeder=feeder, users=users, c0=c0, horizon=horizon,
-                  delta_max=constraints.delta_max, gamma=gamma,
-                  fixed_phase_counts=tuple(fixed_counts), side_rows=side_rows,
+                  delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,
+                  fixed_phase_counts=fixed_phase_counts(feeder), side_rows=side_rows,
                   dev_const=None, dev_coef=None, diff_const=None,
                   diff_coef=None, branch_weight=None)
 
@@ -291,6 +283,10 @@ class _BnBSolver:
         if prog.objective_kind == "pu_star":
             self.q_mat, self.q_lin, self.q_const = _quadratic_parts(prog)
 
+    def _used(self, fixed) -> int:
+        """Switches spent by the fixed users of a node."""
+        return sum(1 for ph, p0 in zip(fixed, self.prog.c0) if ph not in (0, p0))
+
     # ---- shared polytope rows over the free users of a node ----
 
     def _node_base_rows(self, fixed):
@@ -304,7 +300,7 @@ class _BnBSolver:
             a_eq[r, 3 * r: 3 * r + 3] = 1.0
         b_eq = np.ones(f)
         rows, rhs, labels = [], [], []
-        used = sum(1 for i, ph in enumerate(fixed) if ph not in (0, prog.c0[i]))
+        used = self._used(fixed)
         budget_row = np.zeros(nv)
         for r, i in enumerate(free):
             budget_row[3 * r + (prog.c0[i] - 1)] = -1.0
@@ -457,71 +453,26 @@ class _BnBSolver:
 
     # ---- leaf enumeration ----
 
-    def _leaf_count(self, fixed):
-        free = [i for i, ph in enumerate(fixed) if ph == 0]
-        used = sum(1 for i, ph in enumerate(fixed) if ph not in (0, self.prog.c0[i]))
-        budget = self.prog.delta_max - used
-        if budget < 0:
-            return 0
-        from math import comb
-        return sum(comb(len(free), k) * 2 ** k
-                   for k in range(min(budget, len(free)) + 1))
-
     def _enumerate_leaf(self, fixed):
         """Exact minimum over every feasible completion of ``fixed``.
 
-        Completions are generated in lexicographic order and scored in
-        vectorized chunks; infeasible points (counts, side rows) are
-        masked out before scoring.
+        Completions come in lexicographic order and are scored in chunks of
+        ``LEAF_CHUNK`` consecutive ones; points that break the counts or a
+        side row are masked out before scoring, and the first minimum wins.
         """
         prog = self.prog
-        free = [i for i, ph in enumerate(fixed) if ph == 0]
-        used = sum(1 for i, ph in enumerate(fixed) if ph not in (0, prog.c0[i]))
-        budget = prog.delta_max - used
+        cands = completions(prog.c0, fixed, prog.delta_max - self._used(fixed))
         best_val, best_assign = np.inf, None
-        phases = list(fixed)
-        chunk: list[tuple] = []
-
-        def flush():
-            nonlocal best_val, best_assign
-            if not chunk:
-                return
-            deltas = np.zeros((len(chunk), self.n, 3))
-            rows = np.arange(self.n)
-            for m, cand in enumerate(chunk):
-                deltas[m, rows, np.asarray(cand) - 1] = 1.0
-            ok = np.ones(len(chunk), dtype=bool)
-            if prog.gamma is not None:
-                counts = deltas.sum(axis=1) + np.asarray(prog.fixed_phase_counts)
-                lo, hi = prog.gamma
-                ok &= np.all((counts >= lo) & (counts <= hi), axis=1)
-            for _, coef, rhs in prog.side_rows:
-                ok &= np.einsum("muf,uf->m", deltas, coef) <= rhs + 1e-9
+        for start in range(0, len(cands), LEAF_CHUNK):
+            chunk = cands[start:start + LEAF_CHUNK]
+            deltas = (chunk[..., None] == PHASES).astype(float)
+            ok = prog.feasible_mask(chunk, deltas)
             if np.any(ok):
                 vals = prog.objective_batch(deltas[ok])
                 pick = int(np.argmin(vals))
                 if vals[pick] < best_val:
                     best_val = float(vals[pick])
-                    best_assign = PhaseAssignment(chunk[np.flatnonzero(ok)[pick]])
-            chunk.clear()
-
-        def walk(pos, left):
-            if pos == len(free):
-                chunk.append(tuple(phases))
-                if len(chunk) >= 2048:
-                    flush()
-                return
-            i = free[pos]
-            for ph in (1, 2, 3):
-                cost = 0 if ph == prog.c0[i] else 1
-                if cost > left:
-                    continue
-                phases[i] = ph
-                walk(pos + 1, left - cost)
-            phases[i] = 0
-
-        walk(0, budget)
-        flush()
+                    best_assign = PhaseAssignment(chunk[ok][pick])
         return best_val, best_assign
 
 
@@ -594,7 +545,9 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
             break
         nodes += 1
 
-        if solver._leaf_count(node.fixed) <= opts.leaf_enum_cap:
+        n_free = node.fixed.count(0)
+        if completion_count(n_free, prog.delta_max - solver._used(node.fixed)) \
+                <= opts.leaf_enum_cap:
             val, assign = solver._enumerate_leaf(node.fixed)
             if assign is not None and val < inc_value:
                 inc_value, incumbent = val, assign
@@ -637,8 +590,7 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
             child = list(node.fixed)
             child[branch_user] = ph
             child = tuple(child)
-            used = sum(1 for i, p in enumerate(child) if p not in (0, prog.c0[i]))
-            if used > prog.delta_max:
+            if solver._used(child) > prog.delta_max:
                 continue
             heapq.heappush(heap, (rel_bound, next(counter),
                                   _NodeData(child, rel_bound, active)))

@@ -287,13 +287,6 @@ def user_phases(feeder: Feeder, assignment: PhaseAssignment) -> dict[str, int]:
     return phases
 
 
-def phase_user_counts(feeder: Feeder, assignment: PhaseAssignment) -> tuple[int, int, int]:
-    counts = [0, 0, 0]
-    for p in user_phases(feeder, assignment).values():
-        counts[p - 1] += 1
-    return tuple(counts)
-
-
 # -- load series -----------------------------------------------------------
 
 
@@ -355,12 +348,13 @@ def injection_series(feeder: Feeder, assignment: PhaseAssignment,
                      loads: LoadSeries) -> np.ndarray:
     """Complex (T, n_buses, 3) injections in watts for every timestep."""
     phases = user_phases(feeder, assignment)
+    cols = [loads.column(u.id) for u in feeder.users]
+    buses = [feeder.bus_index(u.bus) for u in feeder.users]
+    user_phase = [phases[u.id] - 1 for u in feeder.users]
     out = np.zeros((loads.horizon, len(feeder.buses), 3), dtype=complex)
-    for u in feeder.users:
-        col = loads.column(u.id)
-        b = feeder.bus_index(u.bus)
-        ph = phases[u.id] - 1
-        out[:, b, ph] += loads.p[:, col] + 1j * loads.q[:, col]
+    # unbuffered: users sharing a (bus, phase) add up in feeder.users order
+    np.add.at(out, (slice(None), buses, user_phase),
+              loads.p[:, cols] + 1j * loads.q[:, cols])
     return out
 
 
@@ -386,6 +380,11 @@ class ConstraintConfig:
         if not (0 < self.v_min < self.v_max):
             raise ValidationError("need 0 < v_min < v_max")
 
+    @property
+    def phase_count_bounds(self) -> tuple[int, int] | None:
+        """(gamma_low, gamma_upp) when phase counts are enforced, else None."""
+        return (self.gamma_low, self.gamma_upp) if self.enforce_phase_counts else None
+
     @classmethod
     def from_fractions(cls, feeder: Feeder, delta_max: int,
                        low: float = 0.20, upp: float = 0.40,
@@ -399,20 +398,71 @@ class ConstraintConfig:
                    enforce_phase_counts=enforce_phase_counts)
 
 
+def fixed_phase_counts(feeder: Feeder) -> tuple[int, int, int]:
+    """Users per phase among the users that cannot be reconfigured."""
+    counts = [0, 0, 0]
+    for u in feeder.users:
+        if not u.reconfigurable:
+            counts[u.original_phase - 1] += 1
+    return tuple(counts)
+
+
+def completion_count(n_free: int, budget: int) -> int:
+    """Number of ways to give ``n_free`` users a phase with at most
+    ``budget`` of them off their original phase: sum_k C(n_free, k) 2^k,
+    and 0 for a negative budget."""
+    return sum(math.comb(n_free, k) * 2 ** k for k in range(min(budget, n_free) + 1))
+
+
+def completions(c0, fixed, budget: int) -> np.ndarray:
+    """Every completion of the partial configuration ``fixed`` (0 = free)
+    that moves at most ``budget`` of its free users off their phase in
+    ``c0``, as an (M, n) int8 array in lexicographic order.
+
+    Prefixes are extended one position at a time; each prefix with budget
+    left has at least one completion, so no intermediate array outgrows
+    the result.
+    """
+    c0 = np.asarray(c0, dtype=np.int8)
+    rows = np.array([fixed], dtype=np.int8)
+    if budget < 0:
+        return rows[:0]
+    left = np.array([budget])
+    phases = np.array(PHASES, dtype=np.int8)
+    for pos in np.flatnonzero(rows[0] == 0):
+        cost = (phases != c0[pos]).astype(int)
+        parent, choice = np.nonzero(cost[None, :] <= left[:, None])
+        rows = rows[parent]
+        rows[:, pos] = phases[choice]
+        left = left[parent] - cost[choice]
+    return rows
+
+
+def feasible_mask(phases, c0, delta_max: int, fixed_counts,
+                  gamma: tuple[int, int] | None) -> np.ndarray:
+    """Which rows of the (M, n) configurations ``phases`` keep the switch
+    budget and, when ``gamma`` = (low, upp) is given, put between low and
+    upp users on every phase, counting the fixed users' ``fixed_counts``."""
+    phases = np.asarray(phases)
+    if phases.ndim != 2 or phases.shape[1] != len(c0):
+        raise ValidationError(
+            f"configurations of shape {phases.shape} for {len(c0)} reconfigurable users")
+    ok = (phases != np.asarray(c0)).sum(axis=1) <= delta_max
+    if gamma is not None:
+        counts = (phases[:, :, None] == PHASES).sum(axis=1) + np.asarray(fixed_counts)
+        ok &= np.all((counts >= gamma[0]) & (counts <= gamma[1]), axis=1)
+    return ok
+
+
 def binary_feasible(feeder: Feeder, assignment: PhaseAssignment,
                     constraints: ConstraintConfig,
                     a0: PhaseAssignment | None = None) -> bool:
     """Check the switch budget and (optionally) per-phase user counts."""
     if a0 is None:
         a0 = original_assignment(feeder)
-    if switch_count(assignment, a0) > constraints.delta_max:
-        return False
-    if constraints.enforce_phase_counts:
-        counts = phase_user_counts(feeder, assignment)
-        for c in counts:
-            if not (constraints.gamma_low <= c <= constraints.gamma_upp):
-                return False
-    return True
+    return bool(feasible_mask([assignment.phases], a0.phases, constraints.delta_max,
+                              fixed_phase_counts(feeder),
+                              constraints.phase_count_bounds)[0])
 
 
 # -- file ingestion ----------------------------------------------------------

@@ -3,56 +3,23 @@
 Ground truth for the optimizers at desk scale: every configuration that
 satisfies the switch budget (and, when enforced, the per-phase count
 bounds) is scored with the chosen evaluator and the full ranking is
-returned.  Enumeration follows lexicographic order over the integer
-configuration; candidates beyond the budget are pruned during the
-depth-first walk, so the work is proportional to the feasible count
-rather than 3^n.
+returned.  The budget-feasible configurations are generated as one array
+in lexicographic order by ``network.completions``, so the work is
+proportional to the feasible count rather than 3^n; the count is checked
+against the cap before anything is generated.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import comb
 
 from .errors import CapExceededError
-from .network import PhaseAssignment, original_assignment, phase_user_counts
+from .network import (PhaseAssignment, completion_count, completions, feasible_mask,
+                      fixed_phase_counts, original_assignment)
 from .problem import Problem, evaluate
 
 DEFAULT_CAP = 10 ** 6
-
-
-def feasible_count_bound(n_genes: int, delta_max: int) -> int:
-    """Upper bound on the number of budget-feasible configurations."""
-    return sum(comb(n_genes, k) * 2 ** k for k in range(min(delta_max, n_genes) + 1))
-
-
-def iter_feasible(problem: Problem):
-    """Yield feasible configurations in lexicographic order."""
-    c0 = original_assignment(problem.feeder).phases
-    n = len(c0)
-    budget = problem.constraints.delta_max
-    prefix = [0] * n
-
-    def walk(pos: int, used: int):
-        if pos == n:
-            yield tuple(prefix)
-            return
-        for phase in (1, 2, 3):
-            cost = used + (phase != c0[pos])
-            if cost > budget:
-                continue
-            prefix[pos] = phase
-            yield from walk(pos + 1, cost)
-
-    for c in walk(0, 0):
-        a = PhaseAssignment(c)
-        if problem.constraints.enforce_phase_counts:
-            counts = phase_user_counts(problem.feeder, a)
-            lo, hi = problem.constraints.gamma_low, problem.constraints.gamma_upp
-            if not all(lo <= k <= hi for k in counts):
-                continue
-        yield a
 
 
 @dataclass(frozen=True)
@@ -66,14 +33,18 @@ class OracleResult:
 def enumerate_optimal(problem: Problem, evaluator: str = "exact",
                       cap: int = DEFAULT_CAP) -> OracleResult:
     """Score every feasible configuration; return the minimum and ranking."""
-    n = len(original_assignment(problem.feeder))
-    bound = feasible_count_bound(n, problem.constraints.delta_max)
+    cons = problem.constraints
+    c0 = original_assignment(problem.feeder).phases
+    bound = completion_count(len(c0), cons.delta_max)
     if bound > cap:
         raise CapExceededError(
             f"up to {bound} feasible configurations exceeds the cap {cap}; "
             f"lower delta_max or the number of reconfigurable users")
+    rows = completions(c0, (0,) * len(c0), cons.delta_max)
+    rows = rows[feasible_mask(rows, c0, cons.delta_max, fixed_phase_counts(problem.feeder),
+                              cons.phase_count_bounds)]
     scored = []
-    for a in iter_feasible(problem):
+    for a in map(PhaseAssignment, rows):
         scored.append((evaluate(problem, a, evaluator), a))
     scored.sort(key=lambda pair: pair[0])  # stable: lexicographic ties keep order
     best_obj, best = scored[0]

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from phasebal.cli import load_config, main
 from phasebal.errors import InputParseError
+from phasebal.network import LoadSeries, save_feeder, save_profiles
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,21 @@ def test_optimize_verb_miqp(line_paths, tmp_path):
     assert report["method"] == "miqp"
     assert report["objective"] == "pu_star"
     assert report["switches"] <= 2
+
+
+def test_metric_error_is_exit_2(line, tmp_path, capsys):
+    feeder, loads = line
+    feeder_path = tmp_path / "line.feeder.json"
+    profiles_path = tmp_path / "zero.profiles.csv"
+    save_feeder(feeder, feeder_path)
+    zero = np.zeros_like(loads.p)
+    save_profiles(LoadSeries(loads.user_ids, zero, zero), profiles_path)
+    code = main(["optimize", "--feeder", str(feeder_path),
+                 "--profiles", str(profiles_path), "--method", "miqp",
+                 "--objective", "pu-star", "--delta-max", "1",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "zero downstream demand" in capsys.readouterr().err
 
 
 def test_optimize_then_validate(line_paths, tmp_path):

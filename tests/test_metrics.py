@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasebal
 from phasebal import fixtures, lindist, powerflow
 from phasebal.errors import MetricError, ValidationError
 from phasebal.metrics import (ALL_METRICS, ObjectiveSpec, aggregate, denominator,
@@ -150,6 +155,29 @@ def test_denominator_no_downstream_demand(line):
     loads = fixtures.LoadSeries(ids, p, p.copy())
     with pytest.raises(MetricError):
         denominator(feeder, loads, feeder.branches[0])
+
+
+_DENOMINATORS = """
+from phasebal import fixtures
+from phasebal.metrics import denominator
+feeder, loads = fixtures.fixture("twenty_user")
+print([repr(denominator(feeder, loads, br)) for br in feeder.branches])
+"""
+
+
+def test_denominator_independent_of_hash_seed():
+    """Downstream demand is summed in a fixed order, not in the order of a
+    set of user ids, which changes with the interpreter's hash seed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(phasebal.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _DENOMINATORS], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr[-2000:]
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
 
 
 # -- aggregate ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from phasebal import fixtures, lindist
 from phasebal.errors import InfeasibleProgramError, ValidationError
 from phasebal.metrics import ObjectiveSpec, aggregate
-from phasebal.miqp import (BnBOptions, _quadratic_parts, branch_and_bound,
-                           build_program)
+from phasebal.miqp import (LEAF_CHUNK, BnBOptions, _BnBSolver, _quadratic_parts,
+                           branch_and_bound, build_program)
 from phasebal.network import (Branch, ConstraintConfig, LoadSeries,
                               PhaseAssignment, User, make_feeder)
 from phasebal.problem import (Problem, evaluate, evaluate_exact,
@@ -184,6 +185,55 @@ def test_voltage_bound_rows_steer_solution(line):
     omega = sens.omega_of(res.assignment)
     assert omega.min() >= cons.v_min ** 2 - 1e-9
     assert omega.max() <= cons.v_max ** 2 + 1e-9
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+def test_leaf_enumeration_with_counts_and_side_row(twenty_user, metric):
+    feeder, loads = twenty_user
+    cons = ConstraintConfig(delta_max=3, gamma_low=6, gamma_upp=7,
+                            enforce_phase_counts=True)
+    prog = build_program(feeder, loads, cons, ObjectiveSpec(metric))
+    c0, n = prog.c0, prog.n_users
+    configs = set()
+    for k in range(cons.delta_max + 1):
+        for users in itertools.combinations(range(n), k):
+            for shifts in itertools.product((1, 2), repeat=k):
+                c = list(c0)
+                for i, s in zip(users, shifts):
+                    c[i] = (c0[i] - 1 + s) % 3 + 1
+                configs.add(tuple(c))
+    configs = sorted(configs)
+    assert len(configs) == 9921 > LEAF_CHUNK
+    values = prog.objective_batch(
+        np.array([PhaseAssignment(c).to_delta() for c in configs], dtype=float))
+
+    def first_minimum(keep):
+        best = None
+        for c, v in zip(configs, values):
+            if keep(c) and (best is None or v < best[1]):
+                best = (c, v)
+        return best
+
+    def counts_ok(c):
+        return all(6 <= c.count(p) <= 7 for p in (1, 2, 3))
+
+    assert first_minimum(counts_ok) != first_minimum(lambda c: True)  # gamma binds
+    forbidden, _ = first_minimum(counts_ok)
+    coef = np.zeros((n, 3))
+    coef[np.arange(n), np.array(forbidden) - 1] = 1.0
+    prog = dataclasses.replace(
+        prog, side_rows=prog.side_rows + (("not_forbidden", coef, n - 1.0),))
+
+    def feasible(c):
+        delta = PhaseAssignment(c).to_delta()
+        return counts_ok(c) and all(float(np.sum(row * delta)) <= rhs + 1e-9
+                                    for _, row, rhs in prog.side_rows)
+
+    expected, expected_value = first_minimum(feasible)
+    assert expected != forbidden
+    value, assignment = _BnBSolver(prog, BnBOptions())._enumerate_leaf((0,) * n)
+    assert assignment.phases == expected
+    assert value == pytest.approx(expected_value, rel=1e-12)
 
 
 def test_initial_incumbent_used(twenty_user):

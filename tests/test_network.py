@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from phasebal import fixtures
 from phasebal.errors import InputParseError, ValidationError
-from phasebal.network import (Branch, ConstraintConfig, PhaseAssignment, User,
-                              downstream_users, injections, load_feeder,
+from phasebal.network import (PHASES, Branch, ConstraintConfig, PhaseAssignment,
+                              User, binary_feasible, completion_count, completions,
+                              downstream_users, feasible_mask, fixed_phase_counts,
+                              injection_series, injections, load_feeder,
                               load_profiles, make_feeder, original_assignment,
-                              phase_user_counts, switch_count, user_phases)
+                              switch_count, user_phases)
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
 Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
@@ -308,8 +311,71 @@ def test_constraint_config_fractions(twenty_user):
 
 def test_phase_user_counts(twenty_user):
     feeder, _ = twenty_user
-    counts = phase_user_counts(feeder, original_assignment(feeder))
+    c0 = original_assignment(feeder).phases
+    counts = np.add(fixed_phase_counts(feeder), [c0.count(p) for p in PHASES])
     assert sum(counts) == 20
+
+
+def test_feasible_mask_counts_fixed_users():
+    feeder = make_feeder(
+        buses=["r", "b1"],
+        branches=[Branch("r", "b1", Z_R, Z_X)],
+        reference_bus="r",
+        users=[User("fix", "b1", 3, reconfigurable=False), User("u1", "b1", 1),
+               User("u2", "b1", 1), User("u3", "b1", 2)],
+        base_voltage=230.0, base_power=10000.0)
+    assert fixed_phase_counts(feeder) == (0, 0, 1)
+    c0 = original_assignment(feeder).phases
+    configs = list(itertools.product(PHASES, repeat=3))
+    for budget, gamma in ((3, None), (1, None), (2, (1, 1)), (3, (1, 2))):
+        cons = ConstraintConfig(delta_max=budget, gamma_low=gamma[0] if gamma else 0,
+                                gamma_upp=gamma[1] if gamma else 10 ** 9,
+                                enforce_phase_counts=gamma is not None)
+        expected = []
+        for c in configs:
+            counts = [list(user_phases(feeder, PhaseAssignment(c)).values()).count(p)
+                      for p in PHASES]
+            expected.append(switch_count(PhaseAssignment(c), PhaseAssignment(c0)) <= budget
+                            and (gamma is None
+                                 or all(gamma[0] <= k <= gamma[1] for k in counts)))
+        mask = feasible_mask(configs, c0, budget, fixed_phase_counts(feeder), gamma)
+        assert mask.tolist() == expected
+        assert [binary_feasible(feeder, PhaseAssignment(c), cons) for c in configs] == expected
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_completions_match_filtered_product(data):
+    n = data.draw(st.integers(0, 6))
+    c0 = data.draw(st.lists(st.sampled_from(PHASES), min_size=n, max_size=n))
+    fixed = data.draw(st.lists(st.sampled_from((0,) + PHASES), min_size=n, max_size=n))
+    budget = data.draw(st.integers(-1, 6))
+    free = [i for i in range(n) if fixed[i] == 0]
+    expected = [c for c in itertools.product(PHASES, repeat=n)
+                if all(c[i] == fixed[i] for i in range(n) if fixed[i])
+                and sum(c[i] != c0[i] for i in free) <= budget]
+    rows = completions(c0, fixed, budget)
+    assert rows.shape == (len(expected), n)
+    assert [tuple(row) for row in rows.tolist()] == expected
+    assert len(rows) == completion_count(len(free), budget)
+
+
+def test_injection_series_matches_loop(twenty_user):
+    feeder, loads = twenty_user
+    n = len(feeder.reconfigurable_users())
+    rng = np.random.default_rng(3)
+    # all on phase 1 stacks every bus's users on one (bus, phase)
+    draws = [(1,) * n] + [tuple(int(p) for p in rng.integers(1, 4, size=n))
+                          for _ in range(20)]
+    for c in draws:
+        a = PhaseAssignment(c)
+        phases = user_phases(feeder, a)
+        expected = np.zeros((loads.horizon, len(feeder.buses), 3), dtype=complex)
+        for u in feeder.users:
+            col = loads.column(u.id)
+            expected[:, feeder.bus_index(u.bus), phases[u.id] - 1] += (
+                loads.p[:, col] + 1j * loads.q[:, col])
+        assert np.array_equal(injection_series(feeder, a, loads), expected)
 
 
 def test_user_phases_respects_fixed_users():

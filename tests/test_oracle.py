@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from phasebal import fixtures
 from phasebal.errors import CapExceededError
 from phasebal.metrics import ObjectiveSpec
-from phasebal.network import ConstraintConfig, LoadSeries, PhaseAssignment
-from phasebal.oracle import (enumerate_optimal, feasible_count_bound,
-                             iter_feasible, write_ranking_csv)
+from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
+                              completion_count, completions, original_assignment)
+from phasebal.oracle import enumerate_optimal, write_ranking_csv
 from phasebal.problem import Problem, evaluate
 
 
@@ -85,7 +85,7 @@ def test_cap_exceeded(twenty_user):
 @settings(max_examples=40, deadline=None)
 def test_count_bound_matches_enumeration(n, budget):
     c0 = tuple(1 for _ in range(n))
-    bound = feasible_count_bound(n, budget)
+    bound = completion_count(n, budget)
     count = 0
     for phases in itertools.product((1, 2, 3), repeat=n):
         if sum(1 for p, p0 in zip(phases, c0) if p != p0) <= budget:
@@ -95,7 +95,9 @@ def test_count_bound_matches_enumeration(n, budget):
 
 def test_iter_feasible_lexicographic(line):
     prob = make_problem(line, delta_max=3)
-    seen = [a.phases for a in iter_feasible(prob)]
+    c0 = original_assignment(prob.feeder).phases
+    seen = [tuple(row) for row in
+            completions(c0, (0,) * len(c0), prob.constraints.delta_max).tolist()]
     assert seen == sorted(seen)
 
 
