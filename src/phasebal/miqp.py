@@ -25,10 +25,16 @@ linearization gap, so early termination never produces an invalid bound.
 A node whose budget-feasible completions (``network.completion_count``)
 fit the leaf cap is closed exactly: its completions are generated in
 lexicographic order by ``network.completions`` and scored in chunks.
+Leaves are scored from (M, n) phase arrays in blocks of rows: the affine
+part of the objective and of each side row gathers one coefficient row
+per user and adds them in user order.  That is the dense one-hot
+contraction's order less its exact zeros, so objective values are bitwise
+the dense formula's, and no row's value depends on the batch around it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import time
@@ -39,13 +45,28 @@ import numpy as np
 from . import lindist
 from .errors import InfeasibleProgramError, ValidationError
 from .metrics import ObjectiveSpec
-from .network import (PHASES, ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
+from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
                       completion_count, completions, feasible_mask, fixed_phase_counts)
 from .problem import branch_denominator
 from .simplex import solve_lp
 
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
 LEAF_CHUNK = 2048  # completions scored per objective_batch call
+SCORE_BLOCK = 256  # rows gathered at once by objective_batch and feasible_mask
+
+
+def _gather_sum(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Row m is the sum over users u of ``columns[3u + phases[m, u] - 1]``.
+
+    ``columns`` holds one row per (user, phase), shape (3n, L); ``phases``
+    is (M, n).  Users are added in order, so every row of the (M, L)
+    result is the same sequence of additions whatever M is.
+    """
+    rows = 3 * np.arange(phases.shape[1]) + phases - 1
+    total = np.zeros((len(phases), columns.shape[1]))
+    for u in range(phases.shape[1]):
+        total += columns[rows[:, u]]
+    return total
 
 
 @dataclass(frozen=True)
@@ -103,40 +124,73 @@ class BinaryProgram:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _delta(self, assignment: PhaseAssignment) -> np.ndarray:
+    @functools.cached_property
+    def _objective_columns(self) -> np.ndarray:
+        """The objective's affine coefficients as (3n, T*K*3) or (3n, T*B*3)."""
+        coef = self.dev_coef if self.objective_kind == "pvur_star" else self.diff_coef
+        return np.ascontiguousarray(np.moveaxis(coef, (3, 4), (0, 1))).reshape(
+            3 * self.n_users, -1)
+
+    @functools.cached_property
+    def _side_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The side rows' coefficients as (3n, R) and their limits (R,)."""
+        coef = np.stack([c for _, c, _ in self.side_rows], axis=-1)
+        limits = np.array([rhs + 1e-9 for _, _, rhs in self.side_rows])
+        return coef.reshape(3 * self.n_users, -1), limits
+
+    def _row(self, assignment: PhaseAssignment) -> np.ndarray:
         if len(assignment) != self.n_users:
             raise ValidationError("assignment length does not match program")
-        return assignment.to_delta().astype(float)
+        return np.array([assignment.phases], dtype=int)
 
     def objective_at(self, assignment: PhaseAssignment) -> float:
         if self.n_users == 0:
             return self.baseline_objective
-        return float(self.objective_batch(self._delta(assignment)[None])[0])
+        return float(self.objective_batch(self._row(assignment))[0])
 
-    def objective_batch(self, deltas: np.ndarray) -> np.ndarray:
-        """Objective for a stack of one-hot matrices, shape (M, n, 3)."""
-        if self.objective_kind == "pvur_star":
-            dev = self.dev_const[None] + np.einsum(
-                "tkpuf,muf->mtkp", self.dev_coef, deltas)
-            return np.abs(dev).max(axis=(2, 3)).mean(axis=1)
-        diff = self.diff_const[None] + np.einsum(
-            "tbjuf,muf->mtbj", self.diff_coef, deltas)
-        per_branch = (diff ** 2).sum(axis=3) * self.branch_weight[None, None, :]
-        return per_branch.mean(axis=2).mean(axis=1)
+    def objective_batch(self, phases: np.ndarray) -> np.ndarray:
+        """Objective for a stack of configurations, shape (M, n).
 
-    def feasible_mask(self, phases: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        """Which of the (M, n) configurations ``phases``, given also as
-        one-hot ``deltas`` (M, n, 3), meet the budget, the phase counts and
-        every screened side row."""
+        Rows are scored in blocks of ``SCORE_BLOCK``, the affine part by a
+        user-ordered ``_gather_sum``: it adds the nonzero products of the
+        dense one-hot contraction in that contraction's order, so each value
+        is bitwise the dense formula's and independent of the batch width.
+        """
+        phases = np.asarray(phases)
+        pvur = self.objective_kind == "pvur_star"
+        const = (self.dev_const if pvur else self.diff_const).reshape(-1)
+        out = np.empty(len(phases))
+        for start in range(0, len(phases), SCORE_BLOCK):
+            block = phases[start:start + SCORE_BLOCK]
+            m = len(block)
+            x = _gather_sum(self._objective_columns, block)
+            x += const
+            if pvur:
+                np.abs(x, out=x)
+                worst = x.reshape(m, self.horizon, -1).max(axis=2)
+                out[start:start + m] = worst.mean(axis=1)
+            else:
+                np.square(x, out=x)
+                per_branch = x.reshape(m, self.horizon, -1, 3).sum(axis=3) \
+                    * self.branch_weight[None, None, :]
+                out[start:start + m] = per_branch.mean(axis=2).mean(axis=1)
+        return out
+
+    def feasible_mask(self, phases: np.ndarray) -> np.ndarray:
+        """Which of the (M, n) configurations ``phases`` meet the budget, the
+        phase counts and every screened side row."""
+        phases = np.asarray(phases)
         ok = feasible_mask(phases, self.c0, self.delta_max,
                            self.fixed_phase_counts, self.gamma)
-        for _, coef, rhs in self.side_rows:
-            ok &= np.einsum("muf,uf->m", deltas, coef) <= rhs + 1e-9
+        if self.side_rows:
+            columns, limits = self._side_columns
+            for start in range(0, len(phases), SCORE_BLOCK):
+                lhs = _gather_sum(columns, phases[start:start + SCORE_BLOCK])
+                ok[start:start + SCORE_BLOCK] &= (lhs <= limits).all(axis=1)
         return ok
 
     def point_feasible(self, assignment: PhaseAssignment) -> bool:
-        delta = self._delta(assignment)
-        return bool(self.feasible_mask([assignment.phases], delta[None])[0])
+        return bool(self.feasible_mask(self._row(assignment))[0])
 
 
 def _screen_rows(rows, n_users):
@@ -465,14 +519,13 @@ class _BnBSolver:
         best_val, best_assign = np.inf, None
         for start in range(0, len(cands), LEAF_CHUNK):
             chunk = cands[start:start + LEAF_CHUNK]
-            deltas = (chunk[..., None] == PHASES).astype(float)
-            ok = prog.feasible_mask(chunk, deltas)
-            if np.any(ok):
-                vals = prog.objective_batch(deltas[ok])
+            chunk = chunk[prog.feasible_mask(chunk)]
+            if len(chunk):
+                vals = prog.objective_batch(chunk)
                 pick = int(np.argmin(vals))
                 if vals[pick] < best_val:
                     best_val = float(vals[pick])
-                    best_assign = PhaseAssignment(chunk[ok][pick])
+                    best_assign = PhaseAssignment(chunk[pick])
         return best_val, best_assign
 
 
@@ -596,7 +649,10 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
                                   _NodeData(child, rel_bound, active)))
 
     if incumbent is None:
-        _raise_with_iis(prog, solver)
+        # the root relaxation is feasible, so no subset of rows is infeasible
+        raise InfeasibleProgramError(
+            "the continuous relaxation is feasible, but no configuration meeting "
+            f"every row was found (search status: {status})", rows=())
     if final_bound is None:
         final_bound = inc_value  # tree exhausted: the incumbent is proven optimal
     final_bound = min(final_bound, inc_value)

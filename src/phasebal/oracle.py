@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InfeasibleProgramError
 from .network import (PhaseAssignment, completion_count, completions, feasible_mask,
                       fixed_phase_counts, original_assignment)
 from .problem import Problem, evaluate
@@ -43,6 +43,9 @@ def enumerate_optimal(problem: Problem, evaluator: str = "exact",
     rows = completions(c0, (0,) * len(c0), cons.delta_max)
     rows = rows[feasible_mask(rows, c0, cons.delta_max, fixed_phase_counts(problem.feeder),
                               cons.phase_count_bounds)]
+    if len(rows) == 0:
+        raise InfeasibleProgramError(
+            "no configuration within the switch budget meets the phase-count bounds")
     scored = []
     for a in map(PhaseAssignment, rows):
         scored.append((evaluate(problem, a, evaluator), a))

@@ -159,3 +159,62 @@ def metric_values_loop(spec, feeder, loads, solutions=None, state=None):
             value = _metric_at(spec.metric, phases, denom)
             vals[k, t] = np.nan if value is None else value
     return vals
+
+
+def _one_hot(phases):
+    return (np.asarray(phases)[..., None] == np.array([1, 2, 3])).astype(float)
+
+
+def gather_sum_sequential(columns, phases):
+    """Σ_u columns[3u + phase_u - 1] for each row, adding one user at a time."""
+    phases = np.asarray(phases)
+    out = np.zeros((len(phases), columns.shape[1]))
+    for r, row in enumerate(phases):
+        for u, ph in enumerate(row):
+            out[r] = out[r] + columns[3 * u + int(ph) - 1]
+    return out
+
+
+def _objective_columns(prog):
+    coef = prog.dev_coef if prog.objective_kind == "pvur_star" else prog.diff_coef
+    n = coef.shape[3]
+    return np.stack([coef[..., u, f].reshape(-1) for u in range(n) for f in range(3)])
+
+
+def objective_sequential(prog, phases):
+    """The program's objective, one row at a time from a sequential user sum."""
+    sums = gather_sum_sequential(_objective_columns(prog), phases)
+    out = []
+    for s in sums:
+        if prog.objective_kind == "pvur_star":
+            dev = np.abs(prog.dev_const.reshape(-1) + s)
+            out.append(dev.reshape(prog.horizon, -1).max(axis=1).mean())
+        else:
+            diff = (prog.diff_const.reshape(-1) + s) ** 2
+            per_branch = diff.reshape(prog.horizon, -1, 3).sum(axis=2) * prog.branch_weight
+            out.append(per_branch.mean(axis=1).mean())
+    return np.array(out)
+
+
+def objective_einsum(prog, phases):
+    """The program's objective as a dense contraction over one-hot matrices."""
+    deltas = _one_hot(phases)
+    if prog.objective_kind == "pvur_star":
+        dev = prog.dev_const[None] + np.einsum("tkpuf,muf->mtkp", prog.dev_coef, deltas)
+        return np.abs(dev).max(axis=(2, 3)).mean(axis=1)
+    diff = prog.diff_const[None] + np.einsum("tbjuf,muf->mtbj", prog.diff_coef, deltas)
+    per_branch = (diff ** 2).sum(axis=3) * prog.branch_weight[None, None, :]
+    return per_branch.mean(axis=2).mean(axis=1)
+
+
+def side_rows_sequential(prog, phases):
+    """(M, R) left-hand sides of the side rows from a sequential user sum."""
+    columns = np.stack([coef.reshape(-1) for _, coef, _ in prog.side_rows], axis=1)
+    return gather_sum_sequential(columns, phases)
+
+
+def side_rows_einsum(prog, phases):
+    """(M, R) left-hand sides of the side rows as dense one-hot contractions."""
+    deltas = _one_hot(phases)
+    return np.stack([np.einsum("muf,uf->m", deltas, coef)
+                     for _, coef, _ in prog.side_rows], axis=1)

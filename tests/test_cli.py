@@ -62,6 +62,17 @@ def test_metric_error_is_exit_2(line, tmp_path, capsys):
     assert "zero downstream demand" in capsys.readouterr().err
 
 
+def test_oracle_without_feasible_configuration_is_exit_2(line_paths, tmp_path, capsys):
+    feeder_path, profiles_path = line_paths
+    code = main(["optimize", "--feeder", str(feeder_path),
+                 "--profiles", str(profiles_path), "--method", "oracle",
+                 "--objective", "pu", "--delta-max", "3", "--enforce-phase-counts",
+                 "--gamma-low", "2", "--gamma-upp", "2",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "phase-count bounds" in capsys.readouterr().err
+
+
 def test_optimize_then_validate(line_paths, tmp_path):
     feeder_path, profiles_path = line_paths
     report_path = tmp_path / "report.json"

@@ -3,14 +3,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasebal import fixtures, lindist
+import reference_impls as ref
+from phasebal import fixtures, lindist, miqp
 from phasebal.errors import InfeasibleProgramError, ValidationError
 from phasebal.metrics import ObjectiveSpec, aggregate
-from phasebal.miqp import (LEAF_CHUNK, BnBOptions, _BnBSolver, _quadratic_parts,
-                           branch_and_bound, build_program)
+from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BnBOptions, _BnBSolver, _gather_sum,
+                           _quadratic_parts, branch_and_bound, build_program)
 from phasebal.network import (Branch, ConstraintConfig, LoadSeries,
-                              PhaseAssignment, User, make_feeder)
+                              PhaseAssignment, User, feasible_mask, make_feeder)
 from phasebal.problem import (Problem, evaluate, evaluate_exact,
                               metric_values_ld3f)
 
@@ -94,6 +97,71 @@ def test_quadratic_parts_psd(line):
     assert eigvals.min() >= -1e-10
 
 
+# -- leaf scoring ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def programs(twenty_user):
+    feeder, loads = twenty_user
+    cons = ConstraintConfig(delta_max=4, gamma_low=5, gamma_upp=8,
+                            enforce_phase_counts=True)
+    return {metric: build_program(feeder, loads, cons, ObjectiveSpec(metric))
+            for metric in ("pvur_star", "pu_star")}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 600),
+       metric=st.sampled_from(["pvur_star", "pu_star"]),
+       locations=st.integers(1, 4), n_side=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
+                                           n_side):
+    rng = np.random.default_rng(seed)
+    prog = programs[metric]
+    t_dim, n = prog.horizon, prog.n_users
+    const, coef = (rng.normal(size=(t_dim, locations, 3)),
+                   rng.normal(size=(t_dim, locations, 3, n, 3)))
+    side = tuple((f"row{r}", rng.normal(size=(n, 3)), rng.normal() * np.sqrt(n))
+                 for r in range(n_side))
+    # a budget of n leaves the phase counts and side rows to decide the mask
+    prog = dataclasses.replace(prog, delta_max=n, side_rows=side)
+    if metric == "pvur_star":
+        prog = dataclasses.replace(prog, dev_const=const, dev_coef=coef)
+    else:
+        prog = dataclasses.replace(prog, diff_const=const, diff_coef=coef,
+                                   branch_weight=rng.uniform(0.5, 2.0, locations))
+    phases = rng.integers(1, 4, size=(m, n)).astype(np.int8)
+
+    values = prog.objective_batch(phases)
+    assert np.array_equal(values, ref.objective_sequential(prog, phases))
+    np.testing.assert_allclose(values, ref.objective_einsum(prog, phases), rtol=1e-12)
+
+    mask = prog.feasible_mask(phases)
+    expected = feasible_mask(phases, prog.c0, prog.delta_max, prog.fixed_phase_counts,
+                             prog.gamma)
+    if side:
+        limits = np.array([rhs for _, _, rhs in side]) + 1e-9
+        lhs = ref.side_rows_sequential(prog, phases)
+        dense = ref.side_rows_einsum(prog, phases)
+        scale = np.abs(dense).max()
+        np.testing.assert_allclose(lhs, dense, rtol=0, atol=1e-12 * scale)
+        clear = (np.abs(dense - limits) > 1e-12 * scale).all(axis=1)
+        assert np.array_equal(mask[clear], (expected & (dense <= limits).all(axis=1))[clear])
+        expected &= (lhs <= limits).all(axis=1)
+    assert np.array_equal(mask, expected)
+
+    # a row scores the same alone as inside a batch that crosses blocks
+    for i in rng.choice(m, size=min(m, 4), replace=False):
+        assert prog.objective_batch(phases[i:i + 1])[0] == values[i]
+        assert prog.feasible_mask(phases[i:i + 1])[0] == mask[i]
+
+
+def test_gather_sum_edge_shapes():
+    assert SCORE_BLOCK < 600  # the property test above crosses a block
+    assert np.array_equal(_gather_sum(np.zeros((0, 4)), np.zeros((5, 0), dtype=int)),
+                          np.zeros((5, 4)))
+    assert _gather_sum(np.ones((6, 4)), np.zeros((0, 2), dtype=int)).shape == (0, 4)
+
+
 # -- branch and bound ------------------------------------------------------------
 
 
@@ -173,6 +241,36 @@ def test_infeasible_program_reports_rows(line):
     assert any("count" in label for label in err.value.rows)
 
 
+def test_relaxation_feasible_without_integer_point(twenty_user, monkeypatch):
+    feeder, loads = twenty_user
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=2),
+                         ObjectiveSpec("pvur_star"))
+    rows = []
+    for pair in ((0, 1), (1, 2), (0, 2)):  # at most 0.7 on any two phases of user 0
+        coef = np.zeros((prog.n_users, 3))
+        coef[0, pair] = 1.0
+        rows.append((f"pair_{pair[0] + 1}{pair[1] + 1}", coef, 0.7))
+    prog = dataclasses.replace(prog, side_rows=prog.side_rows + tuple(rows))
+    lp_calls, solvers = [], []
+    solve_lp, init = miqp.solve_lp, _BnBSolver.__init__
+
+    def counting_solve_lp(*args, **kwargs):
+        lp_calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        solvers.append(self)
+
+    monkeypatch.setattr(miqp, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(_BnBSolver, "__init__", recording_init)
+    with pytest.raises(InfeasibleProgramError, match="relaxation is feasible") as err:
+        branch_and_bound(prog)
+    assert err.value.rows == ()
+    # the root check and the tree's relaxations; no LP after the tree ends
+    assert len(lp_calls) == 1 + solvers[0].relaxations
+
+
 def test_voltage_bound_rows_steer_solution(line):
     feeder, loads = line
     # v_min high enough that parking every user on one phase is infeasible
@@ -204,8 +302,7 @@ def test_leaf_enumeration_with_counts_and_side_row(twenty_user, metric):
                 configs.add(tuple(c))
     configs = sorted(configs)
     assert len(configs) == 9921 > LEAF_CHUNK
-    values = prog.objective_batch(
-        np.array([PhaseAssignment(c).to_delta() for c in configs], dtype=float))
+    values = prog.objective_batch(np.array(configs))
 
     def first_minimum(keep):
         best = None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures
-from phasebal.errors import CapExceededError
+from phasebal.errors import CapExceededError, InfeasibleProgramError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
                               completion_count, completions, original_assignment)
@@ -79,6 +79,14 @@ def test_cap_exceeded(twenty_user):
     prob = make_problem(twenty_user, delta_max=20)
     with pytest.raises(CapExceededError, match="cap"):
         enumerate_optimal(prob, cap=1000)
+
+
+def test_no_configuration_meets_phase_counts(line):
+    # 3 users cannot put at least 2 on each of 3 phases
+    prob = make_problem(line, delta_max=3, gamma_low=2, gamma_upp=2,
+                        enforce_phase_counts=True)
+    with pytest.raises(InfeasibleProgramError, match="phase-count bounds"):
+        enumerate_optimal(prob)
 
 
 @given(st.integers(1, 6), st.integers(0, 6))
