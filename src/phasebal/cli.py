@@ -45,7 +45,7 @@ def load_config(path) -> dict:
                             values[key] = float(raw)
                         except ValueError:
                             values[key] = raw
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read config file {path}: {exc}") from exc
     return values
 

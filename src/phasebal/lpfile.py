@@ -218,6 +218,13 @@ def _tokenize_expr(text: str):
 
 def parse_lp(path) -> LpModel:
     """Read the LP dialect written by export_lp."""
+    try:
+        return _parse_lp(path)
+    except (ValueError, IndexError) as exc:  # bad numbers, truncated terms, bad UTF-8
+        raise InputParseError(f"cannot parse LP file {path}: {exc}") from exc
+
+
+def _parse_lp(path) -> LpModel:
     model = LpModel()
     with open(path) as fh:
         raw_lines = [ln.rstrip("\n") for ln in fh]

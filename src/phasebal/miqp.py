@@ -53,6 +53,7 @@ from .simplex import solve_lp
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
 LEAF_CHUNK = 2048  # completions scored per objective_batch call
 SCORE_BLOCK = 256  # rows gathered at once by objective_batch and feasible_mask
+FW_MAX_ITERS = 80  # Frank-Wolfe iterations per pu_star node
 
 
 def _gather_sum(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -76,7 +77,6 @@ class BnBOptions:
     node_limit: int = 200_000
     time_limit_s: float | None = None
     leaf_enum_cap: int = 243
-    fw_max_iters: int = 80
     initial_incumbent: PhaseAssignment | None = None
 
     def __post_init__(self):
@@ -204,8 +204,7 @@ def _screen_rows(rows, n_users):
 
 
 def build_program(feeder: Feeder, loads: LoadSeries,
-                  constraints: ConstraintConfig, objective: ObjectiveSpec,
-                  sens: lindist.AffineSensitivity | None = None) -> BinaryProgram:
+                  constraints: ConstraintConfig, objective: ObjectiveSpec) -> BinaryProgram:
     """Eliminate the linear model into a binary program for the proxy metric."""
     if objective.metric not in SUPPORTED_OBJECTIVES:
         raise ValidationError(
@@ -214,16 +213,7 @@ def build_program(feeder: Feeder, loads: LoadSeries,
             f"supported here: {SUPPORTED_OBJECTIVES}")
     balance_branches = objective.branches_for(feeder)
     limited = [br for br in feeder.branches if br.power_limit_va is not None]
-    wanted_keys = list(dict.fromkeys(
-        [br.key for br in balance_branches] + [br.key for br in limited]))
-    if sens is None:
-        sens = lindist.sensitivity(feeder, loads, branch_keys=wanted_keys)
-    else:
-        for key in wanted_keys:
-            if key not in sens.branch_keys:
-                raise ValidationError(f"sensitivity lacks branch {key}")
-        if sens.omega0.shape[0] != loads.horizon:
-            raise ValidationError("sensitivity horizon does not match loads")
+    sens = lindist.sensitivity(feeder, loads)
     pr = feeder.reconfigurable_users()
     users = tuple(u.id for u in pr)
     c0 = tuple(u.original_phase for u in pr)
@@ -231,31 +221,24 @@ def build_program(feeder: Feeder, loads: LoadSeries,
     horizon = loads.horizon
 
     # voltage band and thermal limits as screened linear rows over delta
+    bands = [("v", bus, sens.omega0, sens.d_omega, feeder.bus_index(bus),
+              constraints.v_max ** 2, constraints.v_min ** 2)
+             for bus in feeder.buses if bus != feeder.reference_bus]
+    for br in limited:
+        lim = br.power_limit_va / feeder.base_power
+        for tag, base, incr in (("p", sens.flow0_p, sens.d_flow_p),
+                                ("q", sens.flow0_q, sens.d_flow_q)):
+            bands.append((tag, f"{br.from_bus}-{br.to_bus}", base, incr,
+                          feeder.branch_index(br), lim, -lim))
     side = []
-    bus_rows = [b for b in feeder.buses if b != feeder.reference_bus]
-    for bus in bus_rows:
-        k = feeder.bus_index(bus)
-        base = sens.omega0[:, k, :]                      # (T, 3)
-        coef = np.moveaxis(sens.d_omega[:, :, :, k, :], (2, 3), (0, 1))  # (T,3,n,3)
+    for tag, loc, base, incr, k, upper, lower in bands:
+        coef = np.moveaxis(incr[:, :, :, k], (2, 3), (0, 1))  # (T, 3, n, 3)
         for t in range(horizon):
             for ph in range(3):
-                side.append((f"vmax_{bus}_t{t}_ph{ph + 1}",
-                             coef[t, ph], constraints.v_max ** 2 - base[t, ph]))
-                side.append((f"vmin_{bus}_t{t}_ph{ph + 1}",
-                             -coef[t, ph], base[t, ph] - constraints.v_min ** 2))
-    for br in limited:
-        kbr = sens.branch_keys.index(br.key)
-        lim = br.power_limit_va / feeder.base_power
-        for arr, base_arr, tag in ((sens.d_flow_p, sens.flow0_p, "p"),
-                                   (sens.d_flow_q, sens.flow0_q, "q")):
-            coef = np.moveaxis(arr[:, :, kbr, :, :], (2, 3), (0, 1))  # (T,3,n,3)
-            base = base_arr[kbr]                                      # (T, 3)
-            for t in range(horizon):
-                for ph in range(3):
-                    side.append((f"{tag}max_{br.from_bus}-{br.to_bus}_t{t}_ph{ph + 1}",
-                                 coef[t, ph], lim - base[t, ph]))
-                    side.append((f"{tag}min_{br.from_bus}-{br.to_bus}_t{t}_ph{ph + 1}",
-                                 -coef[t, ph], lim + base[t, ph]))
+                side.append((f"{tag}max_{loc}_t{t}_ph{ph + 1}",
+                             coef[t, ph], upper - base[t, k, ph]))
+                side.append((f"{tag}min_{loc}_t{t}_ph{ph + 1}",
+                             -coef[t, ph], base[t, k, ph] - lower))
     side_rows = _screen_rows(side, n)
 
     kwargs = dict(feeder=feeder, users=users, c0=c0, horizon=horizon,
@@ -277,12 +260,12 @@ def build_program(feeder: Feeder, loads: LoadSeries,
                                 "dev_const": dev_const, "dev_coef": dev_coef,
                                 "baseline_objective": baseline})
 
-    b_idx = [sens.branch_keys.index(br.key) for br in balance_branches]
-    flow0 = sens.flow0_p[b_idx]                              # (B, T, 3)
-    d_flow = sens.d_flow_p[:, :, b_idx, :, :]                # (n, 3, B, T, 3)
-    diff_const = np.moveaxis(flow0 - np.roll(flow0, -1, axis=2), 0, 1)  # (T, B, 3)
+    b_idx = [feeder.branch_index(br) for br in balance_branches]
+    flow0 = sens.flow0_p[:, b_idx]                           # (T, B, 3)
+    d_flow = sens.d_flow_p[:, :, :, b_idx]                   # (n, 3, T, B, 3)
+    diff_const = flow0 - np.roll(flow0, -1, axis=2)
     coef = d_flow - np.roll(d_flow, -1, axis=4)
-    diff_coef = np.moveaxis(coef, (0, 1, 2, 3), (3, 4, 1, 0))           # (T, B, 3, n, 3)
+    diff_coef = np.moveaxis(coef, (0, 1), (3, 4))            # (T, B, 3, n, 3)
     weight = np.array([100.0 / branch_denominator(feeder, loads, br) ** 2
                        for br in balance_branches])
     baseline = 0.0
@@ -478,7 +461,7 @@ class _BnBSolver:
         x = start.x
         lower = -np.inf
         best_x, best_ub = x, f(x)
-        for _ in range(self.opts.fw_max_iters):
+        for _ in range(FW_MAX_ITERS):
             g = grad(x)
             osc = solve_lp(g, a_ub, b_ub, a_eq, b_eq)
             self.relaxations += 1
@@ -581,12 +564,9 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
     status = "optimal"
     final_bound = None
 
-    def slack():
-        return max(opts.abs_gap, opts.rel_gap * max(abs(inc_value), 1e-12))
-
     while heap:
         bound, _, node = heapq.heappop(heap)
-        if bound >= inc_value - slack():
+        if bound >= inc_value - solver._prune_slack(inc_value):
             final_bound = bound  # remaining nodes cannot beat the incumbent
             break
         if nodes >= opts.node_limit:
@@ -617,7 +597,7 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
         if st != "optimal" or rel_bound is None:
             rel_bound, x = node.bound, None
         rel_bound = max(rel_bound, node.bound)
-        if rel_bound >= inc_value - slack():
+        if rel_bound >= inc_value - solver._prune_slack(inc_value):
             continue
 
         free = [i for i, ph in enumerate(node.fixed) if ph == 0]

@@ -31,6 +31,8 @@ def _as_z_matrix(rows, what):
     m = np.asarray(rows, dtype=float)
     if m.shape != (3, 3):
         raise ValidationError(f"{what}: expected a 3x3 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what}: entries must be finite")
     return m
 
 
@@ -52,6 +54,9 @@ class Branch:
         x.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "x", x)
+        for limit in ("ampacity_a", "power_limit_va"):
+            if getattr(self, limit) is not None:
+                object.__setattr__(self, limit, float(getattr(self, limit)))
         name = self.key
         if not np.allclose(r, r.T) or not np.allclose(x, x.T):
             raise ValidationError(f"branch {name}: R and X must be symmetric")
@@ -502,7 +507,7 @@ def load_feeder(path) -> Feeder:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSON, UTF-8 and nesting errors
         raise InputParseError(f"cannot parse feeder file {path}: {exc}") from exc
     try:
         buses = [str(b) for b in raw["buses"]]
@@ -534,6 +539,8 @@ def load_feeder(path) -> Feeder:
         )
     except KeyError as exc:
         raise InputParseError(f"feeder file {path}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InputParseError(f"feeder file {path}: malformed value: {exc}") from exc
 
 
 def feeder_to_dict(feeder: Feeder) -> dict:
@@ -577,7 +584,7 @@ def load_profiles(path, feeder: Feeder, power_factor: float = 0.95,
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputParseError(f"cannot read profiles file {path}: {exc}") from exc
     if not rows:
         raise InputParseError(f"profiles file {path} is empty")

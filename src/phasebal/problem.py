@@ -6,10 +6,11 @@ fixed-point power flow and the lossless linear model.  Both feed the same
 metric aggregation, so a configuration can be scored consistently by
 either route.
 
-Both routes hand over whole (T, location, phase) arrays, a block-solved
-``powerflow.PFSeries`` or an ``Ld3fState``.  The operational checks and
-the metric values read them in one vectorized pass through the formulas
-of ``metrics``; only violation messages are built per timestep.
+Both routes hand over whole (T, location, phase) arrays in one layout,
+buses in ``feeder.buses`` and branches in ``feeder.branches`` order: a
+block-solved ``powerflow.PFSeries`` or an ``Ld3fState``.  The operational
+checks and the metric values read them in one vectorized pass through the
+formulas of ``metrics``; only violation messages are built per timestep.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ class Problem:
     loads: LoadSeries
     constraints: ConstraintConfig
     objective: ObjectiveSpec
-    pf_tol: float = powerflow.DEFAULT_TOL
-    pf_max_iter: int = powerflow.DEFAULT_MAX_ITER
 
     def original(self) -> PhaseAssignment:
         return original_assignment(self.feeder)
@@ -95,8 +94,8 @@ def metric_values_ld3f(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
             raise MetricError(f"omega not positive at bus {buses[np.argmax(bad)]}")
         return metrics.pvur_values(np.sqrt(w)).T
     branches = spec.branches_for(feeder)
-    flows = np.stack([state.flow_p[br.key] for br in branches], axis=1)
-    return _flow_values(spec.metric, feeder, loads, branches, flows)
+    idx = [feeder.branch_index(br) for br in branches]
+    return _flow_values(spec.metric, feeder, loads, branches, state.flow_p[:, idx])
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,7 @@ def check_operational(feeder: Feeder, constraints: ConstraintConfig,
 def evaluate_exact(problem: Problem, assignment: PhaseAssignment) -> Evaluation:
     """Exact-PF objective plus operational feasibility of a configuration."""
     try:
-        sols = powerflow.solve_series(problem.feeder, assignment, problem.loads,
-                                      tol=problem.pf_tol,
-                                      max_iter=problem.pf_max_iter)
+        sols = powerflow.solve_series(problem.feeder, assignment, problem.loads)
     except ConvergenceError as exc:
         return Evaluation(objective=np.inf, operational_ok=False,
                           violations=(str(exc),))

@@ -4,12 +4,15 @@ Nothing here shares code paths with the package solvers: the power flow
 oracle is a Newton-Raphson iteration on the real/imaginary mismatch system
 with a finite-difference Jacobian, the loss oracle recomputes I^2 R
 branch by branch from first principles, and the metric oracle evaluates
-every (location, timestep) one at a time in plain Python.
+every (location, timestep) one at a time in plain Python.  The
+sensitivity oracle sweeps the linear model once per (user, phase), one
+branch at a time through per-branch dicts.
 """
 
 import numpy as np
 
 from phasebal.errors import MetricError
+from phasebal.lindist import ab_matrices
 from phasebal.metrics import denominator
 from phasebal.network import injection_series
 
@@ -148,7 +151,7 @@ def metric_values_loop(spec, feeder, loads, solutions=None, state=None):
                     if spec.metric == "pvur":
                         phases = np.sqrt(phases)
             elif state is not None:
-                phases = state.flow_p[loc.key][t]
+                phases = state.flow_p[t, feeder.branch_index(loc)]
             else:
                 u = solutions[t].u
                 ui = u[feeder.bus_index(loc.from_bus)]
@@ -218,3 +221,64 @@ def side_rows_einsum(prog, phases):
     deltas = _one_hot(phases)
     return np.stack([np.einsum("muf,uf->m", deltas, coef)
                      for _, coef, _ in prog.side_rows], axis=1)
+
+
+def sweep_by_branch(feeder, p_bus, q_bus):
+    """LinDist3Flow sweep of one (T, n_buses, 3) load set, branch by branch.
+
+    Returns omega (T, n_buses, 3) and the active and reactive flows, each
+    (T, n_branches, 3) in feeder.branches order.
+    """
+    topo = feeder.topo_branches()
+    flow_p, flow_q = {}, {}
+    children = {b: [] for b in feeder.buses}
+    for br in topo:
+        children[br.from_bus].append(br)
+    for br in reversed(topo):
+        j = feeder.bus_index(br.to_bus)
+        p = p_bus[:, j, :].copy()
+        q = q_bus[:, j, :].copy()
+        for child in children[br.to_bus]:
+            p += flow_p[child.key]
+            q += flow_q[child.key]
+        flow_p[br.key] = p
+        flow_q[br.key] = q
+    omega = np.empty(p_bus.shape)
+    omega[:, feeder.bus_index(feeder.reference_bus), :] = 1.0
+    for br in topo:
+        a, b = ab_matrices(feeder.z_pu(br).real, feeder.z_pu(br).imag)
+        i = feeder.bus_index(br.from_bus)
+        j = feeder.bus_index(br.to_bus)
+        omega[:, j, :] = omega[:, i, :] - flow_p[br.key] @ a.T - flow_q[br.key] @ b.T
+    return (omega, np.stack([flow_p[br.key] for br in feeder.branches], axis=1),
+            np.stack([flow_q[br.key] for br in feeder.branches], axis=1))
+
+
+def sensitivity_loop(feeder, loads):
+    """(omega0, d_omega, flow0_p, flow0_q, d_flow_p, d_flow_q) of the affine
+    elimination, one sweep per (reconfigurable user, phase)."""
+    shape = (loads.horizon, len(feeder.buses), 3)
+    p_bus, q_bus = np.zeros(shape), np.zeros(shape)
+    for u in feeder.users:
+        if u.reconfigurable:
+            continue
+        col = loads.column(u.id)
+        b = feeder.bus_index(u.bus)
+        p_bus[:, b, u.original_phase - 1] += loads.p[:, col] / feeder.base_power
+        q_bus[:, b, u.original_phase - 1] += loads.q[:, col] / feeder.base_power
+    omega0, flow0_p, flow0_q = sweep_by_branch(feeder, p_bus, q_bus)
+    pr = feeder.reconfigurable_users()
+    d_omega = np.zeros((len(pr), 3) + shape)
+    d_flow_p = np.zeros((len(pr), 3, loads.horizon, len(feeder.branches), 3))
+    d_flow_q = np.zeros_like(d_flow_p)
+    for i, u in enumerate(pr):
+        for ph in (1, 2, 3):
+            p_bus, q_bus = np.zeros(shape), np.zeros(shape)
+            col = loads.column(u.id)
+            b = feeder.bus_index(u.bus)
+            p_bus[:, b, ph - 1] = loads.p[:, col] / feeder.base_power
+            q_bus[:, b, ph - 1] = loads.q[:, col] / feeder.base_power
+            omega, d_flow_p[i, ph - 1], d_flow_q[i, ph - 1] = sweep_by_branch(
+                feeder, p_bus, q_bus)
+            d_omega[i, ph - 1] = omega - 1.0
+    return omega0, d_omega, flow0_p, flow0_q, d_flow_p, d_flow_q

@@ -73,6 +73,41 @@ def test_oracle_without_feasible_configuration_is_exit_2(line_paths, tmp_path, c
     assert "phase-count bounds" in capsys.readouterr().err
 
 
+def _set_field(raw, edit):
+    where, key, value = edit
+    target = raw if where is None else raw[where][0]
+    target[key] = value
+    return json.dumps(raw).encode()
+
+
+@pytest.mark.parametrize("broken, edit", [
+    ("feeder", lambda raw: b"[]"),
+    ("feeder", lambda raw: _set_field(raw, ("branches", "R", "abc"))),
+    ("feeder", lambda raw: _set_field(raw, ("users", "phase", "x"))),
+    ("feeder", lambda raw: _set_field(raw, (None, "base_voltage_V", "high"))),
+    ("feeder", lambda raw: _set_field(raw, ("branches", "power_limit_VA", "abc"))),
+    ("feeder", lambda raw: b"\xff\xfe{" + json.dumps(raw).encode()),
+    ("feeder", lambda raw: b"[" * 100_000 + b"]" * 100_000),
+    ("profiles", lambda raw: b"t,\xe9\xff:p\n0,1\n"),
+    ("config", lambda raw: b"method = miqp\n\xff\xfe = 1\n"),
+], ids=["list", "r_text", "phase_text", "base_text", "limit_text", "feeder_utf8", "deep",
+        "profiles_utf8", "config_utf8"])
+def test_malformed_input_is_exit_2(line_paths, tmp_path, capsys, broken, edit):
+    feeder_path, profiles_path = line_paths
+    with open(feeder_path) as fh:
+        raw = json.load(fh)
+    paths = {"feeder": feeder_path, "profiles": profiles_path,
+             "config": tmp_path / "run.conf"}
+    paths["config"].write_text("method = miqp\n")
+    paths[broken] = tmp_path / f"broken.{broken}"
+    paths[broken].write_bytes(edit(raw))
+    code = main(["optimize", "--config", str(paths["config"]),
+                 "--feeder", str(paths["feeder"]), "--profiles", str(paths["profiles"]),
+                 "--delta-max", "1", "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_optimize_then_validate(line_paths, tmp_path):
     feeder_path, profiles_path = line_paths
     report_path = tmp_path / "report.json"

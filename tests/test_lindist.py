@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures, powerflow
-from phasebal.lindist import (GAMMA_IM, GAMMA_RE, AffineSensitivity,
+from phasebal.lindist import (GAMMA_IM, GAMMA_RE, AffineSensitivity, _sweep,
                               ab_matrices, evaluate_series, sensitivity)
 from phasebal.network import (Branch, LoadSeries, PhaseAssignment, User,
                               downstream_users, make_feeder,
                               original_assignment)
+from reference_impls import sensitivity_loop, sweep_by_branch
 
 S3 = np.sqrt(3.0)
 
@@ -80,9 +81,9 @@ def test_zero_load_unit_omega(line):
     feeder, _ = line
     state = evaluate_series(feeder, original_assignment(feeder), zero_loads(feeder))
     assert np.allclose(state.omega[0], 1.0)
-    for key in state.flow_p:
-        assert np.allclose(state.flow_p[key][0], 0.0)
-        assert np.allclose(state.flow_q[key][0], 0.0)
+    for k in range(len(feeder.branches)):
+        assert np.allclose(state.flow_p[0, k], 0.0)
+        assert np.allclose(state.flow_q[0, k], 0.0)
 
 
 def test_balanced_two_bus_equal_omega(two_bus):
@@ -109,12 +110,12 @@ def test_flows_equal_downstream_sums(twenty_user):
     a = original_assignment(feeder)
     state = evaluate_series(feeder, a, loads)
     phases = {u.id: p for u, p in zip(feeder.reconfigurable_users(), a.phases)}
-    for br in feeder.branches:
+    for k, br in enumerate(feeder.branches):
         expect_p = np.zeros((loads.horizon, 3))
         for uid in downstream_users(feeder, br):
             col = loads.column(uid)
             expect_p[:, phases[uid] - 1] += loads.p[:, col] / feeder.base_power
-        assert np.allclose(state.flow_p[br.key], expect_p, atol=1e-15)
+        assert np.allclose(state.flow_p[:, k], expect_p, atol=1e-15)
 
 
 def test_ld3f_linearity_disjoint_sets(line):
@@ -160,32 +161,109 @@ def test_sensitivity_superposition_all_27(line):
     for phases in itertools.product((1, 2, 3), repeat=3):
         a = PhaseAssignment(phases)
         direct = evaluate_series(feeder, a, loads)
-        assert np.abs(sens.omega_of(a) - direct.omega).max() <= 1e-10
-        p, q = sens.flows_of(a)
-        for k, key in enumerate(sens.branch_keys):
-            assert np.abs(p[k] - direct.flow_p[key]).max() <= 1e-10
-            assert np.abs(q[k] - direct.flow_q[key]).max() <= 1e-10
+        omega, p, q = sens.omega0.copy(), sens.flow0_p.copy(), sens.flow0_q.copy()
+        for i, ph in enumerate(phases):
+            omega += sens.d_omega[i, ph - 1]
+            p += sens.d_flow_p[i, ph - 1]
+            q += sens.d_flow_q[i, ph - 1]
+        assert np.abs(omega - direct.omega).max() <= 1e-10
+        for k in range(len(feeder.branches)):
+            assert np.abs(p[:, k] - direct.flow_p[:, k]).max() <= 1e-10
+            assert np.abs(q[:, k] - direct.flow_q[:, k]).max() <= 1e-10
 
 
 def test_sensitivity_flow_increment_structure(line):
     feeder, loads = line
-    sens = sensitivity(feeder, loads)   # reference branch only
+    sens = sensitivity(feeder, loads)
     pr = feeder.reconfigurable_users()
-    k = sens.branch_keys.index(("r", "b1"))
+    k = feeder.branch_index(feeder.branch("r", "b1"))
     for i, u in enumerate(pr):
         col = loads.column(u.id)
         for ph in (1, 2, 3):
-            inc = sens.d_flow_p[i, ph - 1, k]   # (T, 3)
+            inc = sens.d_flow_p[i, ph - 1, :, k]   # (T, 3)
             expect = np.zeros_like(inc)
             expect[:, ph - 1] = loads.p[:, col] / feeder.base_power
             assert np.allclose(inc, expect, atol=1e-15)
 
 
-def test_sensitivity_rejects_unknown_branch(line):
-    feeder, loads = line
-    from phasebal.errors import ValidationError
-    with pytest.raises(ValidationError):
-        sensitivity(feeder, loads, branch_keys=[("b3", "zz")])
+# -- random radial feeders ------------------------------------------------------
+
+
+def _impedance(rng):
+    m = rng.uniform(0.0, 0.04, (3, 3))
+    m = (m + m.T) / 2
+    np.fill_diagonal(m, rng.uniform(0.05, 0.3, 3))
+    return m
+
+
+@st.composite
+def radial_cases(draw):
+    """A random radial feeder (3-8 buses, some branches drawn toward the
+    reference), 2-7 users of which some are fixed, T in 1..5, and an rng."""
+    n_bus = draw(st.integers(3, 8))
+    parents = [draw(st.integers(0, k - 1)) for k in range(1, n_bus)]
+    flips = draw(st.lists(st.booleans(), min_size=n_bus - 1, max_size=n_bus - 1))
+    fixed = draw(st.lists(st.booleans(), min_size=2, max_size=7))
+    horizon = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    buses = [f"b{k}" for k in range(n_bus)]
+    branches = []
+    for k, (parent, flip) in enumerate(zip(parents, flips), start=1):
+        ends = (buses[k], buses[parent]) if flip else (buses[parent], buses[k])
+        branches.append(Branch(*ends, _impedance(rng), _impedance(rng)))
+    users = [User(f"u{m}", buses[rng.integers(n_bus)], int(rng.integers(1, 4)),
+                  reconfigurable=not f) for m, f in enumerate(fixed)]
+    feeder = make_feeder(buses, branches, "b0", users, 230.0, 10000.0)
+    p = rng.uniform(0.0, 5000.0, (horizon, len(users)))
+    loads = LoadSeries(tuple(u.id for u in users), p, p * rng.uniform(0.0, 0.5, p.shape))
+    return feeder, loads, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(radial_cases())
+def test_sensitivity_bitwise_equals_per_user_sweeps(case):
+    feeder, loads, _ = case
+    sens = sensitivity(feeder, loads)
+    got = (sens.omega0, sens.d_omega, sens.flow0_p, sens.flow0_q,
+           sens.d_flow_p, sens.d_flow_q)
+    for mine, ref in zip(got, sensitivity_loop(feeder, loads)):
+        assert mine.shape == ref.shape
+        assert np.array_equal(mine, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radial_cases())
+def test_sensitivity_superposition_random_feeders(case):
+    feeder, loads, rng = case
+    sens = sensitivity(feeder, loads)
+    n = len(feeder.reconfigurable_users())
+    for _ in range(3):
+        phases = tuple(int(ph) for ph in rng.integers(1, 4, n))
+        direct = evaluate_series(feeder, PhaseAssignment(phases), loads)
+        picks = (np.arange(n), np.array(phases, dtype=int) - 1)
+        omega = sens.omega0 + sens.d_omega[picks].sum(axis=0)
+        p = sens.flow0_p + sens.d_flow_p[picks].sum(axis=0)
+        q = sens.flow0_q + sens.d_flow_q[picks].sum(axis=0)
+        assert np.abs(omega - direct.omega).max() <= 1e-10
+        assert np.abs(p - direct.flow_p).max() <= 1e-10
+        assert np.abs(q - direct.flow_q).max() <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(radial_cases(), st.integers(1, 3), st.integers(1, 3))
+def test_batched_sweep_rows_equal_single_sweeps(case, rows, cols):
+    feeder, loads, rng = case
+    shape = (rows, cols, loads.horizon, len(feeder.buses), 3)
+    p_bus = rng.uniform(-0.5, 0.5, shape)
+    q_bus = rng.uniform(-0.5, 0.5, shape)
+    batch = _sweep(feeder, p_bus, q_bus)
+    for i, j in itertools.product(range(rows), range(cols)):
+        one = _sweep(feeder, p_bus[i, j], q_bus[i, j])
+        ref = sweep_by_branch(feeder, p_bus[i, j], q_bus[i, j])
+        for got, single, expect in zip((batch.omega, batch.flow_p, batch.flow_q),
+                                       (one.omega, one.flow_p, one.flow_q), ref):
+            assert np.array_equal(got[i, j], single)
+            assert np.array_equal(single, expect)
 
 
 # -- fidelity against exact PF (all fixtures) ---------------------------------

@@ -280,7 +280,8 @@ def test_voltage_bound_rows_steer_solution(line):
     assert not prog.point_feasible(PhaseAssignment((1, 1, 1)))
     res = branch_and_bound(prog, BnBOptions(abs_gap=1e-9, rel_gap=0.0))
     sens = lindist.sensitivity(feeder, loads)
-    omega = sens.omega_of(res.assignment)
+    omega = sens.omega0 + sum(sens.d_omega[i, ph - 1]
+                              for i, ph in enumerate(res.assignment.phases))
     assert omega.min() >= cons.v_min ** 2 - 1e-9
     assert omega.max() <= cons.v_max ** 2 + 1e-9
 

@@ -93,6 +93,13 @@ def test_branch_direction_normalized_toward_leaves(tmp_path):
     assert feeder.branches[0].key == ("r", "b1")
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_nonfinite_r_rejected(value):
+    bad = [[value, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
+    with pytest.raises(ValidationError, match="finite"):
+        Branch("a", "b", bad, Z_X)
+
+
 def test_asymmetric_r_rejected():
     bad = [[0.1, 0.05, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]
     with pytest.raises(ValidationError, match="symmetric"):
