@@ -22,6 +22,10 @@ a dense simplex with lazily generated epigraph rows for the linear
 objective, and Frank-Wolfe over the node polytope for the quadratic one.
 Each Frank-Wolfe iteration yields a certified lower bound from the
 linearization gap, so early termination never produces an invalid bound.
+Within a node, each LP warm-starts from the previous one's optimal
+tableau (``solve_lp(..., warm=...)``): a cut round only appends violated
+epigraph rows, and a Frank-Wolfe oracle LP only changes the cost.  A
+node's first LP, the root check and the deletion filter solve cold.
 A node whose budget-feasible completions (``network.completion_count``)
 fit the leaf cap is closed exactly: its completions are generated in
 lexicographic order by ``network.completions`` and scored in chunks.
@@ -193,13 +197,25 @@ class BinaryProgram:
         return bool(self.feasible_mask(self._row(assignment))[0])
 
 
-def _screen_rows(rows, n_users):
-    """Drop side rows that no 0/1 one-hot point can violate."""
+def _screened_rows(bands):
+    """The voltage-band and thermal rows over delta that some 0/1 one-hot
+    point can violate, in (location, t, phase, max/min) order.
+
+    Each band is (tag, location, baseline (T, L, 3), increments
+    (n, 3, T, L, 3), location index, upper, lower).  A row's worst case is
+    the user-ordered sum of each user's largest coefficient; it is computed
+    for every (t, phase, side) of a band at once, and only rows whose worst
+    case exceeds the rhs are built.
+    """
     kept = []
-    for label, coef, rhs in rows:
-        worst = float(np.sum(coef.max(axis=1)[: n_users]))
-        if worst > rhs + 1e-12:
-            kept.append((label, coef, rhs))
+    for tag, loc, base, incr, k, upper, lower in bands:
+        coef = np.moveaxis(incr[:, :, :, k], (2, 3), (0, 1))     # (T, 3, n, 3)
+        signed = np.stack([coef, -coef], axis=2)                # (T, 3, 2, n, 3)
+        worst = signed.max(axis=4).sum(axis=3)                  # (T, 3, 2)
+        rhs = np.stack([upper - base[:, k], base[:, k] - lower], axis=2)
+        for t, ph, side in zip(*np.nonzero(worst > rhs + 1e-12)):
+            kept.append((f"{tag}{('max', 'min')[side]}_{loc}_t{t}_ph{ph + 1}",
+                         signed[t, ph, side], rhs[t, ph, side]))
     return tuple(kept)
 
 
@@ -230,16 +246,7 @@ def build_program(feeder: Feeder, loads: LoadSeries,
                                 ("q", sens.flow0_q, sens.d_flow_q)):
             bands.append((tag, f"{br.from_bus}-{br.to_bus}", base, incr,
                           feeder.branch_index(br), lim, -lim))
-    side = []
-    for tag, loc, base, incr, k, upper, lower in bands:
-        coef = np.moveaxis(incr[:, :, :, k], (2, 3), (0, 1))  # (T, 3, n, 3)
-        for t in range(horizon):
-            for ph in range(3):
-                side.append((f"{tag}max_{loc}_t{t}_ph{ph + 1}",
-                             coef[t, ph], upper - base[t, k, ph]))
-                side.append((f"{tag}min_{loc}_t{t}_ph{ph + 1}",
-                             -coef[t, ph], base[t, k, ph] - lower))
-    side_rows = _screen_rows(side, n)
+    side_rows = _screened_rows(bands)
 
     kwargs = dict(feeder=feeder, users=users, c0=c0, horizon=horizon,
                   delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,
@@ -395,6 +402,7 @@ class _BnBSolver:
         a_eq_full = np.hstack([a_eq, np.zeros((a_eq.shape[0], t_dim))])
         base_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], t_dim))])
         active = list(dict.fromkeys(active_rows))
+        res = None
         for _ in range(200):
             rows = [base_ub]
             rhs = [b_ub]
@@ -404,8 +412,9 @@ class _BnBSolver:
                 row[nv + t] = -1.0
                 rows.append(row[None, :])
                 rhs.append(np.array([-sign * const[t, k, ph]]))
+            # new cuts are appended, so each round warm-starts from the last
             res = solve_lp(c_obj, np.vstack(rows), np.concatenate(rhs),
-                           a_eq_full, b_eq)
+                           a_eq_full, b_eq, warm=res)
             self.relaxations += 1
             if res.status != "optimal":
                 return res.status, None, None, tuple(active)
@@ -458,12 +467,13 @@ class _BnBSolver:
         self.relaxations += 1
         if start.status != "optimal":
             return start.status, None, None
-        x = start.x
+        x, osc = start.x, start
         lower = -np.inf
         best_x, best_ub = x, f(x)
         for _ in range(FW_MAX_ITERS):
             g = grad(x)
-            osc = solve_lp(g, a_ub, b_ub, a_eq, b_eq)
+            # same polytope, new gradient: only primal phase 2 runs
+            osc = solve_lp(g, a_ub, b_ub, a_eq, b_eq, warm=osc)
             self.relaxations += 1
             if osc.status != "optimal":
                 return osc.status, None, None

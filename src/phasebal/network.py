@@ -132,7 +132,6 @@ class Feeder:
         children: dict[str, list] = {b: [] for b in self.buses}
         for br in self.branches:
             children[br.from_bus].append(br)
-        parent: dict[str, Branch] = {}
         order: list[Branch] = []
         stack = [self.reference_bus]
         visited = {self.reference_bus}
@@ -142,7 +141,6 @@ class Feeder:
                 if br.to_bus in visited:
                     raise ValidationError(f"non-radial: bus {br.to_bus!r} reached twice")
                 visited.add(br.to_bus)
-                parent[br.to_bus] = br
                 order.append(br)
                 stack.append(br.to_bus)
         if visited != bus_set:
@@ -150,7 +148,6 @@ class Feeder:
             raise ValidationError(
                 f"non-radial: buses {missing} unreachable from the reference "
                 f"(are all branches directed away from it?)")
-        object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_topo_branches", tuple(order))
         object.__setattr__(self, "_bus_index", {b: i for i, b in enumerate(self.buses)})
         object.__setattr__(
@@ -188,14 +185,6 @@ class Feeder:
     def topo_branches(self) -> tuple[Branch, ...]:
         """Branches ordered root-first (every parent before its children)."""
         return self._topo_branches
-
-    def path_from_reference(self, bus: str) -> tuple[Branch, ...]:
-        path = []
-        while bus != self.reference_bus:
-            br = self._parent[bus]
-            path.append(br)
-            bus = br.from_bus
-        return tuple(reversed(path))
 
     def reconfigurable_users(self) -> tuple[User, ...]:
         """Reconfigurable users in canonical (id-sorted) order.
@@ -251,21 +240,6 @@ class PhaseAssignment:
     def __len__(self):
         return len(self.phases)
 
-    def to_delta(self) -> np.ndarray:
-        """One-hot (n_users, 3) 0/1 matrix; row i has a 1 at phases[i]-1."""
-        delta = np.zeros((len(self.phases), 3), dtype=np.int8)
-        for i, p in enumerate(self.phases):
-            delta[i, p - 1] = 1
-        return delta
-
-    @classmethod
-    def from_delta(cls, delta) -> "PhaseAssignment":
-        delta = np.asarray(delta)
-        if delta.ndim != 2 or delta.shape[1] != 3:
-            raise ValidationError(f"delta must be (n, 3), got {delta.shape}")
-        if not np.all(delta.sum(axis=1) == 1) or not np.all((delta == 0) | (delta == 1)):
-            raise ValidationError("each delta row must be one-hot")
-        return cls(tuple(int(np.argmax(row)) + 1 for row in delta))
 
 
 def original_assignment(feeder: Feeder) -> PhaseAssignment:

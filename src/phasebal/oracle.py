@@ -11,7 +11,6 @@ against the cap before anything is generated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InfeasibleProgramError
@@ -53,11 +52,3 @@ def enumerate_optimal(problem: Problem, evaluator: str = "exact",
     best_obj, best = scored[0]
     return OracleResult(best=best, objective=best_obj, ranking=tuple(scored),
                         evaluated=len(scored))
-
-
-def write_ranking_csv(result: OracleResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "objective", "configuration"])
-        for rank, (obj, a) in enumerate(result.ranking, start=1):
-            writer.writerow([rank, repr(obj), " ".join(map(str, a.phases))])

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, MetricError, ValidationError
-from .network import Branch, Feeder, LoadSeries, PhaseAssignment, injection_series, injections
+from .network import Feeder, LoadSeries, PhaseAssignment, injection_series, injections
 
 REFERENCE_PHASORS = np.array([1.0,
                               np.exp(-2j * np.pi / 3),
@@ -113,10 +113,6 @@ class PFSolution:
     def omega(self) -> np.ndarray:
         return np.abs(self.u) ** 2
 
-    def branch_current(self, feeder: Feeder, branch: Branch) -> np.ndarray:
-        """Complex per-phase current from branch.from_bus to branch.to_bus."""
-        return self.current[feeder.branch_index(branch)]
-
 
 @dataclass(frozen=True, eq=False)
 class PFSeries(Sequence):
@@ -195,11 +191,6 @@ def solve_series(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
     """Independent flat-start solves of every timestep, as one block."""
     return _solve_block(feeder, injection_series(feeder, assignment, loads),
                         tol, max_iter)
-
-
-def reference_injection(feeder: Feeder, sol: PFSolution) -> complex:
-    """Total complex power flowing from the reference bus into the network."""
-    return complex(np.sum(sol.s_from[_solver_for(feeder).ref_branches]))
 
 
 def losses(sol: PFSolution | PFSeries, feeder: Feeder):

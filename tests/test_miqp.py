@@ -3,19 +3,21 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_impls as ref
-from phasebal import fixtures, lindist, miqp
+from phasebal import fixtures, lindist, miqp, oracle
 from phasebal.errors import InfeasibleProgramError, ValidationError
 from phasebal.metrics import ObjectiveSpec, aggregate
 from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BnBOptions, _BnBSolver, _gather_sum,
                            _quadratic_parts, branch_and_bound, build_program)
 from phasebal.network import (Branch, ConstraintConfig, LoadSeries,
-                              PhaseAssignment, User, feasible_mask, make_feeder)
+                              PhaseAssignment, User, downstream_users, feasible_mask,
+                              make_feeder)
 from phasebal.problem import (Problem, evaluate, evaluate_exact,
                               metric_values_ld3f)
+from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
 Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
@@ -323,7 +325,7 @@ def test_leaf_enumeration_with_counts_and_side_row(twenty_user, metric):
         prog, side_rows=prog.side_rows + (("not_forbidden", coef, n - 1.0),))
 
     def feasible(c):
-        delta = PhaseAssignment(c).to_delta()
+        delta = np.eye(3)[np.array(c) - 1]
         return counts_ok(c) and all(float(np.sum(row * delta)) <= rhs + 1e-9
                                     for _, row, rhs in prog.side_rows)
 
@@ -347,3 +349,58 @@ def test_initial_incumbent_used(twenty_user):
 def test_gap_options_validated():
     with pytest.raises(ValidationError):
         BnBOptions(abs_gap=-1.0)
+
+
+# -- differential test against the ld3f oracle ------------------------------------
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+@settings(max_examples=60, deadline=None)
+@given(case=radial_cases(), budget=st.integers(1, 3), gamma=st.booleans(),
+       side_row=st.booleans(), data=st.data())
+def test_bnb_matches_ld3f_oracle(metric, case, budget, gamma, side_row, data):
+    """Branch and bound with a leaf cap of 1, so every non-trivial node is
+    bounded by a relaxation, against exhaustive ld3f enumeration; the side
+    rows (screened voltage rows, plus a row forbidding the unconstrained
+    optimum when ``side_row``) are checked by plain Python on the ranking."""
+    feeder, loads, _ = case
+    n_total = len(feeder.users)
+    lo = data.draw(st.integers(0, n_total // 3))
+    hi = data.draw(st.integers(-(-n_total // 3), n_total))
+    cons = ConstraintConfig(delta_max=budget, gamma_low=lo, gamma_upp=hi,
+                            enforce_phase_counts=gamma)
+    spec = ObjectiveSpec(metric)
+    if metric == "pu_star":
+        loaded = [br.key for br in feeder.reference_branches()
+                  if downstream_users(feeder, br)]
+        assume(loaded)
+        spec = ObjectiveSpec(metric, balance_branches=loaded)
+    prog = build_program(feeder, loads, cons, spec)
+    n = prog.n_users
+    assume(n > 0)
+    try:
+        ranking = oracle.enumerate_optimal(Problem(feeder, loads, cons, spec),
+                                           evaluator="ld3f").ranking
+    except InfeasibleProgramError:
+        ranking = ()
+    if side_row and ranking:
+        coef = np.zeros((n, 3))
+        coef[np.arange(n), np.array(ranking[0][1].phases, dtype=int) - 1] = 1.0
+        prog = dataclasses.replace(
+            prog, side_rows=prog.side_rows + (("not_best", coef, n - 1.0),))
+
+    def meets_rows(phases):
+        return all(sum(float(coef[u, ph - 1]) for u, ph in enumerate(phases)) <= rhs + 1e-9
+                   for _, coef, rhs in prog.side_rows)
+
+    feasible = [value for value, a in ranking if meets_rows(a.phases)]
+    opts = BnBOptions(leaf_enum_cap=1, abs_gap=1e-9, rel_gap=0.0)
+    if not feasible:
+        with pytest.raises(InfeasibleProgramError):
+            branch_and_bound(prog, opts)
+        return
+    res = branch_and_bound(prog, opts)
+    assert res.status == "optimal"
+    assert res.relaxations_solved > 0
+    assert meets_rows(res.assignment.phases)
+    assert abs(res.objective - min(feasible)) <= 1e-9

