@@ -34,6 +34,17 @@ part of the objective and of each side row gathers one coefficient row
 per user and adds them in user order.  That is the dense one-hot
 contraction's order less its exact zeros, so objective values are bitwise
 the dense formula's, and no row's value depends on the batch around it.
+
+A pvur_star leaf prunes each chunk before masking and scoring it.  Per
+timestep, the bound keeps only the (bus, phase) entry where the chunk's
+first completion deviates most, and averages those entries' magnitudes.
+A kept entry is bitwise the full score's, the full score takes a maximum
+over it, and both means are the same reduction, so rounding is monotone
+and the bound never exceeds the objective.  A row is dropped only when
+its bound exceeds the leaf's best so far or the incumbent, so the leaf's
+first minimum is unchanged whenever it beats the incumbent; otherwise the
+caller ignores the leaf anyway.  pu_star leaves are not pruned: their
+time goes to the Frank-Wolfe LPs.
 """
 
 from __future__ import annotations
@@ -179,6 +190,23 @@ class BinaryProgram:
                     * self.branch_weight[None, None, :]
                 out[start:start + m] = per_branch.mean(axis=2).mean(axis=1)
         return out
+
+    def _pvur_star_bound(self, phases: np.ndarray) -> np.ndarray:
+        """A lower bound on the pvur_star objective of each (M, n) row.
+
+        Per timestep it keeps only the (bus, phase) entry where the first
+        row deviates most.  A kept entry is the same user-ordered sum that
+        ``objective_batch`` takes the maximum of, and the (M, T) mean is the
+        same reduction, so rounding keeps the bound bitwise <= the objective.
+        """
+        columns, const = self._objective_columns, self.dev_const.reshape(-1)
+        first = np.abs(_gather_sum(columns, phases[:1])[0] + const)
+        first = first.reshape(self.horizon, -1)
+        keep = np.arange(self.horizon) * first.shape[1] + first.argmax(axis=1)
+        x = _gather_sum(columns[:, keep], phases)
+        x += const[keep]
+        np.abs(x, out=x)
+        return x.mean(axis=1)
 
     def feasible_mask(self, phases: np.ndarray) -> np.ndarray:
         """Which of the (M, n) configurations ``phases`` meet the budget, the
@@ -500,18 +528,24 @@ class _BnBSolver:
 
     # ---- leaf enumeration ----
 
-    def _enumerate_leaf(self, fixed):
-        """Exact minimum over every feasible completion of ``fixed``.
+    def _enumerate_leaf(self, fixed, inc_value=np.inf):
+        """Exact minimum over every feasible completion of ``fixed``, when
+        it is below ``inc_value``.
 
         Completions come in lexicographic order and are scored in chunks of
         ``LEAF_CHUNK`` consecutive ones; points that break the counts or a
         side row are masked out before scoring, and the first minimum wins.
+        For pvur_star, rows whose lower bound exceeds the leaf's best so far
+        or ``inc_value`` are dropped first; ties survive, so the first
+        minimum is the same whenever it is below ``inc_value``.
         """
         prog = self.prog
         cands = completions(prog.c0, fixed, prog.delta_max - self._used(fixed))
         best_val, best_assign = np.inf, None
         for start in range(0, len(cands), LEAF_CHUNK):
             chunk = cands[start:start + LEAF_CHUNK]
+            if prog.objective_kind == "pvur_star":
+                chunk = chunk[prog._pvur_star_bound(chunk) <= min(best_val, inc_value)]
             chunk = chunk[prog.feasible_mask(chunk)]
             if len(chunk):
                 vals = prog.objective_batch(chunk)
@@ -547,15 +581,19 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
     search first (the status field says which).
     """
     opts = opts or BnBOptions()
+    solver = _BnBSolver(prog, opts)
+    a_eq, b_eq, a_ub, b_ub, labels, _ = solver._node_base_rows((0,) * prog.n_users)
     if prog.n_users == 0:
+        # no variables: a row holds when its rhs does, as in feasible_mask
+        broken = [label for label, rhs in zip(labels, b_ub) if rhs < -1e-9]
+        if broken:
+            raise InfeasibleProgramError(
+                "the baseline configuration breaks these rows", rows=broken)
         return BnBResult(assignment=PhaseAssignment(()),
                          objective=prog.baseline_objective,
                          bound=prog.baseline_objective, gap=0.0, nodes=1,
                          status="optimal")
-    solver = _BnBSolver(prog, opts)
-    root_rows = solver._node_base_rows((0,) * prog.n_users)
-    root_check = solve_lp(np.zeros(root_rows[0].shape[1]), root_rows[2],
-                          root_rows[3], root_rows[0], root_rows[1])
+    root_check = solve_lp(np.zeros(a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq)
     if root_check.status == "infeasible":
         _raise_with_iis(prog, solver)
     started = time.monotonic()
@@ -591,7 +629,7 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
         n_free = node.fixed.count(0)
         if completion_count(n_free, prog.delta_max - solver._used(node.fixed)) \
                 <= opts.leaf_enum_cap:
-            val, assign = solver._enumerate_leaf(node.fixed)
+            val, assign = solver._enumerate_leaf(node.fixed, inc_value)
             if assign is not None and val < inc_value:
                 inc_value, incumbent = val, assign
             continue

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from phasebal.metrics import ObjectiveSpec, aggregate
 from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BnBOptions, _BnBSolver, _gather_sum,
                            _quadratic_parts, branch_and_bound, build_program)
 from phasebal.network import (Branch, ConstraintConfig, LoadSeries,
-                              PhaseAssignment, User, downstream_users, feasible_mask,
-                              make_feeder)
+                              PhaseAssignment, User, completion_count, completions,
+                              downstream_users, feasible_mask, make_feeder)
 from phasebal.problem import (Problem, evaluate, evaluate_exact,
                               metric_values_ld3f)
 from strategies import radial_cases
@@ -54,6 +55,28 @@ def test_no_reconfigurable_users_constant_program():
         assert res.status == "optimal"
         assert res.nodes == 1
         assert res.gap == 0.0
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+def test_no_reconfigurable_users_breaking_a_row_is_infeasible(metric):
+    z = np.diag([0.2, 0.2, 0.2])
+    feeder = make_feeder(
+        buses=["r", "b1"], branches=[Branch("r", "b1", z, z)], reference_bus="r",
+        users=[User("fix", "b1", 1, reconfigurable=False)],
+        base_voltage=230.0, base_power=10000.0)
+    p = np.full((1, 1), 5000.0)
+    loads = LoadSeries(("fix",), p, np.zeros_like(p))
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=1, v_min=0.99),
+                         ObjectiveSpec(metric))
+    assert prog.n_users == 0
+    with pytest.raises(InfeasibleProgramError) as err:
+        branch_and_bound(prog)
+    assert err.value.rows == ("vmin_b1_t0_ph1",)
+    counts = ConstraintConfig(delta_max=1, gamma_low=1, gamma_upp=1,
+                              enforce_phase_counts=True)
+    with pytest.raises(InfeasibleProgramError) as err:
+        branch_and_bound(build_program(feeder, loads, counts, ObjectiveSpec(metric)))
+    assert err.value.rows == ("count_low_ph2", "count_low_ph3")
 
 
 def test_switch_budget_row(line):
@@ -136,6 +159,8 @@ def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
     values = prog.objective_batch(phases)
     assert np.array_equal(values, ref.objective_sequential(prog, phases))
     np.testing.assert_allclose(values, ref.objective_einsum(prog, phases), rtol=1e-12)
+    if metric == "pvur_star":
+        assert np.all(prog._pvur_star_bound(phases) <= values)
 
     mask = prog.feasible_mask(phases)
     expected = feasible_mask(phases, prog.c0, prog.delta_max, prog.fixed_phase_counts,
@@ -162,6 +187,53 @@ def test_gather_sum_edge_shapes():
     assert np.array_equal(_gather_sum(np.zeros((0, 4)), np.zeros((5, 0), dtype=int)),
                           np.zeros((5, 4)))
     assert _gather_sum(np.ones((6, 4)), np.zeros((0, 2), dtype=int)).shape == (0, 4)
+
+
+@given(case=radial_cases(), m=st.integers(1, 600))
+@settings(max_examples=40, deadline=None)
+def test_pvur_star_bound_never_exceeds_objective(case, m):
+    feeder, loads, rng = case
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=3),
+                         ObjectiveSpec("pvur_star"))
+    assume(prog.n_users > 0)
+    phases = rng.integers(1, 4, size=(m, prog.n_users)).astype(np.int8)
+    bound = prog._pvur_star_bound(phases)
+    values = prog.objective_batch(phases)
+    assert np.all(bound <= values)  # bitwise, no tolerance
+    assert bound[0] == values[0]  # the first row keeps its own worst entries
+
+
+@given(case=radial_cases(), budget=st.integers(1, 4), chunk=st.integers(1, 40),
+       side_row=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_leaf_with_incumbent_matches_plain_leaf(case, budget, chunk, side_row, data):
+    """A leaf given an incumbent returns exactly the plain leaf's first
+    minimum whenever that is below the incumbent; small chunks make the
+    leaf's own best prune later chunks."""
+    feeder, loads, rng = case
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=budget),
+                         ObjectiveSpec("pvur_star"))
+    n = prog.n_users
+    assume(n > 0)
+    if side_row:
+        row = ("random", rng.normal(size=(n, 3)), float(rng.normal() * np.sqrt(n)))
+        prog = dataclasses.replace(prog, side_rows=prog.side_rows + (row,))
+    fixed = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    solver = _BnBSolver(prog, BnBOptions())
+    left = budget - solver._used(fixed)
+    assume(left >= 0)
+    cands = completions(prog.c0, fixed, left)
+    values = sorted(prog.objective_batch(cands[prog.feasible_mask(cands)]))
+    inc = data.draw(st.sampled_from([np.inf] + values))
+    if data.draw(st.booleans()):
+        inc = np.nextafter(inc, np.inf)
+    with mock.patch.object(miqp, "LEAF_CHUNK", chunk):
+        plain_value, plain = solver._enumerate_leaf(fixed)
+        value, assignment = solver._enumerate_leaf(fixed, inc)
+    if plain_value < inc:
+        assert (value, assignment) == (plain_value, plain)
+    else:
+        assert assignment is None or value >= plain_value
 
 
 # -- branch and bound ------------------------------------------------------------
@@ -354,15 +426,11 @@ def test_gap_options_validated():
 # -- differential test against the ld3f oracle ------------------------------------
 
 
-@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
-@settings(max_examples=60, deadline=None)
-@given(case=radial_cases(), budget=st.integers(1, 3), gamma=st.booleans(),
-       side_row=st.booleans(), data=st.data())
-def test_bnb_matches_ld3f_oracle(metric, case, budget, gamma, side_row, data):
-    """Branch and bound with a leaf cap of 1, so every non-trivial node is
-    bounded by a relaxation, against exhaustive ld3f enumeration; the side
-    rows (screened voltage rows, plus a row forbidding the unconstrained
-    optimum when ``side_row``) are checked by plain Python on the ranking."""
+def _oracle_case(metric, case, budget, gamma, side_row, data):
+    """A program from a random radial case, the ld3f oracle's ranking, the
+    ranked values that meet the program's side rows (screened voltage rows,
+    plus a row forbidding the unconstrained optimum when ``side_row``) and
+    that side-row check in plain Python."""
     feeder, loads, _ = case
     n_total = len(feeder.users)
     lo = data.draw(st.integers(0, n_total // 3))
@@ -377,7 +445,6 @@ def test_bnb_matches_ld3f_oracle(metric, case, budget, gamma, side_row, data):
         spec = ObjectiveSpec(metric, balance_branches=loaded)
     prog = build_program(feeder, loads, cons, spec)
     n = prog.n_users
-    assume(n > 0)
     try:
         ranking = oracle.enumerate_optimal(Problem(feeder, loads, cons, spec),
                                            evaluator="ld3f").ranking
@@ -394,6 +461,18 @@ def test_bnb_matches_ld3f_oracle(metric, case, budget, gamma, side_row, data):
                    for _, coef, rhs in prog.side_rows)
 
     feasible = [value for value, a in ranking if meets_rows(a.phases)]
+    return prog, ranking, feasible, meets_rows
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+@settings(max_examples=60, deadline=None)
+@given(case=radial_cases(), budget=st.integers(1, 3), gamma=st.booleans(),
+       side_row=st.booleans(), data=st.data())
+def test_bnb_matches_ld3f_oracle(metric, case, budget, gamma, side_row, data):
+    """Branch and bound with a leaf cap of 1, so every non-trivial node is
+    bounded by a relaxation, against exhaustive ld3f enumeration."""
+    prog, _, feasible, meets_rows = _oracle_case(metric, case, budget, gamma,
+                                                 side_row, data)
     opts = BnBOptions(leaf_enum_cap=1, abs_gap=1e-9, rel_gap=0.0)
     if not feasible:
         with pytest.raises(InfeasibleProgramError):
@@ -401,6 +480,30 @@ def test_bnb_matches_ld3f_oracle(metric, case, budget, gamma, side_row, data):
         return
     res = branch_and_bound(prog, opts)
     assert res.status == "optimal"
-    assert res.relaxations_solved > 0
+    assert (res.relaxations_solved > 0) == (prog.n_users > 0)
+    assert meets_rows(res.assignment.phases)
+    assert abs(res.objective - min(feasible)) <= 1e-9
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+@settings(max_examples=40, deadline=None)
+@given(case=radial_cases(), budget=st.integers(1, 3), gamma=st.booleans(),
+       side_row=st.booleans(), data=st.data())
+def test_bnb_large_leaf_cap_matches_ld3f_oracle(metric, case, budget, gamma, side_row,
+                                                data):
+    """The root is one leaf holding every completion, and a ranked
+    configuration is the initial incumbent, so leaf pruning against both
+    the incumbent and the leaf's own best is exercised."""
+    prog, ranking, feasible, meets_rows = _oracle_case(metric, case, budget, gamma,
+                                                       side_row, data)
+    initial = ranking[data.draw(st.integers(0, len(ranking) - 1))][1] if ranking else None
+    opts = BnBOptions(leaf_enum_cap=completion_count(prog.n_users, budget),
+                      initial_incumbent=initial, abs_gap=1e-9, rel_gap=0.0)
+    if not feasible:
+        with pytest.raises(InfeasibleProgramError):
+            branch_and_bound(prog, opts)
+        return
+    res = branch_and_bound(prog, opts)
+    assert (res.status, res.nodes, res.relaxations_solved) == ("optimal", 1, 0)
     assert meets_rows(res.assignment.phases)
     assert abs(res.objective - min(feasible)) <= 1e-9
