@@ -27,6 +27,11 @@ in the injections, so the map from a one-hot phase choice matrix to
 (user, candidate phase), all increments from one batched sweep;
 superposing increments reproduces a direct evaluation to floating-point
 accuracy.
+
+The sweep reads index tables and stacked per-unit impedances that each
+``Feeder`` builds once, at construction (``Feeder.sweep_tables``); a call
+does no per-branch lookups and derives every branch's A and B in one
+vectorized ``ab_matrices`` call.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ GAMMA_IM = np.imag(GAMMA)
 
 
 def ab_matrices(r_pu: np.ndarray, x_pu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Voltage-drop coefficient matrices (A, B) for one branch, per-unit."""
+    """Voltage-drop coefficient matrices (A, B) of one branch, per-unit, or
+    of a stack of branches given (..., 3, 3) impedances."""
     r = np.asarray(r_pu, dtype=float)
     x = np.asarray(x_pu, dtype=float)
     a = 2.0 * (GAMMA_RE * r + GAMMA_IM * x)
@@ -72,31 +78,22 @@ def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
     Every load set in the batch sees the same additions in the same order,
     so a batched row is bitwise the sweep of that row alone.
     """
-    topo = feeder.topo_branches()
+    tables = feeder.sweep_tables()
+    a, b = ab_matrices(tables.z_pu.real, tables.z_pu.imag)
     flow_p = np.empty(p_bus.shape[:-2] + (len(feeder.branches), 3))
     flow_q = np.empty_like(flow_p)
-    children: dict[str, list] = {b: [] for b in feeder.buses}
-    for br in topo:
-        children[br.from_bus].append(feeder.branch_index(br))
-    for br in reversed(topo):
-        k = feeder.branch_index(br)
-        j = feeder.bus_index(br.to_bus)
+    for k, j, children in tables.upward:
         flow_p[..., k, :] = p_bus[..., j, :]
         flow_q[..., k, :] = q_bus[..., j, :]
-        for child in children[br.to_bus]:
+        for child in children:
             flow_p[..., k, :] += flow_p[..., child, :]
             flow_q[..., k, :] += flow_q[..., child, :]
     omega = np.empty(p_bus.shape)
     omega[..., feeder.bus_index(feeder.reference_bus), :] = 1.0
-    for br in topo:
-        z = feeder.z_pu(br)
-        a, b = ab_matrices(z.real, z.imag)
-        k = feeder.branch_index(br)
-        i = feeder.bus_index(br.from_bus)
-        j = feeder.bus_index(br.to_bus)
+    for k, i, j in tables.downward:
         omega[..., j, :] = (omega[..., i, :]
-                            - flow_p[..., k, :] @ a.T
-                            - flow_q[..., k, :] @ b.T)
+                            - flow_p[..., k, :] @ a[k].T
+                            - flow_q[..., k, :] @ b[k].T)
     return Ld3fState(omega=omega, flow_p=flow_p, flow_q=flow_q)
 
 

@@ -18,7 +18,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +91,21 @@ class User:
 
 
 @dataclass(frozen=True, eq=False)
+class SweepTables:
+    """A feeder's radial sweep as index tables, built once per feeder.
+
+    ``upward`` lists (branch, to-bus, child branches) leaves first, for
+    accumulating flows; ``downward`` lists (branch, from-bus, to-bus) root
+    first, for spreading voltages.  ``z_pu`` stacks the per-unit series
+    impedances (n_branches, 3, 3) in ``feeder.branches`` order.
+    """
+
+    upward: tuple[tuple[int, int, tuple[int, ...]], ...]
+    downward: tuple[tuple[int, int, int], ...]
+    z_pu: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Feeder:
     """Validated radial feeder. Immutable; safe to share across workers."""
 
@@ -148,12 +162,36 @@ class Feeder:
             raise ValidationError(
                 f"non-radial: buses {missing} unreachable from the reference "
                 f"(are all branches directed away from it?)")
+        bus_index = {b: i for i, b in enumerate(self.buses)}
+        branch_index = {br.key: k for k, br in enumerate(self.branches)}
+        # one walk up the tree: flows and user sets accumulate leaves first;
+        # ``children`` lists siblings in ``order``'s order (the walk above
+        # appends a bus's children together, in that list's order)
+        below = {b: set() for b in self.buses}
+        for u in self.users:
+            below[u.bus].add(u.id)
+        upward = []
+        for br in reversed(order):
+            for child in children[br.to_bus]:
+                below[br.to_bus] |= below[child.to_bus]
+            upward.append((branch_index[br.key], bus_index[br.to_bus],
+                           tuple(branch_index[child.key] for child in children[br.to_bus])))
+        z_pu = np.stack([self.z_pu(br) for br in self.branches])
+        z_pu.setflags(write=False)
         object.__setattr__(self, "_topo_branches", tuple(order))
-        object.__setattr__(self, "_bus_index", {b: i for i, b in enumerate(self.buses)})
+        object.__setattr__(self, "_bus_index", bus_index)
         object.__setattr__(
             self, "_branch_by_key", {br.key: br for br in self.branches})
+        object.__setattr__(self, "_branch_index", branch_index)
+        object.__setattr__(self, "_sweep_tables", SweepTables(
+            upward=tuple(upward),
+            downward=tuple((branch_index[br.key], bus_index[br.from_bus],
+                            bus_index[br.to_bus]) for br in order),
+            z_pu=z_pu))
         object.__setattr__(
-            self, "_branch_index", {br.key: k for k, br in enumerate(self.branches)})
+            self, "_downstream", {br.key: frozenset(below[br.to_bus]) for br in self.branches})
+        object.__setattr__(self, "_reconfigurable", tuple(
+            sorted((u for u in self.users if u.reconfigurable), key=lambda u: u.id)))
 
     # -- bases -------------------------------------------------------------
 
@@ -186,6 +224,9 @@ class Feeder:
         """Branches ordered root-first (every parent before its children)."""
         return self._topo_branches
 
+    def sweep_tables(self) -> SweepTables:
+        return self._sweep_tables
+
     def reconfigurable_users(self) -> tuple[User, ...]:
         """Reconfigurable users in canonical (id-sorted) order.
 
@@ -193,31 +234,16 @@ class Feeder:
         the row order of one-hot matrices and the variable order of
         exported programs.
         """
-        return tuple(sorted((u for u in self.users if u.reconfigurable),
-                            key=lambda u: u.id))
+        return self._reconfigurable
 
     def reference_branches(self) -> tuple[Branch, ...]:
         return tuple(br for br in self.branches if br.from_bus == self.reference_bus)
 
 
-def _users_downstream(feeder: Feeder, branch: Branch) -> frozenset[str]:
-    reachable = {branch.to_bus}
-    for br in feeder.topo_branches():
-        if br.from_bus in reachable:
-            reachable.add(br.to_bus)
-    return frozenset(u.id for u in feeder.users if u.bus in reachable)
-
-
-@lru_cache(maxsize=None)
-def _downstream_table(feeder: Feeder) -> dict[tuple[str, str], frozenset[str]]:
-    return {br.key: _users_downstream(feeder, br) for br in feeder.branches}
-
-
 def downstream_users(feeder: Feeder, branch: Branch) -> frozenset[str]:
     """Ids of users whose path from the reference runs through ``branch``."""
-    table = _downstream_table(feeder)
     try:
-        return table[branch.key]
+        return feeder._downstream[branch.key]
     except KeyError:
         raise ValidationError(f"unknown branch {branch.key}") from None
 

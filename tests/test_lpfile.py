@@ -1,11 +1,19 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from phasebal import fixtures
-from phasebal.lpfile import export_lp, parse_lp
+from phasebal.errors import MetricError
+from phasebal.lpfile import (_CONST_VAR, _program_objective, _program_rows, export_lp,
+                             parse_lp)
 from phasebal.metrics import ObjectiveSpec
 from phasebal.miqp import build_program
 from phasebal.network import ConstraintConfig
+from strategies import radial_cases
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +113,33 @@ End
     assert np.isclose(terms["y"], -10.0)
     assert rhs == 4.0
     assert model.binaries == {"y"}
+
+
+def _written(terms):
+    """Parsed terms without the ``0 ONE_VAR_CONSTANT`` that stands for an
+    empty expression."""
+    return {name: c for name, c in terms.items() if not (name == _CONST_VAR and c == 0.0)}
+
+
+@given(radial_cases(), st.integers(0, 3), st.sampled_from(["pvur_star", "pu_star"]),
+       st.floats(0.97, 0.999), st.integers(0, 2), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_export_parse_round_trip_is_exact(case, budget, metric, v_min, low, width):
+    feeder, loads, _ = case
+    cons = ConstraintConfig(delta_max=budget, gamma_low=low, gamma_upp=low + width,
+                            v_min=v_min, enforce_phase_counts=True)
+    try:
+        prog = build_program(feeder, loads, cons, ObjectiveSpec(metric))
+    except MetricError:  # a balance branch without downstream users
+        reject()
+    assume(prog.side_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prog.lp")
+        export_lp(prog, path)
+        model = parse_lp(path)
+    assert [(label, _written(terms), sense, rhs)
+            for label, terms, sense, rhs in model.constraints] == _program_rows(prog)
+    lin, quad, const = _program_objective(prog)
+    assert _written(model.objective) == {**lin, **({_CONST_VAR: const} if const else {})}
+    assert model.quadratic == quad
+    assert model.binaries == {f"d_{u}_{ph}" for u in prog.users for ph in (1, 2, 3)}

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures
-from phasebal.errors import CapExceededError, InfeasibleProgramError
-from phasebal.metrics import ObjectiveSpec
+from phasebal.errors import CapExceededError, InfeasibleProgramError, MetricError
+from phasebal.lindist import Ld3fState
+from phasebal.metrics import ObjectiveSpec, aggregate
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
-                              completion_count, completions, original_assignment)
+                              completion_count, completions, injection_series,
+                              original_assignment)
 from phasebal.oracle import enumerate_optimal
-from phasebal.problem import Problem, evaluate
+from phasebal.problem import Problem, evaluate, metric_values_ld3f
+from reference_impls import sweep_by_branch
+from strategies import radial_cases
 
 
 def make_problem(fixture, metric="pu", delta_max=3, **cons):
@@ -129,3 +134,39 @@ def test_ranking_csv(tmp_path, line):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rank,objective,configuration"
     assert len(lines) == 1 + res.evaluated
+
+
+def _reference_ranking(prob):
+    """(objective, phases) of every configuration within the budget, in
+    lexicographic order, each swept branch by branch, then stably sorted."""
+    feeder, loads = prob.feeder, prob.loads
+    c0 = original_assignment(feeder).phases
+    scored = []
+    for phases in itertools.product((1, 2, 3), repeat=len(c0)):
+        if sum(p != p0 for p, p0 in zip(phases, c0)) > prob.constraints.delta_max:
+            continue
+        s = injection_series(feeder, PhaseAssignment(phases), loads) / feeder.base_power
+        state = Ld3fState(*sweep_by_branch(feeder, s.real, s.imag))
+        values = metric_values_ld3f(prob.objective, feeder, loads, state)
+        scored.append((aggregate(prob.objective, values), phases))
+    scored.sort(key=lambda pair: pair[0])
+    return scored
+
+
+@given(radial_cases(), st.integers(0, 2), st.sampled_from(["pvur_star", "pu_star"]))
+@settings(max_examples=60, deadline=None)
+def test_ld3f_ranking_bitwise_equals_branch_by_branch_sweeps(case, budget, metric):
+    feeder, loads, _ = case
+    prob = Problem(feeder, loads, ConstraintConfig(delta_max=budget), ObjectiveSpec(metric))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # timesteps with an undefined flow metric
+        try:
+            expected = _reference_ranking(prob)
+        except MetricError:
+            with pytest.raises(MetricError):
+                enumerate_optimal(prob, evaluator="ld3f")
+            return
+        res = enumerate_optimal(prob, evaluator="ld3f")
+    assert res.evaluated == len(expected)
+    assert [(obj.hex(), a.phases) for obj, a in res.ranking] == \
+        [(obj.hex(), phases) for obj, phases in expected]
