@@ -35,16 +35,18 @@ per user and adds them in user order.  That is the dense one-hot
 contraction's order less its exact zeros, so objective values are bitwise
 the dense formula's, and no row's value depends on the batch around it.
 
-A pvur_star leaf prunes each chunk before masking and scoring it.  Per
-timestep, the bound keeps only the (bus, phase) entry where the chunk's
-first completion deviates most, and averages those entries' magnitudes.
-A kept entry is bitwise the full score's, the full score takes a maximum
-over it, and both means are the same reduction, so rounding is monotone
-and the bound never exceeds the objective.  A row is dropped only when
-its bound exceeds the leaf's best so far or the incumbent, so the leaf's
-first minimum is unchanged whenever it beats the incumbent; otherwise the
-caller ignores the leaf anyway.  pu_star leaves are not pruned: their
-time goes to the Frank-Wolfe LPs.
+A leaf prunes each chunk before masking and scoring it, for both
+objectives.  Per timestep, the bound keeps only the column where one
+anchor completion scores worst: the (bus, phase) deviation for
+pvur_star, the weighted (branch, pair) square for pu_star.  A kept entry
+is bitwise the full score's, the full score takes a maximum over it or
+adds nonnegative terms to it, and both means over t are the same
+reduction, so rounding is monotone and the bound never exceeds the
+objective.  A first pass is anchored on the chunk's first completion and
+a second one on the last survivor of the first.  A row is dropped only
+when its bound exceeds the leaf's best so far or the incumbent, so the
+leaf's first minimum is unchanged whenever it beats the incumbent;
+otherwise the caller ignores the leaf anyway.
 """
 
 from __future__ import annotations
@@ -191,21 +193,37 @@ class BinaryProgram:
                 out[start:start + m] = per_branch.mean(axis=2).mean(axis=1)
         return out
 
-    def _pvur_star_bound(self, phases: np.ndarray) -> np.ndarray:
-        """A lower bound on the pvur_star objective of each (M, n) row.
+    def _leaf_bound(self, phases: np.ndarray, anchor: int) -> np.ndarray:
+        """A lower bound on the objective of each (M, n) row.
 
-        Per timestep it keeps only the (bus, phase) entry where the first
-        row deviates most.  A kept entry is the same user-ordered sum that
-        ``objective_batch`` takes the maximum of, and the (M, T) mean is the
-        same reduction, so rounding keeps the bound bitwise <= the objective.
+        Per timestep it keeps only the column where row ``anchor`` scores
+        worst: the (bus, phase) deviation for pvur_star, the (branch, pair)
+        term ``w_b x^2`` for pu_star.  A kept entry is the same user-ordered
+        sum as in ``objective_batch``; the objective adds nonnegative terms
+        to it (pairs, then branches) or takes a maximum over it, and its
+        (M, T) mean over t is the same reduction.  Rounding is monotone on
+        nonnegative numbers, so the bound is bitwise <= the objective.
         """
-        columns, const = self._objective_columns, self.dev_const.reshape(-1)
-        first = np.abs(_gather_sum(columns, phases[:1])[0] + const)
-        first = first.reshape(self.horizon, -1)
-        keep = np.arange(self.horizon) * first.shape[1] + first.argmax(axis=1)
+        pvur = self.objective_kind == "pvur_star"
+        columns = self._objective_columns
+        const = (self.dev_const if pvur else self.diff_const).reshape(-1)
+        worst = _gather_sum(columns, phases[anchor][None])[0] + const
+        if pvur:
+            worst = np.abs(worst)
+        else:
+            worst = np.square(worst).reshape(self.horizon, -1, 3) \
+                * self.branch_weight[:, None]
+        worst = worst.reshape(self.horizon, -1)
+        keep = np.arange(self.horizon) * worst.shape[1] + worst.argmax(axis=1)
         x = _gather_sum(columns[:, keep], phases)
         x += const[keep]
-        np.abs(x, out=x)
+        if pvur:
+            np.abs(x, out=x)
+        else:
+            np.square(x, out=x)
+            branches = len(self.branch_weight)
+            x *= self.branch_weight[keep // 3 % branches]
+            x /= branches
         return x.mean(axis=1)
 
     def feasible_mask(self, phases: np.ndarray) -> np.ndarray:
@@ -535,8 +553,9 @@ class _BnBSolver:
         Completions come in lexicographic order and are scored in chunks of
         ``LEAF_CHUNK`` consecutive ones; points that break the counts or a
         side row are masked out before scoring, and the first minimum wins.
-        For pvur_star, rows whose lower bound exceeds the leaf's best so far
-        or ``inc_value`` are dropped first; ties survive, so the first
+        Before that, two bound passes, anchored on the chunk's first row and
+        then on the last survivor, drop the rows whose lower bound exceeds
+        the leaf's best so far or ``inc_value``; ties survive, so the first
         minimum is the same whenever it is below ``inc_value``.
         """
         prog = self.prog
@@ -544,8 +563,10 @@ class _BnBSolver:
         best_val, best_assign = np.inf, None
         for start in range(0, len(cands), LEAF_CHUNK):
             chunk = cands[start:start + LEAF_CHUNK]
-            if prog.objective_kind == "pvur_star":
-                chunk = chunk[prog._pvur_star_bound(chunk) <= min(best_val, inc_value)]
+            limit = min(best_val, inc_value)
+            for anchor in (0, -1):
+                if len(chunk):
+                    chunk = chunk[prog._leaf_bound(chunk, anchor) <= limit]
             chunk = chunk[prog.feasible_mask(chunk)]
             if len(chunk):
                 vals = prog.objective_batch(chunk)

@@ -353,14 +353,25 @@ def injection_series(feeder: Feeder, assignment: PhaseAssignment,
                      loads: LoadSeries) -> np.ndarray:
     """Complex (T, n_buses, 3) injections in watts for every timestep."""
     phases = user_phases(feeder, assignment)
-    cols = [loads.column(u.id) for u in feeder.users]
-    buses = [feeder.bus_index(u.bus) for u in feeder.users]
-    user_phase = [phases[u.id] - 1 for u in feeder.users]
-    out = np.zeros((loads.horizon, len(feeder.buses), 3), dtype=complex)
-    # unbuffered: users sharing a (bus, phase) add up in feeder.users order
-    np.add.at(out, (slice(None), buses, user_phase),
-              loads.p[:, cols] + 1j * loads.q[:, cols])
-    return out
+    # rank r holds the r-th user of each (bus, phase) in feeder.users order, so
+    # one scatter per rank adds the users sharing a (bus, phase) in that order
+    ranks = []  # per rank: (load columns, flat (bus, phase) slots)
+    seen = {}
+    for u in feeder.users:
+        slot = 3 * feeder.bus_index(u.bus) + phases[u.id] - 1
+        r = seen[slot] = seen.get(slot, -1) + 1
+        if r == len(ranks):
+            ranks.append(([], []))
+        ranks[r][0].append(loads.column(u.id))
+        ranks[r][1].append(slot)
+    cols = [c for rank_cols, _ in ranks for c in rank_cols]
+    s = loads.p[:, cols] + 1j * loads.q[:, cols]
+    out = np.zeros((loads.horizon, 3 * len(feeder.buses)), dtype=complex)
+    start = 0
+    for _, slots in ranks:
+        out[:, slots] += s[:, start:start + len(slots)]
+        start += len(slots)
+    return out.reshape(loads.horizon, len(feeder.buses), 3)
 
 
 # -- constraint configuration ----------------------------------------------

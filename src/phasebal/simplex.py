@@ -8,6 +8,14 @@ dropped.  Pivoting is Dantzig's rule with a switch to Bland's rule after
 a run of degenerate steps, which rules out cycling.  Everything is dense
 numpy; the LPs this package builds stay in the hundreds of rows.
 
+At these sizes a pivot's cost is mostly numpy call overhead, so the pivot
+loop makes as few calls as it can, but keeps its arithmetic: the reduced
+costs are the same product on the same tableau view, every row (also one
+with a zero factor, where ``x - 0*y`` can flip a zero's sign) gets the
+same rank-one update, and the entering and leaving choices, ties
+included, are those of the plain formulas.  Every LP therefore takes the
+pivots it took with those formulas, to a bitwise-equal tableau.
+
 Warm start: an optimal result keeps its final tableau (artificial columns
 removed; none is basic once phase 1 ends), its basis, its costs and the
 rows it was solved with.  ``solve_lp(..., warm=prev)`` starts from that
@@ -56,7 +64,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -64,35 +72,38 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _ratio_row(tab: np.ndarray, basis: np.ndarray, col: int,
                bland: bool) -> int | None:
-    positive = tab[:, col] > _TOL
-    if not np.any(positive):
+    column = tab[:, col]
+    positive = column > _TOL
+    if not positive.any():
         return None
-    ratios = np.full(tab.shape[0], np.inf)
-    ratios[positive] = tab[positive, -1] / tab[positive, col]
-    best = ratios.min()
-    candidates = np.flatnonzero(ratios <= best + _TOL)
+    ratios = np.divide(tab[:, -1], column, out=np.full(len(column), np.inf),
+                       where=positive)
+    candidates = (ratios <= ratios.min() + _TOL).nonzero()[0]
+    if len(candidates) == 1:
+        return int(candidates[0])
     if bland:
         # anti-cycling: among ties, evict the lowest-index basic variable
-        return int(candidates[np.argmin(basis[candidates])])
+        return int(candidates[basis[candidates].argmin()])
     # otherwise prefer the largest pivot element (stability, fewer stalls)
-    return int(candidates[np.argmax(tab[candidates, col])])
+    return int(candidates[column[candidates].argmax()])
 
 
 def _iterate(tab: np.ndarray, basis: np.ndarray, costs: np.ndarray,
              allowed: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Run simplex pivots until optimal/unbounded; returns (status, iters)."""
+    blocked = None if allowed.all() else ~allowed
     iters = 0
     degenerate_run = 0
     while iters < max_iter:
         reduced = costs - costs[basis] @ tab[:, :-1]
-        reduced[~allowed] = 0.0
-        if np.all(reduced >= -_TOL):
+        if blocked is not None:
+            reduced[blocked] = 0.0
+        col = int(reduced.argmin())
+        if reduced[col] >= -_TOL:
             return "optimal", iters
         bland = degenerate_run >= _DEGENERATE_SWITCH
         if bland:  # Bland: first improving column, guarantees termination
-            col = int(np.flatnonzero(reduced < -_TOL)[0])
-        else:
-            col = int(np.argmin(reduced))
+            col = int((reduced < -_TOL).argmax())
         row = _ratio_row(tab, basis, col, bland)
         if row is None:
             return "unbounded", iters
@@ -113,22 +124,23 @@ def _dual_iterate(tab: np.ndarray, basis: np.ndarray, costs: np.ndarray,
     degenerate_run = 0
     while iters < max_iter:
         rhs = tab[:, -1]
-        short = np.flatnonzero(rhs < -_TOL)
+        short = (rhs < -_TOL).nonzero()[0]
         if not len(short):
             return "optimal", iters
         bland = degenerate_run >= _DEGENERATE_SWITCH
-        row = int(short[np.argmin(basis[short])] if bland else short[np.argmin(rhs[short])])
+        row = int(short[basis[short].argmin()] if bland else short[rhs[short].argmin()])
         entries = tab[row, :-1]
         negative = entries < -_TOL
-        if not np.any(negative):
+        if not negative.any():
             return "infeasible", iters
         reduced = np.maximum(costs - costs[basis] @ tab[:, :-1], 0.0)
-        ratios = np.full(len(entries), np.inf)
-        ratios[negative] = reduced[negative] / -entries[negative]
-        best = ratios.min()
-        # np.argmin and flatnonzero both pick the lowest tied column
-        col = int(np.argmin(ratios) if not bland
-                  else np.flatnonzero(ratios <= best + _TOL)[0])
+        ratios = np.divide(reduced, -entries, out=np.full(len(entries), np.inf),
+                           where=negative)
+        # argmin and argmax both pick the lowest tied column
+        col = int(ratios.argmin())
+        best = ratios[col]
+        if bland:
+            col = int((ratios <= best + _TOL).argmax())
         degenerate_run = degenerate_run + 1 if best <= _TOL else 0
         _pivot(tab, basis, row, col)
         iters += 1

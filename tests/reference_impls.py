@@ -6,7 +6,10 @@ with a finite-difference Jacobian, the loss oracle recomputes I^2 R
 branch by branch from first principles, and the metric oracle evaluates
 every (location, timestep) one at a time in plain Python.  The
 sensitivity oracle sweeps the linear model once per (user, phase), one
-branch at a time through per-branch dicts.
+branch at a time through per-branch dicts.  The injection oracle adds one
+user at a time.  The simplex pivot oracle is each pivot step in its plain
+form: masked ratio assignment, ``np.flatnonzero`` choices and an
+``np.outer`` update, with the Bland switch passed in.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import numpy as np
 from phasebal.errors import MetricError
 from phasebal.lindist import ab_matrices
 from phasebal.metrics import denominator
-from phasebal.network import injection_series
+from phasebal.network import injection_series, user_phases
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
 
@@ -282,3 +285,94 @@ def sensitivity_loop(feeder, loads):
                 feeder, p_bus, q_bus)
             d_omega[i, ph - 1] = omega - 1.0
     return omega0, d_omega, flow0_p, flow0_q, d_flow_p, d_flow_q
+
+
+def injection_series_sequential(feeder, assignment, loads):
+    """(T, n_buses, 3) complex injections, adding one user at a time in
+    ``feeder.users`` order."""
+    phases = user_phases(feeder, assignment)
+    out = np.zeros((loads.horizon, len(feeder.buses), 3), dtype=complex)
+    for u in feeder.users:
+        col = loads.column(u.id)
+        out[:, feeder.bus_index(u.bus), phases[u.id] - 1] += (
+            loads.p[:, col] + 1j * loads.q[:, col])
+    return out
+
+
+# -- simplex pivots in their plain form (tolerance as in phasebal.simplex) ----
+
+PIVOT_TOL = 1e-9
+
+
+def pivot(tab, basis, row, col):
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def ratio_row(tab, basis, col, bland):
+    positive = tab[:, col] > PIVOT_TOL
+    if not np.any(positive):
+        return None
+    ratios = np.full(tab.shape[0], np.inf)
+    ratios[positive] = tab[positive, -1] / tab[positive, col]
+    best = ratios.min()
+    candidates = np.flatnonzero(ratios <= best + PIVOT_TOL)
+    if bland:
+        return int(candidates[np.argmin(basis[candidates])])
+    return int(candidates[np.argmax(tab[candidates, col])])
+
+
+def iterate(tab, basis, costs, allowed, max_iter, switch):
+    """Primal pivots; Bland's rule after ``switch`` degenerate steps."""
+    iters = 0
+    degenerate_run = 0
+    while iters < max_iter:
+        reduced = costs - costs[basis] @ tab[:, :-1]
+        reduced[~allowed] = 0.0
+        if np.all(reduced >= -PIVOT_TOL):
+            return "optimal", iters
+        bland = degenerate_run >= switch
+        if bland:
+            col = int(np.flatnonzero(reduced < -PIVOT_TOL)[0])
+        else:
+            col = int(np.argmin(reduced))
+        row = ratio_row(tab, basis, col, bland)
+        if row is None:
+            return "unbounded", iters
+        step = tab[row, -1] / tab[row, col]
+        degenerate_run = degenerate_run + 1 if step <= PIVOT_TOL else 0
+        pivot(tab, basis, row, col)
+        iters += 1
+    return "iteration_limit", iters
+
+
+def dual_iterate(tab, basis, costs, max_iter, switch):
+    """Dual pivots; Bland's rule after ``switch`` dual degenerate steps."""
+    iters = 0
+    degenerate_run = 0
+    while iters < max_iter:
+        rhs = tab[:, -1]
+        short = np.flatnonzero(rhs < -PIVOT_TOL)
+        if not len(short):
+            return "optimal", iters
+        bland = degenerate_run >= switch
+        row = int(short[np.argmin(basis[short])] if bland else short[np.argmin(rhs[short])])
+        entries = tab[row, :-1]
+        negative = entries < -PIVOT_TOL
+        if not np.any(negative):
+            return "infeasible", iters
+        reduced = np.maximum(costs - costs[basis] @ tab[:, :-1], 0.0)
+        ratios = np.full(len(entries), np.inf)
+        ratios[negative] = reduced[negative] / -entries[negative]
+        best = ratios.min()
+        col = int(np.argmin(ratios) if not bland
+                  else np.flatnonzero(ratios <= best + PIVOT_TOL)[0])
+        degenerate_run = degenerate_run + 1 if best <= PIVOT_TOL else 0
+        pivot(tab, basis, row, col)
+        iters += 1
+    return "iteration_limit", iters

@@ -159,8 +159,8 @@ def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
     values = prog.objective_batch(phases)
     assert np.array_equal(values, ref.objective_sequential(prog, phases))
     np.testing.assert_allclose(values, ref.objective_einsum(prog, phases), rtol=1e-12)
-    if metric == "pvur_star":
-        assert np.all(prog._pvur_star_bound(phases) <= values)
+    for anchor in (0, -1):
+        assert np.all(prog._leaf_bound(phases, anchor) <= values)
 
     mask = prog.feasible_mask(phases)
     expected = feasible_mask(phases, prog.c0, prog.delta_max, prog.fixed_phase_counts,
@@ -189,30 +189,45 @@ def test_gather_sum_edge_shapes():
     assert _gather_sum(np.ones((6, 4)), np.zeros((0, 2), dtype=int)).shape == (0, 4)
 
 
+def _random_case_spec(feeder, metric):
+    """The objective on a random radial case; pu_star balances only the
+    reference branches that feed some user (an unloaded one has no denominator)."""
+    if metric == "pvur_star":
+        return ObjectiveSpec(metric)
+    loaded = [br.key for br in feeder.reference_branches() if downstream_users(feeder, br)]
+    assume(loaded)
+    return ObjectiveSpec(metric, balance_branches=loaded)
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
 @given(case=radial_cases(), m=st.integers(1, 600))
 @settings(max_examples=40, deadline=None)
-def test_pvur_star_bound_never_exceeds_objective(case, m):
+def test_leaf_bound_never_exceeds_objective(metric, case, m):
     feeder, loads, rng = case
     prog = build_program(feeder, loads, ConstraintConfig(delta_max=3),
-                         ObjectiveSpec("pvur_star"))
+                         _random_case_spec(feeder, metric))
     assume(prog.n_users > 0)
     phases = rng.integers(1, 4, size=(m, prog.n_users)).astype(np.int8)
-    bound = prog._pvur_star_bound(phases)
     values = prog.objective_batch(phases)
-    assert np.all(bound <= values)  # bitwise, no tolerance
-    assert bound[0] == values[0]  # the first row keeps its own worst entries
+    for anchor in (0, -1):
+        bound = prog._leaf_bound(phases, anchor)
+        assert np.all(bound <= values)  # bitwise, no tolerance
+        if metric == "pvur_star":  # the anchor keeps its own worst entries
+            assert bound[anchor] == values[anchor]
 
 
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
 @given(case=radial_cases(), budget=st.integers(1, 4), chunk=st.integers(1, 40),
        side_row=st.booleans(), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_leaf_with_incumbent_matches_plain_leaf(case, budget, chunk, side_row, data):
+def test_leaf_with_incumbent_matches_plain_leaf(metric, case, budget, chunk, side_row,
+                                                data):
     """A leaf given an incumbent returns exactly the plain leaf's first
     minimum whenever that is below the incumbent; small chunks make the
     leaf's own best prune later chunks."""
     feeder, loads, rng = case
     prog = build_program(feeder, loads, ConstraintConfig(delta_max=budget),
-                         ObjectiveSpec("pvur_star"))
+                         _random_case_spec(feeder, metric))
     n = prog.n_users
     assume(n > 0)
     if side_row:
@@ -437,12 +452,7 @@ def _oracle_case(metric, case, budget, gamma, side_row, data):
     hi = data.draw(st.integers(-(-n_total // 3), n_total))
     cons = ConstraintConfig(delta_max=budget, gamma_low=lo, gamma_upp=hi,
                             enforce_phase_counts=gamma)
-    spec = ObjectiveSpec(metric)
-    if metric == "pu_star":
-        loaded = [br.key for br in feeder.reference_branches()
-                  if downstream_users(feeder, br)]
-        assume(loaded)
-        spec = ObjectiveSpec(metric, balance_branches=loaded)
+    spec = _random_case_spec(feeder, metric)
     prog = build_program(feeder, loads, cons, spec)
     n = prog.n_users
     try:

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_impls as ref
 from phasebal import fixtures
 from phasebal.errors import InputParseError, ValidationError
-from phasebal.network import (PHASES, Branch, ConstraintConfig, PhaseAssignment,
-                              User, binary_feasible, completion_count, completions,
-                              downstream_users, feasible_mask, fixed_phase_counts,
-                              injection_series, injections, load_feeder,
-                              load_profiles, make_feeder, original_assignment,
-                              switch_count, user_phases)
+from phasebal.network import (PHASES, Branch, ConstraintConfig, LoadSeries,
+                              PhaseAssignment, User, binary_feasible, completion_count,
+                              completions, downstream_users, feasible_mask,
+                              fixed_phase_counts, injection_series, injections,
+                              load_feeder, load_profiles, make_feeder,
+                              original_assignment, switch_count, user_phases)
+from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
 Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
@@ -401,6 +403,25 @@ def test_injection_series_matches_loop(twenty_user):
             expected[:, feeder.bus_index(u.bus), phases[u.id] - 1] += (
                 loads.p[:, col] + 1j * loads.q[:, col])
         assert np.array_equal(injection_series(feeder, a, loads), expected)
+
+
+@given(case=radial_cases(), horizon=st.sampled_from([1, 12, 720]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_injection_series_is_bitwise_the_sequential_sum(case, horizon, data):
+    """Users sharing a (bus, phase) add up in feeder.users order, zeros of
+    both signs included, whatever the horizon and the load column order."""
+    feeder, _, rng = case
+    n = len(feeder.reconfigurable_users())
+    a = PhaseAssignment(tuple(data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                                 max_size=n))))
+    p, q = rng.uniform(-5000.0, 5000.0, (2, horizon, len(feeder.users)))
+    for x in (p, q):
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[rng.random(x.shape) < 0.1] = 0.0
+    ids = tuple(u.id for u in feeder.users)
+    loads = LoadSeries(tuple(ids[k] for k in rng.permutation(len(ids))), p, q)
+    assert (injection_series(feeder, a, loads).tobytes()
+            == ref.injection_series_sequential(feeder, a, loads).tobytes())
 
 
 def test_user_phases_respects_fixed_users():

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import reference_impls as ref
+from phasebal import simplex
 from phasebal.simplex import solve_lp
 
 
@@ -188,3 +192,55 @@ def test_warm_changed_rows_fall_back_to_cold(lp, change):
     assert warm.status == cold.status
     assert warm.iterations == cold.iterations
     assert (warm.x is None and cold.x is None) or np.array_equal(warm.x, cold.x)
+
+
+# -- the pivot loop against its plain form -----------------------------------------
+
+
+@st.composite
+def pivot_tableaus(draw):
+    """A tableau, basis and costs drawn from a few values, so that ratios and
+    reduced costs tie exactly and zeros of both signs appear, with entries
+    just above and below the pivot tolerance; plus a mask of allowed columns."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.array([-2.0, -1.0, -0.5, -2e-9, -5e-10, -0.0, 0.0, 5e-10, 2e-9,
+                       0.5, 1.0, 2.0])
+    tab = rng.choice(values, size=(rows, cols + 1))
+    basis = rng.integers(0, cols, rows)
+    costs = rng.choice(values, size=cols)
+    allowed = np.ones(cols, dtype=bool)
+    if draw(st.booleans()):
+        allowed = rng.random(cols) < 0.7
+    return tab, basis, costs, allowed
+
+
+def _same_steps(tab, basis, new, old):
+    """Run ``new`` and ``old`` on copies of (tab, basis): equal results,
+    equal bases and byte-equal tableaus."""
+    new_tab, old_tab, new_basis, old_basis = tab.copy(), tab.copy(), basis.copy(), basis.copy()
+    assert new(new_tab, new_basis) == old(old_tab, old_basis)
+    assert new_tab.tobytes() == old_tab.tobytes()
+    assert np.array_equal(new_basis, old_basis)
+
+
+@given(pivot_tableaus(), st.booleans(), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_pivot_loop_matches_plain_formulas(case, bland, max_iter):
+    """Same rows, columns, statuses and tableau bytes as the plain pivot
+    steps, in Dantzig and in Bland mode."""
+    tab, basis, costs, allowed = case
+    for col in range(tab.shape[1] - 1):
+        assert (simplex._ratio_row(tab, basis, col, bland)
+                == ref.ratio_row(tab, basis, col, bland))
+    rows, cols = np.nonzero(np.abs(tab[:, :-1]) > ref.PIVOT_TOL)
+    for row, col in list(zip(rows, cols))[:3]:
+        _same_steps(tab, basis, lambda t, b: simplex._pivot(t, b, row, col),
+                    lambda t, b: ref.pivot(t, b, row, col))
+    switch = 0 if bland else simplex._DEGENERATE_SWITCH
+    with mock.patch.object(simplex, "_DEGENERATE_SWITCH", switch):
+        _same_steps(tab, basis,
+                    lambda t, b: simplex._iterate(t, b, costs, allowed, max_iter),
+                    lambda t, b: ref.iterate(t, b, costs, allowed, max_iter, switch))
+        _same_steps(tab, basis, lambda t, b: simplex._dual_iterate(t, b, costs, max_iter),
+                    lambda t, b: ref.dual_iterate(t, b, costs, max_iter, switch))
