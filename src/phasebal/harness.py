@@ -320,15 +320,18 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
 def cmd_pf(feeder: Feeder, loads: LoadSeries, t: int | None = None) -> dict:
     """Solve the exact power flow and dump voltages, flows and losses."""
     a0 = original_assignment(feeder)
-    steps = range(loads.horizon) if t is None else [t]
+    if t is None:
+        sols = enumerate(powerflow.solve_series(feeder, a0, loads))
+    else:
+        sols = [(t, powerflow.solve_pf(feeder, a0, loads, t))]
     out = {"schema_version": SCHEMA_VERSION, "timesteps": {}}
-    for step in steps:
-        sol = powerflow.solve_pf(feeder, a0, loads, step)
+    for step, sol in sols:
+        u_mag = sol.u_mag()
         entry = {
             "converged": bool(sol.converged),
             "iterations": sol.iterations,
             "max_mismatch_pu": sol.max_mismatch,
-            "voltage_magnitude_pu": {bus: [float(v) for v in sol.u_mag()[i]]
+            "voltage_magnitude_pu": {bus: [float(v) for v in u_mag[i]]
                                      for i, bus in enumerate(feeder.buses)},
             "loss_percent": powerflow.losses(sol, feeder) if sol.converged else None,
             "flows_pu": {f"{k[0]}->{k[1]}":

@@ -28,10 +28,15 @@ in the injections, so the map from a one-hot phase choice matrix to
 superposing increments reproduces a direct evaluation to floating-point
 accuracy.
 
-The sweep reads index tables and stacked per-unit impedances that each
-``Feeder`` builds once, at construction (``Feeder.sweep_tables``); a call
-does no per-branch lookups and derives every branch's A and B in one
-vectorized ``ab_matrices`` call.
+The sweep reads index tables and the stacked A and B of every branch,
+which each ``Feeder`` builds once, at construction
+(``Feeder.sweep_tables``).  It runs in three passes: one gather of every
+branch's to-bus load plus one in-place add per (branch, child) pair for
+the flows, one stacked product per quantity for the drops A p and B q,
+and one subtraction step per branch, root first, for omega.  The stacked
+product keeps each branch a (T, 3) @ (3, 3) product, so every drop is
+bitwise the product of that branch alone; a (1, 3) @ (3, 3) product per
+(timestep, branch) runs another kernel and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -75,26 +80,32 @@ def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
     """Accumulate downstream flows, then sweep omega out from the reference.
 
     p_bus, q_bus: (..., T, n_buses, 3) per-unit load (consumption positive).
-    Every load set in the batch sees the same additions in the same order,
-    so a batched row is bitwise the sweep of that row alone.
+    Three passes over the feeder's ``SweepTables``:
+
+    1. upward: (p, q) stacked on a new leading axis, every branch's flow
+       gathered at its to-bus, then one in-place add per (branch, child)
+       pair, leaves first and siblings in order;
+    2. drops: A p and B q of every branch as one stacked product each, the
+       flows viewed as (..., n_branches, T, 3) so that each branch is one
+       (T, 3) @ (3, 3) product, the same kernel call as a single branch's
+       ``p @ A.T``.  A (1, 3) @ (3, 3) product per (t, branch) is not: it
+       can differ in the last bit;
+    3. downward: omega_j = omega_i - A p - B q, root first.
+
+    Every load set in the batch sees the same additions and products in the
+    same order, so a batched row is bitwise the sweep of that row alone.
     """
     tables = feeder.sweep_tables()
-    a, b = ab_matrices(tables.z_pu.real, tables.z_pu.imag)
-    flow_p = np.empty(p_bus.shape[:-2] + (len(feeder.branches), 3))
-    flow_q = np.empty_like(flow_p)
-    for k, j, children in tables.upward:
-        flow_p[..., k, :] = p_bus[..., j, :]
-        flow_q[..., k, :] = q_bus[..., j, :]
-        for child in children:
-            flow_p[..., k, :] += flow_p[..., child, :]
-            flow_q[..., k, :] += flow_q[..., child, :]
+    flow = np.stack((p_bus[..., tables.to_bus, :], q_bus[..., tables.to_bus, :]))
+    for k, child in tables.children:
+        flow[..., k, :] += flow[..., child, :]
+    drop_p = np.matmul(flow[0].swapaxes(-2, -3), tables.a_t).swapaxes(-2, -3)
+    drop_q = np.matmul(flow[1].swapaxes(-2, -3), tables.b_t).swapaxes(-2, -3)
     omega = np.empty(p_bus.shape)
     omega[..., feeder.bus_index(feeder.reference_bus), :] = 1.0
     for k, i, j in tables.downward:
-        omega[..., j, :] = (omega[..., i, :]
-                            - flow_p[..., k, :] @ a[k].T
-                            - flow_q[..., k, :] @ b[k].T)
-    return Ld3fState(omega=omega, flow_p=flow_p, flow_q=flow_q)
+        omega[..., j, :] = omega[..., i, :] - drop_p[..., k, :] - drop_q[..., k, :]
+    return Ld3fState(omega=omega, flow_p=flow[0], flow_q=flow[1])
 
 
 def evaluate_series(feeder: Feeder, assignment: PhaseAssignment,

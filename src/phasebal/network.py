@@ -94,15 +94,19 @@ class User:
 class SweepTables:
     """A feeder's radial sweep as index tables, built once per feeder.
 
-    ``upward`` lists (branch, to-bus, child branches) leaves first, for
-    accumulating flows; ``downward`` lists (branch, from-bus, to-bus) root
-    first, for spreading voltages.  ``z_pu`` stacks the per-unit series
-    impedances (n_branches, 3, 3) in ``feeder.branches`` order.
+    ``to_bus`` holds each branch's to-bus index, in ``feeder.branches``
+    order; ``children`` lists (branch, child branch) pairs leaves first,
+    siblings in order, for accumulating flows; ``downward`` lists (branch,
+    from-bus, to-bus) root first, for spreading voltages.  ``a_t`` and
+    ``b_t`` are transposed views of the stacked (n_branches, 3, 3)
+    voltage-drop matrices of ``lindist.ab_matrices``.
     """
 
-    upward: tuple[tuple[int, int, tuple[int, ...]], ...]
+    to_bus: np.ndarray
+    children: tuple[tuple[int, int], ...]
     downward: tuple[tuple[int, int, int], ...]
-    z_pu: np.ndarray
+    a_t: np.ndarray
+    b_t: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,24 +174,27 @@ class Feeder:
         below = {b: set() for b in self.buses}
         for u in self.users:
             below[u.bus].add(u.id)
-        upward = []
+        pairs = []
         for br in reversed(order):
             for child in children[br.to_bus]:
                 below[br.to_bus] |= below[child.to_bus]
-            upward.append((branch_index[br.key], bus_index[br.to_bus],
-                           tuple(branch_index[child.key] for child in children[br.to_bus])))
+                pairs.append((branch_index[br.key], branch_index[child.key]))
+        from .lindist import ab_matrices  # lindist imports this module
         z_pu = np.stack([self.z_pu(br) for br in self.branches])
-        z_pu.setflags(write=False)
+        a, b = ab_matrices(z_pu.real, z_pu.imag)
+        to_bus = np.array([bus_index[br.to_bus] for br in self.branches])
+        for arr in (a, b, to_bus):
+            arr.setflags(write=False)
         object.__setattr__(self, "_topo_branches", tuple(order))
         object.__setattr__(self, "_bus_index", bus_index)
         object.__setattr__(
             self, "_branch_by_key", {br.key: br for br in self.branches})
         object.__setattr__(self, "_branch_index", branch_index)
         object.__setattr__(self, "_sweep_tables", SweepTables(
-            upward=tuple(upward),
+            to_bus=to_bus, children=tuple(pairs),
             downward=tuple((branch_index[br.key], bus_index[br.from_bus],
                             bus_index[br.to_bus]) for br in order),
-            z_pu=z_pu))
+            a_t=a.swapaxes(-1, -2), b_t=b.swapaxes(-1, -2)))
         object.__setattr__(
             self, "_downstream", {br.key: frozenset(below[br.to_bus]) for br in self.branches})
         object.__setattr__(self, "_reconfigurable", tuple(
@@ -346,7 +353,7 @@ def injections(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
     """
     if t < 0 or t >= loads.horizon:
         raise ValidationError(f"timestep {t} outside horizon {loads.horizon}")
-    return injection_series(feeder, assignment, loads)[t]
+    return injection_series(feeder, assignment, loads.slice_window(t, t + 1))[0]
 
 
 def injection_series(feeder: Feeder, assignment: PhaseAssignment,

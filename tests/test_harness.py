@@ -226,3 +226,14 @@ def test_pf_report_shape(line):
     assert entry["converged"]
     assert set(entry["voltage_magnitude_pu"]) == set(feeder.buses)
     assert entry["loss_percent"] > 0.0
+
+
+def test_pf_series_report_equals_single_step_reports(line):
+    # the whole-horizon report solves one block; each entry must be exactly
+    # the entry of that timestep solved on its own
+    feeder, loads = line
+    steps = harness.cmd_pf(feeder, loads)["timesteps"]
+    assert list(steps) == [str(k) for k in range(loads.horizon)]
+    for k in range(loads.horizon):
+        single = harness.cmd_pf(feeder, loads, t=k)["timesteps"][str(k)]
+        assert json.dumps(steps[str(k)]) == json.dumps(single)

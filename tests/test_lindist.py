@@ -237,6 +237,27 @@ def test_batched_sweep_rows_equal_single_sweeps(case, rows, cols):
             assert np.array_equal(single, expect)
 
 
+@pytest.mark.parametrize("lead", [(), (1,), (2, 3)])
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("name", ["line", "twenty_user"])
+def test_stacked_drop_products_are_bytes_of_branch_products(name, horizon, lead):
+    # the stacked drop product must run one (T, 3) @ (3, 3) product per
+    # branch, as the branch-by-branch sweep does; a (1, 3) @ (3, 3) product
+    # per (t, branch) differs from it in the last bit on many draws at T=2
+    feeder, _ = fixtures.fixture(name)
+    rng = np.random.default_rng(2024)
+    shape = lead + (horizon, len(feeder.buses), 3)
+    for _ in range(5):
+        p_bus = rng.uniform(-0.5, 0.5, shape)
+        q_bus = rng.uniform(-0.5, 0.5, shape)
+        state = _sweep(feeder, p_bus, q_bus)
+        for idx in np.ndindex(*lead):
+            ref = sweep_by_branch(feeder, p_bus[idx], q_bus[idx])
+            for got, expect in zip((state.omega, state.flow_p, state.flow_q), ref):
+                assert got[idx].shape == expect.shape
+                assert got[idx].tobytes() == expect.tobytes()
+
+
 # -- fidelity against exact PF (all fixtures) ---------------------------------
 
 
