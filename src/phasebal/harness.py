@@ -320,12 +320,10 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
 def cmd_pf(feeder: Feeder, loads: LoadSeries, t: int | None = None) -> dict:
     """Solve the exact power flow and dump voltages, flows and losses."""
     a0 = original_assignment(feeder)
-    if t is None:
-        sols = enumerate(powerflow.solve_series(feeder, a0, loads))
-    else:
-        sols = [(t, powerflow.solve_pf(feeder, a0, loads, t))]
+    steps = range(loads.horizon) if t is None else [t]
     out = {"schema_version": SCHEMA_VERSION, "timesteps": {}}
-    for step, sol in sols:
+    for step in steps:
+        sol = powerflow.solve_pf(feeder, a0, loads, step)
         u_mag = sol.u_mag()
         entry = {
             "converged": bool(sol.converged),

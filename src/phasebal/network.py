@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dropmatrices import ab_matrices
 from .errors import InputParseError, ValidationError
 
 PHASES = (1, 2, 3)
@@ -99,7 +100,7 @@ class SweepTables:
     siblings in order, for accumulating flows; ``downward`` lists (branch,
     from-bus, to-bus) root first, for spreading voltages.  ``a_t`` and
     ``b_t`` are transposed views of the stacked (n_branches, 3, 3)
-    voltage-drop matrices of ``lindist.ab_matrices``.
+    voltage-drop matrices of ``dropmatrices.ab_matrices``.
     """
 
     to_bus: np.ndarray
@@ -179,7 +180,6 @@ class Feeder:
             for child in children[br.to_bus]:
                 below[br.to_bus] |= below[child.to_bus]
                 pairs.append((branch_index[br.key], branch_index[child.key]))
-        from .lindist import ab_matrices  # lindist imports this module
         z_pu = np.stack([self.z_pu(br) for br in self.branches])
         a, b = ab_matrices(z_pu.real, z_pu.imag)
         to_bus = np.array([bus_index[br.to_bus] for br in self.branches])

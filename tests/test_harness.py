@@ -228,9 +228,9 @@ def test_pf_report_shape(line):
     assert entry["loss_percent"] > 0.0
 
 
-def test_pf_series_report_equals_single_step_reports(line):
-    # the whole-horizon report solves one block; each entry must be exactly
-    # the entry of that timestep solved on its own
+def test_pf_report_entries_equal_single_step_reports(line):
+    # each entry of the whole-horizon report must be exactly the entry of
+    # that timestep solved on its own
     feeder, loads = line
     steps = harness.cmd_pf(feeder, loads)["timesteps"]
     assert list(steps) == [str(k) for k in range(loads.horizon)]

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures, powerflow
@@ -220,42 +220,35 @@ def test_sensitivity_superposition_random_feeders(case):
         assert np.abs(q - direct.flow_q).max() <= 1e-10
 
 
+def _with_fixture_examples(test):
+    """Add every (fixture, T in {1, 2}, leading shape) as an explicit example."""
+    for name, horizon, lead in itertools.product(("line", "twenty_user"), (1, 2),
+                                                 ((), (1,), (2, 3))):
+        feeder, loads = fixtures.fixture(name)
+        case = (feeder, loads.slice_window(0, horizon), np.random.default_rng(2024))
+        test = example(case=case, lead=lead)(test)
+    return test
+
+
 @settings(max_examples=100, deadline=None)
-@given(radial_cases(), st.integers(1, 3), st.integers(1, 3))
-def test_batched_sweep_rows_equal_single_sweeps(case, rows, cols):
+@given(radial_cases(), st.lists(st.integers(1, 3), max_size=2).map(tuple))
+@_with_fixture_examples
+def test_batched_sweep_rows_equal_single_sweeps(case, lead):
+    # byte equality pins the stacked drop product to one (T, 3) @ (3, 3)
+    # product per branch, as the branch-by-branch sweep does; a (1, 3) @
+    # (3, 3) product per (t, branch) differs from it in the last bit
     feeder, loads, rng = case
-    shape = (rows, cols, loads.horizon, len(feeder.buses), 3)
+    shape = lead + (loads.horizon, len(feeder.buses), 3)
     p_bus = rng.uniform(-0.5, 0.5, shape)
     q_bus = rng.uniform(-0.5, 0.5, shape)
     batch = _sweep(feeder, p_bus, q_bus)
-    for i, j in itertools.product(range(rows), range(cols)):
-        one = _sweep(feeder, p_bus[i, j], q_bus[i, j])
-        ref = sweep_by_branch(feeder, p_bus[i, j], q_bus[i, j])
+    for idx in np.ndindex(*lead):
+        one = _sweep(feeder, p_bus[idx], q_bus[idx])
+        ref = sweep_by_branch(feeder, p_bus[idx], q_bus[idx])
         for got, single, expect in zip((batch.omega, batch.flow_p, batch.flow_q),
                                        (one.omega, one.flow_p, one.flow_q), ref):
-            assert np.array_equal(got[i, j], single)
-            assert np.array_equal(single, expect)
-
-
-@pytest.mark.parametrize("lead", [(), (1,), (2, 3)])
-@pytest.mark.parametrize("horizon", [1, 2])
-@pytest.mark.parametrize("name", ["line", "twenty_user"])
-def test_stacked_drop_products_are_bytes_of_branch_products(name, horizon, lead):
-    # the stacked drop product must run one (T, 3) @ (3, 3) product per
-    # branch, as the branch-by-branch sweep does; a (1, 3) @ (3, 3) product
-    # per (t, branch) differs from it in the last bit on many draws at T=2
-    feeder, _ = fixtures.fixture(name)
-    rng = np.random.default_rng(2024)
-    shape = lead + (horizon, len(feeder.buses), 3)
-    for _ in range(5):
-        p_bus = rng.uniform(-0.5, 0.5, shape)
-        q_bus = rng.uniform(-0.5, 0.5, shape)
-        state = _sweep(feeder, p_bus, q_bus)
-        for idx in np.ndindex(*lead):
-            ref = sweep_by_branch(feeder, p_bus[idx], q_bus[idx])
-            for got, expect in zip((state.omega, state.flow_p, state.flow_q), ref):
-                assert got[idx].shape == expect.shape
-                assert got[idx].tobytes() == expect.tobytes()
+            assert got[idx].shape == single.shape == expect.shape
+            assert got[idx].tobytes() == single.tobytes() == expect.tobytes()
 
 
 # -- fidelity against exact PF (all fixtures) ---------------------------------

@@ -403,6 +403,8 @@ def test_injection_series_matches_loop(twenty_user):
             expected[:, feeder.bus_index(u.bus), phases[u.id] - 1] += (
                 loads.p[:, col] + 1j * loads.q[:, col])
         assert np.array_equal(injection_series(feeder, a, loads), expected)
+        for t in range(loads.horizon):
+            assert np.array_equal(injections(feeder, a, loads, t), expected[t])
 
 
 @given(case=radial_cases(), horizon=st.sampled_from([1, 12, 720]), data=st.data())
