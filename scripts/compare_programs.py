@@ -6,9 +6,10 @@ one line per (fixture or seed, objective, budget, constraint variant): the
 number of screened side rows, the baseline objective as an exact hex float
 and a sha256 over the program: its user order, budget and phase-count
 fields, then every array (``dev_const``, ``dev_coef``, ``diff_const``,
-``diff_coef``, ``branch_weight`` and each side row's label, coefficients
-and rhs).  Run it on two checkouts and ``diff`` the outputs to
-show that a change leaves every program bitwise alone:
+``diff_coef``, ``branch_weight``), then one side row at a time: its entry
+of ``side_labels`` and ``side_rhs``, then its (n, 3) slice of
+``side_coef``.  Run it on two checkouts and ``diff`` the outputs to show
+that a change leaves every program bitwise alone:
 
     PYTHONPATH=src python3 scripts/compare_programs.py > after.txt
 
@@ -51,10 +52,10 @@ def program_line(label: str, feeder, loads, metric: str, delta_max: int,
         digest.update(f"{name} {shape}\n".encode())
         if arr is not None:
             digest.update(arr.tobytes())
-    for row_label, coef, rhs in prog.side_rows:
+    for row_label, coef, rhs in zip(prog.side_labels, prog.side_coef, prog.side_rhs):
         digest.update(f"{row_label} {float(rhs).hex()}\n".encode())
         digest.update(coef.tobytes())
-    return (f"{label} {metric} budget={delta_max} {variant} rows={len(prog.side_rows)} "
+    return (f"{label} {metric} budget={delta_max} {variant} rows={len(prog.side_labels)} "
             f"baseline={prog.baseline_objective.hex()} sha256={digest.hexdigest()}")
 
 

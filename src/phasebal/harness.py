@@ -12,7 +12,7 @@ import csv
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -217,14 +217,8 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
     values, used, failures = [], [], {}
     prev = None
     for budget in grid:
-        cons = ConstraintConfig(
-            delta_max=budget,
-            gamma_low=constraints.gamma_low if constraints else 0,
-            gamma_upp=constraints.gamma_upp if constraints else 10 ** 9,
-            v_min=constraints.v_min if constraints else 0.90,
-            v_max=constraints.v_max if constraints else 1.10,
-            enforce_phase_counts=(constraints.enforce_phase_counts
-                                  if constraints else False))
+        cons = (replace(constraints, delta_max=budget) if constraints
+                else ConstraintConfig(delta_max=budget))
         try:
             if method == "miqp":
                 prog = miqp.build_program(feeder, loads, cons, objective)

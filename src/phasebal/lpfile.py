@@ -1,9 +1,11 @@
 """CPLEX-style LP file export of the binary program, plus a reader.
 
-The writer materializes every row of the program (one-hot rows, switch
-budget, optional phase-count rows, screened voltage/thermal rows and, for
-the epigraph objective, every deviation row) in a fixed order: binaries
-first (users by id, phases 1..3), then auxiliaries.  Quadratic objectives
+The writer materializes every row of the program (one-hot rows, then the
+non-zero entries of ``BinaryProgram.rows``: switch budget, optional
+phase-count rows and screened voltage/thermal rows, all in ``<=`` form, so
+a lower count bound is written negated; and, for the epigraph objective,
+every deviation row) in a fixed order: binaries first (users by id,
+phases 1..3), then auxiliaries.  Quadratic objectives
 use the bracketed section with doubled coefficients and the trailing
 ``/ 2``, as CPLEX expects.  Objective constants ride on the conventional
 ONE_VAR_CONSTANT variable fixed to 1.
@@ -58,26 +60,15 @@ def _write_linear(terms, out, indent=" "):
 
 def _program_rows(prog: BinaryProgram):
     """Every constraint row as (label, {var: coef}, sense, rhs)."""
-    rows = []
-    for u, c0 in zip(prog.users, prog.c0):
-        rows.append((f"onehot_{u}",
-                     {f"d_{u}_{ph}": 1.0 for ph in (1, 2, 3)}, "=", 1.0))
-    budget = {f"d_{u}_{c0}": -1.0 for u, c0 in zip(prog.users, prog.c0)}
-    rows.append(("budget", budget, "<=", float(prog.delta_max - prog.n_users)))
-    if prog.gamma is not None:
-        lo, hi = prog.gamma
-        for ph in (1, 2, 3):
-            coefs = {f"d_{u}_{ph}": 1.0 for u in prog.users}
-            fixed = prog.fixed_phase_counts[ph - 1]
-            rows.append((f"count_upp_ph{ph}", dict(coefs), "<=", float(hi - fixed)))
-            rows.append((f"count_low_ph{ph}", dict(coefs), ">=", float(lo - fixed)))
-    for label, coef, rhs in prog.side_rows:
-        terms = {}
-        for i, u in enumerate(prog.users):
-            for ph in (1, 2, 3):
-                if coef[i, ph - 1] != 0.0:
-                    terms[f"d_{u}_{ph}"] = float(coef[i, ph - 1])
-        rows.append((label, terms, "<=", float(rhs)))
+    rows = [(f"onehot_{u}", {f"d_{u}_{ph}": 1.0 for ph in (1, 2, 3)}, "=", 1.0)
+            for u in prog.users]
+    coef, rhs, labels = prog.rows
+    coef = coef.reshape(len(labels), -1)
+    names = prog.var_names()
+    terms = [{} for _ in labels]
+    for r, col in zip(*np.nonzero(coef)):
+        terms[r][names[col]] = float(coef[r, col])
+    rows += [(label, row, "<=", float(b)) for label, row, b in zip(labels, terms, rhs)]
     if prog.objective_kind == "pvur_star":
         t_dim, k_dim, _ = prog.dev_const.shape
         for t in range(t_dim):
@@ -136,8 +127,7 @@ def export_lp(prog: BinaryProgram, path, check_roundtrip: bool = True) -> None:
     for label, terms, sense, rhs in _program_rows(prog):
         row_parts = []
         _write_linear(sorted(terms.items()), row_parts)
-        sense_txt = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        out.append(f" {label}:" + "".join(row_parts) + f" {sense_txt} {_fmt(rhs)}")
+        out.append(f" {label}:" + "".join(row_parts) + f" {sense} {_fmt(rhs)}")
     out.append("Bounds")
     if const != 0.0:
         out.append(f" {_CONST_VAR} = 1")

@@ -7,8 +7,8 @@ balance branches and averaged over them.  The time axis is always reduced
 by the mean.  All metrics return percent.
 
 Each formula has one implementation over the last axis (the phases),
-broadcast over leading axes such as (T, locations); the scalar functions
-``pvur`` ... ``p_u_star`` apply it to one 3-vector.
+broadcast over leading axes such as (T, locations); a single 3-vector
+gives a 0-d result.
 """
 
 from __future__ import annotations
@@ -61,34 +61,6 @@ def p_u_star_values(p_flows, denom) -> np.ndarray:
     diffs = p - np.roll(p, -1, axis=-1)  # pairs (1,2), (2,3), (3,1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(d > 0.0, np.sum(diffs ** 2, axis=-1) / d ** 2 * 100.0, np.nan)
-
-
-def pvur(u_mags) -> float:
-    return float(pvur_values(u_mags))
-
-
-def pvur_star(omega) -> float:
-    return float(pvur_star_values(omega))
-
-
-def _defined(value, what: str) -> float:
-    if np.isnan(value):
-        raise MetricError(f"{what} undefined: phase mean is (near) zero")
-    return float(value)
-
-
-def i_u(i_mags) -> float:
-    return _defined(unbalance_rate_values(i_mags), "i_u")
-
-
-def p_u(p_flows) -> float:
-    return _defined(unbalance_rate_values(p_flows), "p_u")
-
-
-def p_u_star(p_flows, denom: float) -> float:
-    if denom <= 0.0:
-        raise MetricError(f"p_u_star needs a positive denominator, got {denom}")
-    return float(p_u_star_values(p_flows, denom))
 
 
 def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:

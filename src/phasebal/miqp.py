@@ -125,8 +125,10 @@ class BinaryProgram:
     diff_const: np.ndarray | None      # (T, B, 3)
     diff_coef: np.ndarray | None       # (T, B, 3, n, 3)
     branch_weight: np.ndarray | None   # (B,)
-    # screened linear side constraints over delta: row . delta <= rhs
-    side_rows: tuple = ()               # (label, coef (n,3), rhs)
+    # R screened voltage-band and thermal rows over delta: coef . delta <= rhs
+    side_labels: tuple[str, ...]       # (R,)
+    side_coef: np.ndarray              # (R, n, 3)
+    side_rhs: np.ndarray               # (R,)
     baseline_objective: float = 0.0     # objective when there are no binaries
 
     @property
@@ -151,9 +153,31 @@ class BinaryProgram:
     @functools.cached_property
     def _side_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The side rows' coefficients as (3n, R) and their limits (R,)."""
-        coef = np.stack([c for _, c, _ in self.side_rows], axis=-1)
-        limits = np.array([rhs + 1e-9 for _, _, rhs in self.side_rows])
-        return coef.reshape(3 * self.n_users, -1), limits
+        coef = np.moveaxis(self.side_coef, 0, -1).reshape(3 * self.n_users, -1)
+        return coef, self.side_rhs + 1e-9
+
+    @functools.cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Every ``<=`` row over delta as (coef (R', n, 3), rhs (R',), labels).
+
+        The switch budget comes first, then ``count_upp`` and ``count_low``
+        per phase when gamma is enforced (``count_low`` negated into ``<=``
+        form), then the side rows.
+        """
+        n = self.n_users
+        budget = np.zeros((1, n, 3))
+        budget[0, np.arange(n), np.array(self.c0, dtype=int) - 1] = -1.0
+        coef, rhs, labels = [budget], [[self.delta_max - n]], ["budget"]
+        if self.gamma is not None:
+            lo, hi = self.gamma
+            counts = np.array(self.fixed_phase_counts)
+            signed = np.stack([np.eye(3), -np.eye(3)], axis=1).reshape(6, 1, 3)
+            coef.append(np.broadcast_to(signed, (6, n, 3)))
+            rhs.append(np.stack([hi - counts, counts - lo], axis=1).reshape(-1))
+            labels += [f"count_{side}_ph{ph}" for ph in (1, 2, 3) for side in ("upp", "low")]
+        coef.append(self.side_coef)
+        rhs.append(self.side_rhs)
+        return np.concatenate(coef), np.concatenate(rhs), tuple(labels) + self.side_labels
 
     def _row(self, assignment: PhaseAssignment) -> np.ndarray:
         if len(assignment) != self.n_users:
@@ -232,7 +256,7 @@ class BinaryProgram:
         phases = np.asarray(phases)
         ok = feasible_mask(phases, self.c0, self.delta_max,
                            self.fixed_phase_counts, self.gamma)
-        if self.side_rows:
+        if self.side_labels:
             columns, limits = self._side_columns
             for start in range(0, len(phases), SCORE_BLOCK):
                 lhs = _gather_sum(columns, phases[start:start + SCORE_BLOCK])
@@ -243,26 +267,29 @@ class BinaryProgram:
         return bool(self.feasible_mask(self._row(assignment))[0])
 
 
-def _screened_rows(bands):
+def _screened_rows(bands, n: int):
     """The voltage-band and thermal rows over delta that some 0/1 one-hot
-    point can violate, in (location, t, phase, max/min) order.
+    point can violate, in (location, t, phase, max/min) order, as labels,
+    coefficients (R, n, 3) and rhs (R,).
 
     Each band is (tag, location, baseline (T, L, 3), increments
     (n, 3, T, L, 3), location index, upper, lower).  A row's worst case is
     the user-ordered sum of each user's largest coefficient; it is computed
-    for every (t, phase, side) of a band at once, and only rows whose worst
-    case exceeds the rhs are built.
+    for every (t, phase, side) of a band at once, and the rows whose worst
+    case exceeds the rhs are taken by one fancy index.
     """
-    kept = []
+    labels, coef, rhs = [], [np.zeros((0, n, 3))], [np.zeros(0)]
     for tag, loc, base, incr, k, upper, lower in bands:
-        coef = np.moveaxis(incr[:, :, :, k], (2, 3), (0, 1))     # (T, 3, n, 3)
-        signed = np.stack([coef, -coef], axis=2)                # (T, 3, 2, n, 3)
+        band = np.moveaxis(incr[:, :, :, k], (2, 3), (0, 1))    # (T, 3, n, 3)
+        signed = np.stack([band, -band], axis=2)                # (T, 3, 2, n, 3)
         worst = signed.max(axis=4).sum(axis=3)                  # (T, 3, 2)
-        rhs = np.stack([upper - base[:, k], base[:, k] - lower], axis=2)
-        for t, ph, side in zip(*np.nonzero(worst > rhs + 1e-12)):
-            kept.append((f"{tag}{('max', 'min')[side]}_{loc}_t{t}_ph{ph + 1}",
-                         signed[t, ph, side], rhs[t, ph, side]))
-    return tuple(kept)
+        limit = np.stack([upper - base[:, k], base[:, k] - lower], axis=2)
+        kept = np.nonzero(worst > limit + 1e-12)
+        coef.append(signed[kept])
+        rhs.append(limit[kept])
+        labels += [f"{tag}{('max', 'min')[side]}_{loc}_t{t}_ph{ph + 1}"
+                   for t, ph, side in zip(*kept)]
+    return tuple(labels), np.concatenate(coef), np.concatenate(rhs)
 
 
 def build_program(feeder: Feeder, loads: LoadSeries,
@@ -292,11 +319,12 @@ def build_program(feeder: Feeder, loads: LoadSeries,
                                 ("q", sens.flow0_q, sens.d_flow_q)):
             bands.append((tag, f"{br.from_bus}-{br.to_bus}", base, incr,
                           feeder.branch_index(br), lim, -lim))
-    side_rows = _screened_rows(bands)
+    side_labels, side_coef, side_rhs = _screened_rows(bands, n)
 
     kwargs = dict(feeder=feeder, users=users, c0=c0, horizon=horizon,
                   delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,
-                  fixed_phase_counts=fixed_phase_counts(feeder), side_rows=side_rows,
+                  fixed_phase_counts=fixed_phase_counts(feeder), side_labels=side_labels,
+                  side_coef=side_coef, side_rhs=side_rhs,
                   dev_const=None, dev_coef=None, diff_const=None,
                   diff_coef=None, branch_weight=None)
 
@@ -380,48 +408,18 @@ class _BnBSolver:
     # ---- shared polytope rows over the free users of a node ----
 
     def _node_base_rows(self, fixed):
-        """(a_eq, b_eq, a_ub, b_ub, labels, free) over free delta variables."""
-        prog = self.prog
+        """(a_eq, b_eq, a_ub, b_ub, free) over free delta variables: one
+        one-hot row per free user, then every row of ``prog.rows`` less the
+        fixed users' part, which is added user by user from 0.0."""
+        coef, rhs, _ = self.prog.rows
         free = [i for i, ph in enumerate(fixed) if ph == 0]
-        f = len(free)
-        nv = 3 * f
-        a_eq = np.zeros((f, nv))
-        for r in range(f):
-            a_eq[r, 3 * r: 3 * r + 3] = 1.0
-        b_eq = np.ones(f)
-        rows, rhs, labels = [], [], []
-        used = self._used(fixed)
-        budget_row = np.zeros(nv)
-        for r, i in enumerate(free):
-            budget_row[3 * r + (prog.c0[i] - 1)] = -1.0
-        rows.append(budget_row)
-        rhs.append(prog.delta_max - used - f)
-        labels.append("budget")
-        if prog.gamma is not None:
-            counts = list(prog.fixed_phase_counts)
-            for i, ph in enumerate(fixed):
-                if ph:
-                    counts[ph - 1] += 1
-            lo, hi = prog.gamma
-            for ph in range(3):
-                row = np.zeros(nv)
-                row[ph::3] = 1.0
-                rows.append(row)
-                rhs.append(hi - counts[ph])
-                labels.append(f"count_upp_ph{ph + 1}")
-                rows.append(-row)
-                rhs.append(counts[ph] - lo)
-                labels.append(f"count_low_ph{ph + 1}")
-        for label, coef, srhs in prog.side_rows:
-            fixed_part = sum(float(coef[i, fixed[i] - 1]) for i in range(self.n)
-                             if fixed[i])
-            row = coef[free].reshape(-1)
-            rows.append(row)
-            rhs.append(srhs - fixed_part)
-            labels.append(label)
-        a_ub = np.array(rows) if rows else np.zeros((0, nv))
-        b_ub = np.array(rhs)
-        return a_eq, b_eq, a_ub, b_ub, labels, free
+        fixed_part = np.zeros(len(rhs))
+        for i, ph in enumerate(fixed):
+            if ph:
+                fixed_part += coef[:, i, ph - 1]
+        a_eq = np.repeat(np.eye(len(free)), 3, axis=1)
+        a_ub = coef[:, free].reshape(len(rhs), -1)
+        return a_eq, np.ones(len(free)), a_ub, rhs - fixed_part, free
 
     # ---- pvur_star: lazy-row epigraph LP ----
 
@@ -437,7 +435,7 @@ class _BnBSolver:
 
     def _solve_lp_node(self, fixed, active_rows):
         prog = self.prog
-        a_eq, b_eq, a_ub, b_ub, _, free = self._node_base_rows(fixed)
+        a_eq, b_eq, a_ub, b_ub, free = self._node_base_rows(fixed)
         f = len(free)
         nv = 3 * f
         t_dim = prog.horizon
@@ -450,16 +448,15 @@ class _BnBSolver:
         active = list(dict.fromkeys(active_rows))
         res = None
         for _ in range(200):
-            rows = [base_ub]
-            rhs = [b_ub]
-            for (t, k, ph, sign) in active:
-                row = np.zeros(total)
-                row[:nv] = sign * coef[t, k, ph]
-                row[nv + t] = -1.0
-                rows.append(row[None, :])
-                rhs.append(np.array([-sign * const[t, k, ph]]))
+            keys = np.array(active, dtype=float).reshape(-1, 4)
+            cut = tuple(keys[:, :3].astype(int).T)      # (t, k, ph) of each cut
+            signs = keys[:, 3]
+            cuts = np.zeros((len(keys), total))
+            cuts[:, :nv] = signs[:, None] * coef[cut]
+            cuts[np.arange(len(keys)), nv + cut[0]] = -1.0
             # new cuts are appended, so each round warm-starts from the last
-            res = solve_lp(c_obj, np.vstack(rows), np.concatenate(rhs),
+            res = solve_lp(c_obj, np.vstack([base_ub, cuts]),
+                           np.concatenate([b_ub, -signs * const[cut]]),
                            a_eq_full, b_eq, warm=res)
             self.relaxations += 1
             if res.status != "optimal":
@@ -483,11 +480,9 @@ class _BnBSolver:
     # ---- pu_star: Frank-Wolfe with certified bounds ----
 
     def _node_quadratic(self, fixed, free):
-        mask = np.zeros(3 * self.n, dtype=bool)
         vals = np.zeros(3 * self.n)
         for i, ph in enumerate(fixed):
             if ph:
-                mask[3 * i + ph - 1] = True
                 vals[3 * i + ph - 1] = 1.0
         free_cols = np.concatenate([np.arange(3 * i, 3 * i + 3) for i in free]) \
             if free else np.zeros(0, dtype=int)
@@ -500,7 +495,7 @@ class _BnBSolver:
         return q_ff, lin, const
 
     def _solve_qp_node(self, fixed, incumbent_value):
-        a_eq, b_eq, a_ub, b_ub, _, free = self._node_base_rows(fixed)
+        a_eq, b_eq, a_ub, b_ub, free = self._node_base_rows(fixed)
         q_ff, lin, const = self._node_quadratic(fixed, free)
 
         def f(x):
@@ -579,7 +574,8 @@ class _BnBSolver:
 
 def _raise_with_iis(prog: BinaryProgram, solver: "_BnBSolver") -> None:
     """Shrink the ub rows to an irreducible infeasible subset and raise."""
-    a_eq, b_eq, a_ub, b_ub, labels, _ = solver._node_base_rows((0,) * prog.n_users)
+    a_eq, b_eq, a_ub, b_ub, _ = solver._node_base_rows((0,) * prog.n_users)
+    labels = prog.rows[2]
 
     def feasible(keep):
         res = solve_lp(np.zeros(a_eq.shape[1]), a_ub[keep], b_ub[keep], a_eq, b_eq)
@@ -603,10 +599,10 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
     """
     opts = opts or BnBOptions()
     solver = _BnBSolver(prog, opts)
-    a_eq, b_eq, a_ub, b_ub, labels, _ = solver._node_base_rows((0,) * prog.n_users)
+    a_eq, b_eq, a_ub, b_ub, _ = solver._node_base_rows((0,) * prog.n_users)
     if prog.n_users == 0:
         # no variables: a row holds when its rhs does, as in feasible_mask
-        broken = [label for label, rhs in zip(labels, b_ub) if rhs < -1e-9]
+        broken = [label for label, rhs in zip(prog.rows[2], b_ub) if rhs < -1e-9]
         if broken:
             raise InfeasibleProgramError(
                 "the baseline configuration breaks these rows", rows=broken)

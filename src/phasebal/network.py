@@ -185,7 +185,6 @@ class Feeder:
         to_bus = np.array([bus_index[br.to_bus] for br in self.branches])
         for arr in (a, b, to_bus):
             arr.setflags(write=False)
-        object.__setattr__(self, "_topo_branches", tuple(order))
         object.__setattr__(self, "_bus_index", bus_index)
         object.__setattr__(
             self, "_branch_by_key", {br.key: br for br in self.branches})
@@ -226,10 +225,6 @@ class Feeder:
 
     def branch_index(self, branch: Branch) -> int:
         return self._branch_index[branch.key]
-
-    def topo_branches(self) -> tuple[Branch, ...]:
-        """Branches ordered root-first (every parent before its children)."""
-        return self._topo_branches
 
     def sweep_tables(self) -> SweepTables:
         return self._sweep_tables

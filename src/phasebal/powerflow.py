@@ -110,9 +110,6 @@ class PFSolution:
     def u_mag(self) -> np.ndarray:
         return np.abs(self.u)
 
-    def omega(self) -> np.ndarray:
-        return np.abs(self.u) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class PFSeries(Sequence):

@@ -215,15 +215,50 @@ def objective_einsum(prog, phases):
 
 def side_rows_sequential(prog, phases):
     """(M, R) left-hand sides of the side rows from a sequential user sum."""
-    columns = np.stack([coef.reshape(-1) for _, coef, _ in prog.side_rows], axis=1)
+    columns = np.stack([coef.reshape(-1) for coef in prog.side_coef], axis=1)
     return gather_sum_sequential(columns, phases)
 
 
 def side_rows_einsum(prog, phases):
     """(M, R) left-hand sides of the side rows as dense one-hot contractions."""
-    deltas = _one_hot(phases)
-    return np.stack([np.einsum("muf,uf->m", deltas, coef)
-                     for _, coef, _ in prog.side_rows], axis=1)
+    return np.einsum("muf,ruf->mr", _one_hot(phases), prog.side_coef)
+
+
+def node_base_rows_loop(prog, fixed):
+    """(a_eq, b_eq, a_ub, b_ub, labels, free) of a node, row by row: the
+    one-hot rows, the budget, the phase-count rows when gamma is enforced
+    and each side row less its fixed users' part, added in user order."""
+    free = [i for i, ph in enumerate(fixed) if ph == 0]
+    nv = 3 * len(free)
+    a_eq = np.zeros((len(free), nv))
+    for r in range(len(free)):
+        a_eq[r, 3 * r: 3 * r + 3] = 1.0
+    used = sum(1 for ph, p0 in zip(fixed, prog.c0) if ph not in (0, p0))
+    budget_row = np.zeros(nv)
+    for r, i in enumerate(free):
+        budget_row[3 * r + prog.c0[i] - 1] = -1.0
+    rows, rhs, labels = [budget_row], [prog.delta_max - used - len(free)], ["budget"]
+    if prog.gamma is not None:
+        counts = list(prog.fixed_phase_counts)
+        for ph in fixed:
+            if ph:
+                counts[ph - 1] += 1
+        lo, hi = prog.gamma
+        for ph in range(3):
+            row = np.zeros(nv)
+            row[ph::3] = 1.0
+            rows += [row, -row]
+            rhs += [hi - counts[ph], counts[ph] - lo]
+            labels += [f"count_upp_ph{ph + 1}", f"count_low_ph{ph + 1}"]
+    for label, coef, srhs in zip(prog.side_labels, prog.side_coef, prog.side_rhs):
+        part = 0.0
+        for i, ph in enumerate(fixed):
+            if ph:
+                part += float(coef[i, ph - 1])
+        rows.append(coef[free].reshape(-1))
+        rhs.append(srhs - part)
+        labels.append(label)
+    return a_eq, np.ones(len(free)), np.array(rows), np.array(rhs, dtype=float), labels, free
 
 
 def sweep_by_branch(feeder, p_bus, q_bus):
@@ -232,11 +267,14 @@ def sweep_by_branch(feeder, p_bus, q_bus):
     Returns omega (T, n_buses, 3) and the active and reactive flows, each
     (T, n_branches, 3) in feeder.branches order.
     """
-    topo = feeder.topo_branches()
-    flow_p, flow_q = {}, {}
     children = {b: [] for b in feeder.buses}
-    for br in topo:
+    for br in feeder.branches:
         children[br.from_bus].append(br)
+    topo, reached = [], [feeder.reference_bus]  # root-first, breadth first
+    for bus in reached:
+        topo += children[bus]
+        reached += [br.to_bus for br in children[bus]]
+    flow_p, flow_q = {}, {}
     for br in reversed(topo):
         j = feeder.bus_index(br.to_bus)
         p = p_bus[:, j, :].copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -181,6 +182,32 @@ def test_sweep_lets_programming_errors_through(line, monkeypatch):
     with pytest.raises(KeyError, match="bug"):
         harness.cmd_sweep_switches(feeder, loads, ObjectiveSpec("pu_star"),
                                    grid=(0, 1))
+
+
+def test_sweep_keeps_every_constraint_field(line, monkeypatch):
+    """Each budget's program carries the given band and phase counts."""
+    feeder, loads = line
+    cons = ConstraintConfig(delta_max=0, gamma_low=0, gamma_upp=2, v_min=0.98,
+                            v_max=1.03, enforce_phase_counts=True)
+    spec = ObjectiveSpec("pu_star")
+    build, built = harness.miqp.build_program, []
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness.miqp, "build_program", recording_build)
+    harness.cmd_sweep_switches(feeder, loads, spec, grid=(1, 2), constraints=cons,
+                               time_limit_s=10.0)
+    assert [prog.delta_max for prog in built] == [1, 2]
+    default = build(feeder, loads, ConstraintConfig(delta_max=1), spec)
+    for prog in built:
+        assert prog.gamma == (0, 2)
+        assert len(prog.side_labels) > len(default.side_labels)
+        expected = build(feeder, loads, dataclasses.replace(cons, delta_max=prog.delta_max),
+                         spec)
+        assert prog.side_labels == expected.side_labels
+        assert np.array_equal(prog.side_rhs, expected.side_rhs)
 
 
 # -- cmd_scaling -------------------------------------------------------------------

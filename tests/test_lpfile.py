@@ -132,7 +132,7 @@ def test_export_parse_round_trip_is_exact(case, budget, metric, v_min, low, widt
         prog = build_program(feeder, loads, cons, ObjectiveSpec(metric))
     except MetricError:  # a balance branch without downstream users
         reject()
-    assume(prog.side_rows)
+    assume(prog.side_labels)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "prog.lp")
         export_lp(prog, path)

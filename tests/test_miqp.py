@@ -24,6 +24,15 @@ Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
 Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
 
 
+def _append_side_rows(prog, rows):
+    """``prog`` with the (label, coef (n, 3), rhs) ``rows`` after its side rows."""
+    return dataclasses.replace(
+        prog, side_labels=prog.side_labels + tuple(label for label, _, _ in rows),
+        side_coef=np.concatenate([prog.side_coef, np.reshape(
+            [coef for _, coef, _ in rows], (len(rows), prog.n_users, 3))]),
+        side_rhs=np.concatenate([prog.side_rhs, [rhs for _, _, rhs in rows]]))
+
+
 # -- build_program -------------------------------------------------------------
 
 
@@ -148,7 +157,9 @@ def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
     side = tuple((f"row{r}", rng.normal(size=(n, 3)), rng.normal() * np.sqrt(n))
                  for r in range(n_side))
     # a budget of n leaves the phase counts and side rows to decide the mask
-    prog = dataclasses.replace(prog, delta_max=n, side_rows=side)
+    prog = _append_side_rows(dataclasses.replace(
+        prog, delta_max=n, side_labels=(), side_coef=prog.side_coef[:0],
+        side_rhs=prog.side_rhs[:0]), side)
     if metric == "pvur_star":
         prog = dataclasses.replace(prog, dev_const=const, dev_coef=coef)
     else:
@@ -187,6 +198,33 @@ def test_gather_sum_edge_shapes():
     assert np.array_equal(_gather_sum(np.zeros((0, 4)), np.zeros((5, 0), dtype=int)),
                           np.zeros((5, 4)))
     assert _gather_sum(np.ones((6, 4)), np.zeros((0, 2), dtype=int)).shape == (0, 4)
+
+
+@given(case=radial_cases(), gamma=st.booleans(), v_min=st.floats(0.9, 0.999),
+       n_extra=st.integers(0, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_node_base_rows_equal_row_by_row_reference(case, gamma, v_min, n_extra, data):
+    """A node's LP rows are byte for byte the ones built row by row, for a
+    random partial fixing, with and without phase-count rows and with
+    appended side rows."""
+    feeder, loads, rng = case
+    n_total = len(feeder.users)
+    cons = ConstraintConfig(delta_max=data.draw(st.integers(0, 4)),
+                            gamma_low=data.draw(st.integers(0, n_total // 3)),
+                            gamma_upp=data.draw(st.integers(-(-n_total // 3), n_total)),
+                            v_min=v_min, enforce_phase_counts=gamma)
+    prog = build_program(feeder, loads, cons, ObjectiveSpec("pvur_star"))
+    n = prog.n_users
+    prog = _append_side_rows(prog, [(f"extra{r}", rng.normal(size=(n, 3)),
+                                     float(rng.normal() * np.sqrt(n)))
+                                    for r in range(n_extra)])
+    fixed = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    *got, free = _BnBSolver(prog, BnBOptions())._node_base_rows(fixed)
+    *want, labels, want_free = ref.node_base_rows_loop(prog, fixed)
+    for a, b in zip(got, want):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    assert list(free) == want_free
+    assert prog.rows[2] == tuple(labels)
 
 
 def _random_case_spec(feeder, metric):
@@ -232,7 +270,7 @@ def test_leaf_with_incumbent_matches_plain_leaf(metric, case, budget, chunk, sid
     assume(n > 0)
     if side_row:
         row = ("random", rng.normal(size=(n, 3)), float(rng.normal() * np.sqrt(n)))
-        prog = dataclasses.replace(prog, side_rows=prog.side_rows + (row,))
+        prog = _append_side_rows(prog, [row])
     fixed = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     solver = _BnBSolver(prog, BnBOptions())
     left = budget - solver._used(fixed)
@@ -339,7 +377,7 @@ def test_relaxation_feasible_without_integer_point(twenty_user, monkeypatch):
         coef = np.zeros((prog.n_users, 3))
         coef[0, pair] = 1.0
         rows.append((f"pair_{pair[0] + 1}{pair[1] + 1}", coef, 0.7))
-    prog = dataclasses.replace(prog, side_rows=prog.side_rows + tuple(rows))
+    prog = _append_side_rows(prog, rows)
     lp_calls, solvers = [], []
     solve_lp, init = miqp.solve_lp, _BnBSolver.__init__
 
@@ -365,7 +403,7 @@ def test_voltage_bound_rows_steer_solution(line):
     # v_min high enough that parking every user on one phase is infeasible
     cons = ConstraintConfig(delta_max=3, v_min=0.98, v_max=1.03)
     prog = build_program(feeder, loads, cons, ObjectiveSpec("pvur_star"))
-    assert prog.side_rows  # screening kept some voltage rows
+    assert prog.side_labels  # screening kept some voltage rows
     assert not prog.point_feasible(PhaseAssignment((1, 1, 1)))
     res = branch_and_bound(prog, BnBOptions(abs_gap=1e-9, rel_gap=0.0))
     sens = lindist.sensitivity(feeder, loads)
@@ -408,13 +446,12 @@ def test_leaf_enumeration_with_counts_and_side_row(twenty_user, metric):
     forbidden, _ = first_minimum(counts_ok)
     coef = np.zeros((n, 3))
     coef[np.arange(n), np.array(forbidden) - 1] = 1.0
-    prog = dataclasses.replace(
-        prog, side_rows=prog.side_rows + (("not_forbidden", coef, n - 1.0),))
+    prog = _append_side_rows(prog, [("not_forbidden", coef, n - 1.0)])
 
     def feasible(c):
         delta = np.eye(3)[np.array(c) - 1]
         return counts_ok(c) and all(float(np.sum(row * delta)) <= rhs + 1e-9
-                                    for _, row, rhs in prog.side_rows)
+                                    for row, rhs in zip(prog.side_coef, prog.side_rhs))
 
     expected, expected_value = first_minimum(feasible)
     assert expected != forbidden
@@ -463,12 +500,11 @@ def _oracle_case(metric, case, budget, gamma, side_row, data):
     if side_row and ranking:
         coef = np.zeros((n, 3))
         coef[np.arange(n), np.array(ranking[0][1].phases, dtype=int) - 1] = 1.0
-        prog = dataclasses.replace(
-            prog, side_rows=prog.side_rows + (("not_best", coef, n - 1.0),))
+        prog = _append_side_rows(prog, [("not_best", coef, n - 1.0)])
 
     def meets_rows(phases):
         return all(sum(float(coef[u, ph - 1]) for u, ph in enumerate(phases)) <= rhs + 1e-9
-                   for _, coef, rhs in prog.side_rows)
+                   for coef, rhs in zip(prog.side_coef, prog.side_rhs))
 
     feasible = [value for value, a in ranking if meets_rows(a.phases)]
     return prog, ranking, feasible, meets_rows
