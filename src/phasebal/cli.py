@@ -216,7 +216,7 @@ def run(argv=None) -> int:
         report = harness.cmd_scaling(trio, horizons, methods,
                                      repeats=int(opts.get("repeats", 5)),
                                      objective=_objective(opts),
-                                     constraints=None,
+                                     constraints=_constraints(opts),
                                      csv_path=opts.get("csv"))
         _emit(opts, json.dumps(report, sort_keys=True, indent=1))
     elif args.verb == "export-lp":

@@ -66,8 +66,7 @@ class GAResult:
 class FitnessEvaluator:
     """Penalty fitness with memoization and call accounting."""
 
-    def __init__(self, problem: Problem, penalty_multiplier: float = 100.0,
-                 baseline: float | None = None):
+    def __init__(self, problem: Problem, penalty_multiplier: float = 100.0):
         self.problem = problem
         self.m = penalty_multiplier
         self.a0 = original_assignment(problem.feeder)
@@ -76,12 +75,8 @@ class FitnessEvaluator:
                            fixed_phase_counts(problem.feeder), cons.phase_count_bounds)
         self.cache: dict[tuple, float] = {}
         self.fitness_calls = 0
-        self.pf_evaluations = 0
-        if baseline is None:
-            ev = evaluate_exact(problem, self.a0)
-            self.pf_evaluations += 1
-            baseline = ev.objective
-        self.i0 = baseline
+        self.i0 = evaluate_exact(problem, self.a0).objective
+        self.pf_evaluations = 1
 
     def _exact(self, c: tuple) -> float:
         """Penalized exact-PF fitness of a budget- and count-feasible

@@ -31,7 +31,7 @@ REPORT_METRICS = ("pvur", "pvur_star", "iu", "pu", "pu_star")
 def metric_table(feeder: Feeder, loads: LoadSeries,
                  assignment: PhaseAssignment) -> dict:
     """All five imbalance metrics plus the loss fraction, from exact PF."""
-    sols = powerflow.solve_series(feeder, assignment, loads)
+    sols = powerflow.solve_series(feeder, assignment, loads).check_collapse()
     table = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -165,7 +165,7 @@ def cmd_validate(feeder: Feeder, assignment: PhaseAssignment,
     report = {"schema_version": SCHEMA_VERSION,
               "horizon": validation_loads.horizon, "metrics": {}}
     specs = [ObjectiveSpec(name) for name in metric_names]
-    solved = {tag: powerflow.solve_series(feeder, a, validation_loads)
+    solved = {tag: powerflow.solve_series(feeder, a, validation_loads).check_collapse()
               for tag, a in (("original", a0), ("solution", assignment))}
     per_t = {}
     for spec in specs:

@@ -63,28 +63,23 @@ def _program_rows(prog: BinaryProgram):
     rows = [(f"onehot_{u}", {f"d_{u}_{ph}": 1.0 for ph in (1, 2, 3)}, "=", 1.0)
             for u in prog.users]
     coef, rhs, labels = prog.rows
-    coef = coef.reshape(len(labels), -1)
+    coef, labels = coef.reshape(len(labels), -1), list(labels)
+    n_side = len(labels)
+    if prog.objective_kind == "pvur_star":
+        # per (t, k, ph): coef . delta - m_t <= -const, then -coef . delta - m_t <= const
+        t_dim, k_dim, _ = prog.dev_const.shape
+        labels += [f"dev_t{t}_k{k}_ph{ph}_{tag}" for t in range(t_dim) for k in range(k_dim)
+                   for ph in (1, 2, 3) for tag in ("pos", "neg")]
+        dev = np.stack([prog.dev_coef, -prog.dev_coef], axis=3)
+        coef = np.concatenate([coef, dev.reshape(len(labels) - n_side, -1)])
+        rhs = np.concatenate([rhs, np.stack([-prog.dev_const, prog.dev_const], axis=3).ravel()])
     names = prog.var_names()
     terms = [{} for _ in labels]
     for r, col in zip(*np.nonzero(coef)):
         terms[r][names[col]] = float(coef[r, col])
-    rows += [(label, row, "<=", float(b)) for label, row, b in zip(labels, terms, rhs)]
-    if prog.objective_kind == "pvur_star":
-        t_dim, k_dim, _ = prog.dev_const.shape
-        for t in range(t_dim):
-            for k in range(k_dim):
-                for ph in range(3):
-                    for sign, tag in ((1.0, "pos"), (-1.0, "neg")):
-                        terms = {}
-                        for i, u in enumerate(prog.users):
-                            for f in (1, 2, 3):
-                                c = sign * prog.dev_coef[t, k, ph, i, f - 1]
-                                if c != 0.0:
-                                    terms[f"d_{u}_{f}"] = float(c)
-                        terms[f"m_{t}"] = -1.0
-                        rows.append((f"dev_t{t}_k{k}_ph{ph + 1}_{tag}", terms,
-                                     "<=", float(-sign * prog.dev_const[t, k, ph])))
-    return rows
+    for r in range(n_side, len(labels)):
+        terms[r][f"m_{(r - n_side) // (6 * k_dim)}"] = -1.0
+    return rows + [(label, row, "<=", float(b)) for label, row, b in zip(labels, terms, rhs)]
 
 
 def _program_objective(prog: BinaryProgram):
@@ -104,7 +99,7 @@ def _program_objective(prog: BinaryProgram):
     return lin, quad, float(const)
 
 
-def export_lp(prog: BinaryProgram, path, check_roundtrip: bool = True) -> None:
+def export_lp(prog: BinaryProgram, path) -> None:
     """Write the program in LP format; verifies its own round trip."""
     lin, quad, const = _program_objective(prog)
     out = ["\\ phase re-assignment binary program", "Minimize"]
@@ -124,7 +119,8 @@ def export_lp(prog: BinaryProgram, path, check_roundtrip: bool = True) -> None:
         obj_parts.append(" + [ " + " + ".join(quad_parts) + " ] / 2")
     out.append("".join(line) + "".join(obj_parts))
     out.append("Subject To")
-    for label, terms, sense, rhs in _program_rows(prog):
+    rows = _program_rows(prog)
+    for label, terms, sense, rhs in rows:
         row_parts = []
         _write_linear(sorted(terms.items()), row_parts)
         out.append(f" {label}:" + "".join(row_parts) + f" {sense} {_fmt(rhs)}")
@@ -140,12 +136,10 @@ def export_lp(prog: BinaryProgram, path, check_roundtrip: bool = True) -> None:
     text = "\n".join(out) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
-    if check_roundtrip:
-        model = parse_lp(path)
-        _verify_roundtrip(prog, model, lin, quad, const)
+    _verify_roundtrip(prog, parse_lp(path), lin, quad, const, len(rows))
 
 
-def _verify_roundtrip(prog, model, lin, quad, const):
+def _verify_roundtrip(prog, model, lin, quad, const, want_rows):
     for name, coef in lin.items():
         if abs(model.objective.get(name, 0.0) - coef) > 1e-12 * max(1, abs(coef)):
             raise ValidationError(f"round-trip drift on objective term {name}")
@@ -155,7 +149,6 @@ def _verify_roundtrip(prog, model, lin, quad, const):
         got = model.quadratic.get(key, model.quadratic.get((key[1], key[0]), 0.0))
         if abs(got - coef) > 1e-12 * max(1, abs(coef)):
             raise ValidationError(f"round-trip drift on quadratic term {key}")
-    want_rows = len(_program_rows(prog))
     if len(model.constraints) != want_rows:
         raise ValidationError(
             f"round-trip row count {len(model.constraints)} != {want_rows}")

@@ -72,7 +72,7 @@ def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:
     total = 0.0
     for u in feeder.users:  # a fixed order: the set's order depends on the hash seed
         if u.id in users:
-            total += float(loads.p[:, loads.column(u.id)].mean())
+            total += float(loads.mean_p[loads.column(u.id)])
     total /= feeder.base_power
     if total <= 0.0:
         raise MetricError(f"branch {branch.key}: zero downstream demand")

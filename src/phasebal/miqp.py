@@ -59,12 +59,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lindist
+from . import lindist, metrics
 from .errors import InfeasibleProgramError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
                       completion_count, completions, feasible_mask, fixed_phase_counts)
-from .problem import branch_denominator
 from .simplex import solve_lp
 
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
@@ -347,7 +346,7 @@ def build_program(feeder: Feeder, loads: LoadSeries,
     diff_const = flow0 - np.roll(flow0, -1, axis=2)
     coef = d_flow - np.roll(d_flow, -1, axis=4)
     diff_coef = np.moveaxis(coef, (0, 1), (3, 4))            # (T, B, 3, n, 3)
-    weight = np.array([100.0 / branch_denominator(feeder, loads, br) ** 2
+    weight = np.array([100.0 / metrics.denominator(feeder, loads, br) ** 2
                        for br in balance_branches])
     baseline = 0.0
     if n == 0:

@@ -10,11 +10,16 @@ reconfigurable user, values in {1,2,3}) or as a one-hot 0/1 matrix
 Impedances are stored in ohms and converted to per-unit on
 (base_voltage, base_power), where base_voltage is line-to-neutral volts
 and base_power is the per-phase VA base.
+
+Derived tables live on the object they derive from, never in a
+module-level cache: a Feeder holds its sweep tables and power-flow
+operators, a LoadSeries its users' mean demand.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +30,10 @@ from .dropmatrices import ab_matrices
 from .errors import InputParseError, ValidationError
 
 PHASES = (1, 2, 3)
+
+REFERENCE_PHASORS = np.array([1.0,
+                              np.exp(-2j * np.pi / 3),
+                              np.exp(+2j * np.pi / 3)])
 
 
 def _as_z_matrix(rows, what):
@@ -108,6 +117,35 @@ class SweepTables:
     downward: tuple[tuple[int, int, int], ...]
     a_t: np.ndarray
     b_t: np.ndarray
+
+
+class PFTables:
+    """A feeder's exact power-flow operators, per-unit.
+
+    ``ybus`` is the dense nodal admittance matrix over the flat (bus,
+    phase) axis, index 3 * bus_index + phase, assembled from the branch
+    admittances ``y_branch``; ``other`` lists the non-reference entries of
+    that axis, ``y_nn`` is the Y-bus reduced to them, ``z_nn`` its inverse
+    and ``slack_rhs`` their coupling to the reference phasors.  Branch
+    arrays follow ``feeder.branches`` order.
+    """
+
+    def __init__(self, feeder: Feeder):
+        self.y_branch = np.stack([np.linalg.inv(feeder.z_pu(br)) for br in feeder.branches])
+        self.from_bus = np.array([feeder.bus_index(br.from_bus) for br in feeder.branches])
+        n = 3 * len(feeder.buses)
+        y = self.ybus = np.zeros((n, n), dtype=complex)
+        for yb, i, j in zip(self.y_branch, 3 * self.from_bus, 3 * feeder.sweep_tables().to_bus):
+            y[i:i + 3, i:i + 3] += yb
+            y[j:j + 3, j:j + 3] += yb
+            y[i:i + 3, j:j + 3] -= yb
+            y[j:j + 3, i:i + 3] -= yb
+        r = 3 * feeder.bus_index(feeder.reference_bus)
+        ref = np.arange(r, r + 3)
+        self.other = np.setdiff1d(np.arange(n), ref)
+        self.y_nn = y[np.ix_(self.other, self.other)]
+        self.z_nn = np.linalg.inv(self.y_nn)
+        self.slack_rhs = (y[np.ix_(self.other, ref)] @ REFERENCE_PHASORS)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +267,11 @@ class Feeder:
     def sweep_tables(self) -> SweepTables:
         return self._sweep_tables
 
+    @functools.cached_property
+    def pf_tables(self) -> PFTables:
+        """Built on first use, as the linear-model routes never need it."""
+        return PFTables(self)
+
     def reconfigurable_users(self) -> tuple[User, ...]:
         """Reconfigurable users in canonical (id-sorted) order.
 
@@ -331,6 +374,11 @@ class LoadSeries:
             return self._col[user_id]
         except KeyError:
             raise ValidationError(f"no load series for user {user_id!r}") from None
+
+    @functools.cached_property
+    def mean_p(self) -> np.ndarray:
+        """Each column's time-mean active demand in W, bitwise p[:, c].mean()."""
+        return np.ascontiguousarray(self.p.T).mean(axis=1)
 
     def slice_window(self, start: int, stop: int) -> "LoadSeries":
         return LoadSeries(self.user_ids, self.p[start:stop], self.q[start:stop],

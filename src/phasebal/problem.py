@@ -16,7 +16,6 @@ formulas of ``metrics``; only violation messages are built per timestep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +39,6 @@ class Problem:
         return original_assignment(self.feeder)
 
 
-@lru_cache(maxsize=None)
-def _denominator_cache(feeder: Feeder, loads: LoadSeries, key) -> float:
-    return metrics.denominator(feeder, loads, feeder.branch(*key))
-
-
-def branch_denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:
-    return _denominator_cache(feeder, loads, branch.key)
-
-
 def _flow_values(metric: str, feeder: Feeder, loads: LoadSeries, branches,
                  flows: np.ndarray) -> np.ndarray:
     """(n_branches, T) flow metric values from (T, n_branches, 3) current
@@ -57,7 +47,7 @@ def _flow_values(metric: str, feeder: Feeder, loads: LoadSeries, branches,
         denom = np.empty(len(branches))
         for k, br in enumerate(branches):
             try:
-                denom[k] = branch_denominator(feeder, loads, br)
+                denom[k] = metrics.denominator(feeder, loads, br)
             except MetricError:
                 denom[k] = np.nan
         return metrics.p_u_star_values(flows, denom).T
@@ -141,7 +131,8 @@ def check_operational(feeder: Feeder, constraints: ConstraintConfig,
 def evaluate_exact(problem: Problem, assignment: PhaseAssignment) -> Evaluation:
     """Exact-PF objective plus operational feasibility of a configuration."""
     try:
-        sols = powerflow.solve_series(problem.feeder, assignment, problem.loads)
+        sols = powerflow.solve_series(problem.feeder, assignment,
+                                      problem.loads).check_collapse()
     except ConvergenceError as exc:
         return Evaluation(objective=np.inf, operational_ok=False,
                           violations=(str(exc),))

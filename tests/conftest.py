@@ -19,6 +19,15 @@ def line():
 
 
 @pytest.fixture(scope="session")
+def collapsing_line(line):
+    """The line fixture with step 5's demand far past loadability."""
+    feeder, loads = line
+    p, q = loads.p.copy(), loads.q.copy()
+    p[5], q[5] = 1.0e6, 0.0
+    return feeder, fixtures.LoadSeries(loads.user_ids, p, q, loads.resolution_s)
+
+
+@pytest.fixture(scope="session")
 def twenty_user():
     return fixtures.fixture("twenty_user")
 

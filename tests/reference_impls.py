@@ -4,7 +4,8 @@ Nothing here shares code paths with the package solvers: the power flow
 oracle is a Newton-Raphson iteration on the real/imaginary mismatch system
 with a finite-difference Jacobian, the loss oracle recomputes I^2 R
 branch by branch from first principles, and the metric oracle evaluates
-every (location, timestep) one at a time in plain Python.  The
+every (location, timestep) one at a time in plain Python, with a
+flow denominator found by walking each user's path to the reference.  The
 sensitivity oracle sweeps the linear model once per (user, phase), one
 branch at a time through per-branch dicts.  The injection oracle adds one
 user at a time.  The simplex pivot oracle is each pivot step in its plain
@@ -12,11 +13,11 @@ form: masked ratio assignment, ``np.flatnonzero`` choices and an
 ``np.outer`` update, with the Bland switch passed in.
 """
 
+import math
+
 import numpy as np
 
-from phasebal.errors import MetricError
 from phasebal.lindist import ab_matrices
-from phasebal.metrics import denominator
 from phasebal.network import injection_series, user_phases
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
@@ -123,6 +124,21 @@ def _metric_at(metric, values, denom):
     return 100.0 * cyclic / denom ** 2
 
 
+def denominator_by_walk(feeder, loads, branch):
+    """One third of the time-mean demand, per-unit, of the users whose walk
+    from their bus up to the reference crosses ``branch``; each mean is an
+    exactly rounded ``math.fsum`` over the horizon."""
+    parent = {br.to_bus: br for br in feeder.branches}
+    total = 0.0
+    for u in feeder.users:
+        bus = u.bus
+        while bus != feeder.reference_bus and parent[bus].key != branch.key:
+            bus = parent[bus].from_bus
+        if bus != feeder.reference_bus:
+            total += math.fsum(loads.p[:, loads.column(u.id)]) / loads.horizon
+    return total / feeder.base_power / 3.0
+
+
 def metric_values_loop(spec, feeder, loads, solutions=None, state=None):
     """(locations, T) metric values, one (location, timestep) at a time.
 
@@ -137,12 +153,7 @@ def metric_values_loop(spec, feeder, loads, solutions=None, state=None):
         locations = list(spec.branches_for(feeder))
     vals = np.empty((len(locations), horizon))
     for k, loc in enumerate(locations):
-        denom = None
-        if spec.metric == "pu_star":
-            try:
-                denom = denominator(feeder, loads, loc)
-            except MetricError:
-                denom = None
+        denom = denominator_by_walk(feeder, loads, loc) if spec.metric == "pu_star" else None
         for t in range(horizon):
             if spec.is_voltage_metric:
                 if solutions is not None:

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from phasebal import harness
 from phasebal.cli import load_config, main
 from phasebal.errors import InputParseError
-from phasebal.network import LoadSeries, save_feeder, save_profiles
+from phasebal.network import ConstraintConfig, LoadSeries, save_feeder, save_profiles
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,23 @@ def test_pf_timestep_outside_horizon_is_exit_2(line_paths, tmp_path, capsys):
                  "--out", str(tmp_path / "pf.json")])
     assert code == 2
     assert "outside horizon" in capsys.readouterr().err
+
+
+def test_collapsed_step_is_exit_3(collapsing_line, tmp_path, capsys):
+    feeder, loads = collapsing_line
+    feeder_path = tmp_path / "line.feeder.json"
+    profiles_path = tmp_path / "heavy.profiles.csv"
+    save_feeder(feeder, feeder_path)
+    save_profiles(loads, profiles_path)
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps(
+        {"assignment": {u.id: 1 for u in feeder.reconfigurable_users()}}))
+    inputs = ["--feeder", str(feeder_path), "--profiles", str(profiles_path)]
+    assert main(["pf", *inputs, "--t", "4", "--out", str(tmp_path / "pf.json")]) == 0
+    assert main(["pf", *inputs, "--t", "5"]) == 3
+    assert main(["pf", *inputs]) == 3
+    assert main(["validate", *inputs, "--assignment", str(assignment)]) == 3
+    assert capsys.readouterr().err.count("voltage collapsed") == 3
 
 
 def test_optimize_verb_miqp(line_paths, tmp_path):
@@ -160,6 +178,23 @@ def test_scale_verb(line_paths, tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["reported"]) == 2
+
+
+def test_scale_passes_the_constraint_flags(line_paths, monkeypatch):
+    feeder_path, _ = line_paths
+    seen = {}
+
+    def fake_scaling(feeder_loads, horizons, methods, **kwargs):
+        seen.update(kwargs)
+        return {}
+
+    monkeypatch.setattr(harness, "cmd_scaling", fake_scaling)
+    assert main(["scale", "--feeders", str(feeder_path), "--delta-max", "2",
+                 "--v-min", "0.85", "--v-max", "1.05", "--gamma-low", "1",
+                 "--gamma-upp", "2", "--enforce-phase-counts"]) == 0
+    assert seen["constraints"] == ConstraintConfig(
+        delta_max=2, gamma_low=1, gamma_upp=2, v_min=0.85, v_max=1.05,
+        enforce_phase_counts=True)
 
 
 def test_missing_feeder_is_exit_2(tmp_path):

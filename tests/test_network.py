@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 import reference_impls as ref
 from phasebal import fixtures
 from phasebal.errors import InputParseError, ValidationError
+from phasebal.metrics import ObjectiveSpec
+from phasebal.miqp import build_program
 from phasebal.network import (PHASES, Branch, ConstraintConfig, LoadSeries,
                               PhaseAssignment, User, binary_feasible, completion_count,
                               completions, downstream_users, feasible_mask,
                               fixed_phase_counts, injection_series, injections,
                               load_feeder, load_profiles, make_feeder,
                               original_assignment, switch_count, user_phases)
+from phasebal.problem import Problem, evaluate_exact, evaluate_ld3f
 from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
@@ -236,6 +241,19 @@ def test_delta_rows_one_hot():
 def test_from_delta_rejects_bad_rows():
     with pytest.raises(ValidationError, match="one-hot"):
         _from_delta([[1, 1, 0]])
+
+
+def test_feeder_and_loads_freed_after_use():
+    """Derived tables live on their objects; nothing outlives them."""
+    feeder, loads = fixtures.fixture("line")
+    problem = Problem(feeder, loads, ConstraintConfig(delta_max=1), ObjectiveSpec("pu_star"))
+    evaluate_exact(problem, problem.original())
+    evaluate_ld3f(problem, problem.original())
+    build_program(feeder, loads, problem.constraints, problem.objective)
+    refs = (weakref.ref(feeder), weakref.ref(loads))
+    del feeder, loads, problem
+    gc.collect()
+    assert [alive() for alive in refs] == [None, None]
 
 
 # -- downstream users --------------------------------------------------------

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from phasebal import fixtures
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
-from phasebal.network import (Branch, LoadSeries, PhaseAssignment, User,
-                              make_feeder, original_assignment)
-from phasebal.powerflow import (REFERENCE_PHASORS, build_ybus, losses, solve_pf,
-                                solve_series)
+from phasebal.metrics import ObjectiveSpec
+from phasebal.network import (Branch, ConstraintConfig, LoadSeries, PhaseAssignment,
+                              User, make_feeder, original_assignment)
+from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_pf, solve_series
+from phasebal.problem import Problem, evaluate_exact
 from reference_impls import i2r_losses_percent, newton_pf
 from strategies import radial_cases
 
@@ -22,7 +23,7 @@ def zero_loads(feeder, horizon=1):
     return LoadSeries(ids, p, p.copy())
 
 
-# -- build_ybus --------------------------------------------------------------
+# -- Y-bus -------------------------------------------------------------------
 
 
 def test_ybus_single_branch_block_structure():
@@ -33,7 +34,7 @@ def test_ybus_single_branch_block_structure():
         reference_bus="r",
         users=[User("u1", "b1", 1)],
         base_voltage=230.0, base_power=10000.0)
-    y = build_ybus(feeder)
+    y = feeder.pf_tables.ybus
     yb = np.diag(1.0 / np.diag(z / feeder.z_base))
     assert np.allclose(y[:3, :3], yb)
     assert np.allclose(y[3:, 3:], yb)
@@ -43,12 +44,12 @@ def test_ybus_single_branch_block_structure():
 
 def test_ybus_line_dimension(line):
     feeder, _ = line
-    assert build_ybus(feeder).shape == (12, 12)
+    assert feeder.pf_tables.ybus.shape == (12, 12)
 
 
 def test_ybus_row_sums_zero(line):
     feeder, _ = line
-    y = build_ybus(feeder)
+    y = feeder.pf_tables.ybus
     ref = 3 * feeder.bus_index(feeder.reference_bus)
     for row in range(12):
         if ref <= row < ref + 3:
@@ -58,7 +59,7 @@ def test_ybus_row_sums_zero(line):
 
 def test_ybus_symmetric(twenty_user):
     feeder, _ = twenty_user
-    y = build_ybus(feeder)
+    y = feeder.pf_tables.ybus
     assert np.allclose(y, y.T)
 
 
@@ -151,16 +152,6 @@ def test_node_power_balance(line):
         assert np.abs(total).max() < 1e-9
 
 
-def test_warm_start_agrees_with_flat_start(line):
-    feeder, loads = line
-    a = PhaseAssignment((1, 2, 1))
-    tol = 1e-8
-    flat = solve_pf(feeder, a, loads, 5, tol=tol)
-    warm = solve_pf(feeder, a, loads, 5, tol=tol,
-                    start=solve_pf(feeder, a, loads, 4).u)
-    assert np.abs(flat.u - warm.u).max() < 10 * tol
-
-
 def test_uniform_phase_rotation_rotates_solution(line):
     feeder, loads = line
     base = solve_pf(feeder, PhaseAssignment((1, 2, 2)), loads, 9)
@@ -198,6 +189,26 @@ def test_voltage_collapse_raises(line):
     heavy = LoadSeries(ids, p, np.zeros_like(p))
     with pytest.raises(ConvergenceError):
         solve_pf(feeder, PhaseAssignment((1, 1, 1)), heavy, 0)
+
+
+def test_collapsed_step_is_flagged_and_the_rest_kept(collapsing_line):
+    feeder, loads = collapsing_line
+    a = PhaseAssignment((1, 1, 1))
+    series = solve_series(feeder, a, loads)
+    assert np.flatnonzero(series.collapsed).tolist() == [5]
+    assert not series.converged[5]
+    with pytest.raises(ConvergenceError, match="collapsed"):
+        solve_pf(feeder, a, loads, 5)
+    for t in set(range(loads.horizon)) - {5}:
+        solo = solve_pf(feeder, a, loads, t)
+        assert np.array_equal(series.u[t], solo.u)
+        assert np.array_equal(series.current[t], solo.current)
+        assert series.iterations[t] == solo.iterations
+        assert series.converged[t] == solo.converged
+    problem = Problem(feeder, loads, ConstraintConfig(delta_max=3), ObjectiveSpec("pu"))
+    ev = evaluate_exact(problem, a)
+    assert ev.objective == np.inf and not ev.operational_ok
+    assert "collapsed" in ev.violations[0]
 
 
 # -- losses ------------------------------------------------------------------
@@ -294,7 +305,7 @@ def test_block_columns_independent_of_block(name, data):
     full = solve_series(feeder, a, scaled)
     sols = solve_series(feeder, a, block)
     for arr in ("u", "s_from", "s_to", "current", "iterations", "converged",
-                "max_mismatch"):
+                "max_mismatch", "collapsed"):
         assert np.array_equal(getattr(sols, arr), getattr(full, arr)[steps]), arr
     for k in range(len(steps)):
         solo = solve_pf(feeder, a, block, k)
