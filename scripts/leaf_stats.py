@@ -5,10 +5,11 @@ Solves the ``miqp_plan`` planning days of the given seeds
 (``compare_bnb.planning_days``) for each objective and prints, summed over
 every leaf the searches close:
 
-* ``completions``: rows generated by ``network.completions``;
+* ``completions``: rows generated by ``network.completions``, which also
+  carries their first-pass bound sums;
 * ``after_pass1`` and ``after_pass2``: rows left after the first bound pass
-  (anchored on each chunk's first row) and after the second (anchored on
-  the last survivor);
+  (anchored on each leaf's zero-switch completion) and after the second
+  (anchored on each chunk's last survivor);
 * ``scored``: rows that also meet the counts and side rows, and so are
   scored in full by ``objective_batch``;
 * ``leaf_s``: wall time inside ``_enumerate_leaf``, including the small
@@ -34,16 +35,15 @@ def leaf_stats(seeds, objectives, delta_max):
     stats = {metric: Counter() for metric in objectives}
     leaf = []  # the Counter of the leaf being enumerated, if any
 
-    def count_rows(owner, name, key):
-        """Add the length of each result of ``owner.name`` inside a leaf to
-        the counter ``key(*args)`` names (none when it gives None)."""
+    def count_rows(owner, name, key, rows=lambda result, *args: result):
+        """Add the length of ``rows(result, *args)`` for each call of
+        ``owner.name`` inside a leaf to the counter ``key``."""
         original = getattr(owner, name)
 
         def wrapper(*args):
             result = original(*args)
-            counter = key(*args) if leaf else None
-            if counter is not None:
-                leaf[0][counter] += len(result)
+            if leaf:
+                leaf[0][key] += len(rows(result, *args))
             return result
         return mock.patch.object(owner, name, wrapper)
 
@@ -61,12 +61,13 @@ def leaf_stats(seeds, objectives, delta_max):
 
     patches = [
         mock.patch.object(miqp._BnBSolver, "_enumerate_leaf", timed_leaf),
-        count_rows(miqp, "completions", lambda *args: "completions"),
+        # a leaf's call returns (rows, first-pass sums)
+        count_rows(miqp, "completions", "completions", lambda result, *args: result[0]),
         # the second pass runs on what the first one left
-        count_rows(miqp.BinaryProgram, "_leaf_bound",
-                   lambda prog, phases, anchor: "after_pass1" if anchor == -1 else None),
-        count_rows(miqp.BinaryProgram, "feasible_mask", lambda *args: "after_pass2"),
-        count_rows(miqp.BinaryProgram, "objective_batch", lambda *args: "scored"),
+        count_rows(miqp.BinaryProgram, "_leaf_bound", "after_pass1",
+                   lambda result, prog, phases, anchor: phases),
+        count_rows(miqp.BinaryProgram, "feasible_mask", "after_pass2"),
+        count_rows(miqp.BinaryProgram, "objective_batch", "scored"),
     ]
     feeder = fixtures.twenty_user_feeder()
     for patch in patches:

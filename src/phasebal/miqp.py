@@ -35,18 +35,14 @@ per user and adds them in user order.  That is the dense one-hot
 contraction's order less its exact zeros, so objective values are bitwise
 the dense formula's, and no row's value depends on the batch around it.
 
-A leaf prunes each chunk before masking and scoring it, for both
-objectives.  Per timestep, the bound keeps only the column where one
-anchor completion scores worst: the (bus, phase) deviation for
-pvur_star, the weighted (branch, pair) square for pu_star.  A kept entry
-is bitwise the full score's, the full score takes a maximum over it or
-adds nonnegative terms to it, and both means over t are the same
-reduction, so rounding is monotone and the bound never exceeds the
-objective.  A first pass is anchored on the chunk's first completion and
-a second one on the last survivor of the first.  A row is dropped only
-when its bound exceeds the leaf's best so far or the incumbent, so the
-leaf's first minimum is unchanged whenever it beats the incumbent;
-otherwise the caller ignores the leaf anyway.
+A leaf prunes its rows before masking and scoring them.  Per timestep,
+the bound keeps only the column where an anchor completion scores worst,
+so it never exceeds the objective (``_finish_bound``).  The first pass is
+anchored once per leaf on its zero-switch completion, whose column sums
+``completions`` carries along its prefixes; the second, per chunk, on the
+last survivor.  A row goes only when its bound exceeds the leaf's best so
+far or the incumbent, so the leaf's first minimum is unchanged whenever
+it beats the incumbent; otherwise the caller ignores the leaf anyway.
 """
 
 from __future__ import annotations
@@ -216,30 +212,34 @@ class BinaryProgram:
                 out[start:start + m] = per_branch.mean(axis=2).mean(axis=1)
         return out
 
-    def _leaf_bound(self, phases: np.ndarray, anchor: int) -> np.ndarray:
-        """A lower bound on the objective of each (M, n) row.
-
-        Per timestep it keeps only the column where row ``anchor`` scores
-        worst: the (bus, phase) deviation for pvur_star, the (branch, pair)
-        term ``w_b x^2`` for pu_star.  A kept entry is the same user-ordered
-        sum as in ``objective_batch``; the objective adds nonnegative terms
-        to it (pairs, then branches) or takes a maximum over it, and its
-        (M, T) mean over t is the same reduction.  Rounding is monotone on
-        nonnegative numbers, so the bound is bitwise <= the objective.
-        """
+    def _kept_columns(self, row: np.ndarray) -> np.ndarray:
+        """Per timestep, the objective column where the (n,) configuration
+        ``row`` scores worst: the (bus, phase) deviation for pvur_star, the
+        (branch, pair) term ``w_b x^2`` for pu_star."""
         pvur = self.objective_kind == "pvur_star"
-        columns = self._objective_columns
         const = (self.dev_const if pvur else self.diff_const).reshape(-1)
-        worst = _gather_sum(columns, phases[anchor][None])[0] + const
+        worst = _gather_sum(self._objective_columns, row[None])[0] + const
         if pvur:
             worst = np.abs(worst)
         else:
             worst = np.square(worst).reshape(self.horizon, -1, 3) \
                 * self.branch_weight[:, None]
         worst = worst.reshape(self.horizon, -1)
-        keep = np.arange(self.horizon) * worst.shape[1] + worst.argmax(axis=1)
-        x = _gather_sum(columns[:, keep], phases)
-        x += const[keep]
+        return np.arange(self.horizon) * worst.shape[1] + worst.argmax(axis=1)
+
+    def _leaf_bound(self, phases: np.ndarray, anchor: int) -> np.ndarray:
+        """``_finish_bound`` of the (M, n) rows on row ``anchor``'s columns."""
+        keep = self._kept_columns(phases[anchor])
+        return self._finish_bound(_gather_sum(self._objective_columns[:, keep], phases), keep)
+
+    def _finish_bound(self, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """A lower bound on the objective of each row from ``x`` (M, T), its
+        user-ordered sums over the ``keep`` columns (overwritten).  The
+        objective maximizes over these entries or adds nonnegative terms to
+        them before the same mean over t, and rounding is monotone on
+        nonnegative numbers, so it is bitwise <= the objective for any keep."""
+        pvur = self.objective_kind == "pvur_star"
+        x += (self.dev_const if pvur else self.diff_const).reshape(-1)[keep]
         if pvur:
             np.abs(x, out=x)
         else:
@@ -547,20 +547,23 @@ class _BnBSolver:
         Completions come in lexicographic order and are scored in chunks of
         ``LEAF_CHUNK`` consecutive ones; points that break the counts or a
         side row are masked out before scoring, and the first minimum wins.
-        Before that, two bound passes, anchored on the chunk's first row and
-        then on the last survivor, drop the rows whose lower bound exceeds
-        the leaf's best so far or ``inc_value``; ties survive, so the first
-        minimum is the same whenever it is below ``inc_value``.
+        Before that, two bound passes drop the rows whose lower bound
+        exceeds the leaf's best so far or ``inc_value``: one on the columns
+        of the leaf's zero-switch completion, summed by ``completions``
+        along its prefixes, then one per chunk on its last survivor's.  Ties
+        survive, so the first minimum is the same when below ``inc_value``.
         """
         prog = self.prog
-        cands = completions(prog.c0, fixed, prog.delta_max - self._used(fixed))
+        keep = prog._kept_columns(np.where(np.array(fixed) == 0, prog.c0, fixed))
+        cands, sums = completions(prog.c0, fixed, prog.delta_max - self._used(fixed),
+                                  prog._objective_columns[:, keep])
+        bounds = prog._finish_bound(sums, keep)
         best_val, best_assign = np.inf, None
         for start in range(0, len(cands), LEAF_CHUNK):
-            chunk = cands[start:start + LEAF_CHUNK]
             limit = min(best_val, inc_value)
-            for anchor in (0, -1):
-                if len(chunk):
-                    chunk = chunk[prog._leaf_bound(chunk, anchor) <= limit]
+            chunk = cands[start:start + LEAF_CHUNK][bounds[start:start + LEAF_CHUNK] <= limit]
+            if len(chunk):
+                chunk = chunk[prog._leaf_bound(chunk, -1) <= limit]
             chunk = chunk[prog.feasible_mask(chunk)]
             if len(chunk):
                 vals = prog.objective_batch(chunk)
@@ -572,19 +575,22 @@ class _BnBSolver:
 
 
 def _raise_with_iis(prog: BinaryProgram, solver: "_BnBSolver") -> None:
-    """Shrink the ub rows to an irreducible infeasible subset and raise."""
+    """Shrink the ub rows to an irreducible infeasible subset and raise: a
+    block of rows goes while the rest stays infeasible, else it is halved; a
+    single row that cannot go is needed (later deletions only loosen the
+    rest), and the next block is then the whole remainder."""
     a_eq, b_eq, a_ub, b_ub, _ = solver._node_base_rows((0,) * prog.n_users)
-    labels = prog.rows[2]
-
-    def feasible(keep):
-        res = solve_lp(np.zeros(a_eq.shape[1]), a_ub[keep], b_ub[keep], a_eq, b_eq)
-        return res.status == "optimal"
-
-    keep = list(range(len(labels)))
-    for r in list(keep):
-        trial = [k for k in keep if k != r]
-        if not feasible(trial):
+    labels, zero = prog.rows[2], np.zeros(a_eq.shape[1])
+    keep, i, size = list(range(len(labels))), 0, len(labels)
+    while i < len(keep):
+        size = min(size, len(keep) - i)
+        trial = keep[:i] + keep[i + size:]
+        if solve_lp(zero, a_ub[trial], b_ub[trial], a_eq, b_eq).status != "optimal":
             keep = trial
+        elif size > 1:
+            size //= 2
+        else:
+            i, size = i + 1, len(keep)
     raise InfeasibleProgramError(
         "binary program infeasible", rows=[labels[k] for k in keep])
 

@@ -480,28 +480,36 @@ def completion_count(n_free: int, budget: int) -> int:
     return sum(math.comb(n_free, k) * 2 ** k for k in range(min(budget, n_free) + 1))
 
 
-def completions(c0, fixed, budget: int) -> np.ndarray:
+def completions(c0, fixed, budget: int, columns=None):
     """Every completion of the partial configuration ``fixed`` (0 = free)
     that moves at most ``budget`` of its free users off their phase in
     ``c0``, as an (M, n) int8 array in lexicographic order.
 
     Prefixes are extended one position at a time; each prefix with budget
     left has at least one completion, so no intermediate array outgrows
-    the result.
+    the result.  Given ``columns`` (3n, L), one row per (user, phase), it
+    returns ``(rows, sums)``: each prefix carries its users' columns added
+    in user order from +0, so ``sums`` is bitwise ``miqp._gather_sum``'s.
     """
     c0 = np.asarray(c0, dtype=np.int8)
     rows = np.array([fixed], dtype=np.int8)
-    if budget < 0:
-        return rows[:0]
+    cols = np.zeros((3 * rows.shape[1], 0)) if columns is None else columns
+    sums = np.zeros((1, cols.shape[1]))
     left = np.array([budget])
     phases = np.array(PHASES, dtype=np.int8)
-    for pos in np.flatnonzero(rows[0] == 0):
+    for pos, ph in enumerate(rows[0].tolist()):
+        if ph:
+            sums += cols[3 * pos + ph - 1]
+            continue
         cost = (phases != c0[pos]).astype(int)
         parent, choice = np.nonzero(cost[None, :] <= left[:, None])
-        rows = rows[parent]
-        rows[:, pos] = phases[choice]
-        left = left[parent] - cost[choice]
-    return rows
+        rows, sums = rows.take(parent, axis=0), sums.take(parent, axis=0)
+        rows[:, pos] = phases.take(choice)
+        left = left.take(parent) - cost.take(choice)
+        sums += cols.take(3 * pos + choice, axis=0)
+    if budget < 0:  # the rows empty at the first free user, if there is one
+        rows, sums = rows[:0], sums[:0]
+    return rows if columns is None else (rows, sums)
 
 
 def feasible_mask(phases, c0, delta_max: int, fixed_counts,

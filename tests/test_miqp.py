@@ -262,7 +262,8 @@ def test_leaf_with_incumbent_matches_plain_leaf(metric, case, budget, chunk, sid
                                                 data):
     """A leaf given an incumbent returns exactly the plain leaf's first
     minimum whenever that is below the incumbent; small chunks make the
-    leaf's own best prune later chunks."""
+    leaf's own best prune later chunks.  The plain leaf is the brute-force
+    first minimum over every feasible completion, with no bound pass."""
     feeder, loads, rng = case
     prog = build_program(feeder, loads, ConstraintConfig(delta_max=budget),
                          _random_case_spec(feeder, metric))
@@ -276,13 +277,20 @@ def test_leaf_with_incumbent_matches_plain_leaf(metric, case, budget, chunk, sid
     left = budget - solver._used(fixed)
     assume(left >= 0)
     cands = completions(prog.c0, fixed, left)
-    values = sorted(prog.objective_batch(cands[prog.feasible_mask(cands)]))
+    feasible = cands[prog.feasible_mask(cands)]
+    scores = prog.objective_batch(feasible)
+    values = sorted(scores)
     inc = data.draw(st.sampled_from([np.inf] + values))
     if data.draw(st.booleans()):
         inc = np.nextafter(inc, np.inf)
     with mock.patch.object(miqp, "LEAF_CHUNK", chunk):
         plain_value, plain = solver._enumerate_leaf(fixed)
         value, assignment = solver._enumerate_leaf(fixed, inc)
+    if len(feasible):
+        first = int(np.argmin(scores))
+        assert (plain_value, plain) == (scores[first], PhaseAssignment(feasible[first]))
+    else:
+        assert (plain_value, plain) == (np.inf, None)
     if plain_value < inc:
         assert (value, assignment) == (plain_value, plain)
     else:
@@ -366,6 +374,49 @@ def test_infeasible_program_reports_rows(line):
         branch_and_bound(prog)
     assert err.value.rows  # an irreducible subset is named
     assert any("count" in label for label in err.value.rows)
+
+
+def test_iis_among_many_side_rows_takes_few_lps(line, monkeypatch):
+    """Among 200 side rows that no point can break, the deletion filter names
+    the three rows that conflict, and it solves far fewer LPs than rows."""
+    feeder, loads = line
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=3),
+                         ObjectiveSpec("pvur_star"))
+    n = prog.n_users
+    rng = np.random.default_rng(11)
+    rows = []
+    for r in range(200):  # the worst one-hot point stays below the rhs
+        coef = rng.normal(size=(n, 3))
+        rows.append((f"slack{r}", coef, float(coef.max(axis=1).sum()) + 0.1))
+    for pair in ((0, 1), (1, 2), (0, 2)):  # any two of user 0's phases at most 0.5
+        coef = np.zeros((n, 3))
+        coef[0, pair] = 1.0
+        rows.insert(int(rng.integers(len(rows) + 1)),
+                    (f"pair_{pair[0] + 1}{pair[1] + 1}", coef, 0.5))
+    prog = _append_side_rows(prog, rows)
+    lp_calls = []
+    solve_lp = miqp.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        lp_calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(miqp, "solve_lp", counting_solve_lp)
+    with pytest.raises(InfeasibleProgramError) as err:
+        branch_and_bound(prog)
+    labels = prog.rows[2]
+    assert sorted(err.value.rows) == ["pair_12", "pair_13", "pair_23"]
+    assert len(lp_calls) < len(labels) / 4
+
+    a_eq, b_eq, a_ub, b_ub, _ = _BnBSolver(prog, BnBOptions())._node_base_rows((0,) * n)
+
+    def status(keep):
+        return solve_lp(np.zeros(3 * n), a_ub[keep], b_ub[keep], a_eq, b_eq).status
+
+    named = [labels.index(label) for label in err.value.rows]
+    assert status(named) == "infeasible"
+    for r in named:  # so the named rows less r are feasible too: irreducible
+        assert status([k for k in range(len(labels)) if k != r]) == "optimal"
 
 
 def test_relaxation_feasible_without_integer_point(twenty_user, monkeypatch):

@@ -12,7 +12,7 @@ import reference_impls as ref
 from phasebal import fixtures
 from phasebal.errors import InputParseError, ValidationError
 from phasebal.metrics import ObjectiveSpec
-from phasebal.miqp import build_program
+from phasebal.miqp import _gather_sum, build_program
 from phasebal.network import (PHASES, Branch, ConstraintConfig, LoadSeries,
                               PhaseAssignment, User, binary_feasible, completion_count,
                               completions, downstream_users, feasible_mask,
@@ -388,6 +388,17 @@ def test_feasible_mask_counts_fixed_users():
         assert [binary_feasible(feeder, PhaseAssignment(c), cons) for c in configs] == expected
 
 
+def _assert_carried_sums(c0, fixed, budget, columns):
+    """The rows ``completions`` returns with ``columns`` are byte for byte
+    its rows without them, and the sums it carries are ``_gather_sum``'s."""
+    rows, sums = completions(c0, fixed, budget, columns)
+    plain = completions(c0, fixed, budget)
+    assert len(rows) == completion_count(list(fixed).count(0), budget)
+    want = _gather_sum(columns, plain)
+    for got, ref_ in ((rows, plain), (sums, want)):
+        assert (got.shape, got.dtype, got.tobytes()) == (ref_.shape, ref_.dtype, ref_.tobytes())
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_completions_match_filtered_product(data):
@@ -403,6 +414,22 @@ def test_completions_match_filtered_product(data):
     assert rows.shape == (len(expected), n)
     assert [tuple(row) for row in rows.tolist()] == expected
     assert len(rows) == completion_count(len(free), budget)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # spread magnitudes, so that another order of additions would round differently
+    columns = rng.normal(size=(3 * n, data.draw(st.integers(0, 5)))) \
+        * 10.0 ** rng.integers(-6, 7, size=(3 * n, 1))
+    _assert_carried_sums(c0, fixed, budget, columns)
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 2])
+def test_completion_sums_corner_cases(budget):
+    rng = np.random.default_rng(budget + 5)
+    c0 = rng.integers(1, 4, size=6).tolist()
+    # fixed users interleaved with free ones, all fixed, all free
+    for fixed in ([0, 2, 0, 0, 3, 0], [1, 2, 3, 3, 2, 1], [0] * 6):
+        for width in (0, 4):
+            _assert_carried_sums(c0, fixed, budget, rng.normal(size=(18, width)))
+    _assert_carried_sums([], [], budget, np.zeros((0, 3)))
 
 
 def test_injection_series_matches_loop(twenty_user):
