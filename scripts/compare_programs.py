@@ -5,10 +5,12 @@ Builds the branch-and-bound program with ``miqp.build_program`` and prints
 one line per (fixture or seed, objective, budget, constraint variant): the
 number of screened side rows, the baseline objective as an exact hex float
 and a sha256 over the program: its user order, budget and phase-count
-fields, then every array (``dev_const``, ``dev_coef``, ``diff_const``,
-``diff_coef``, ``branch_weight``), then one side row at a time: its entry
-of ``side_labels`` and ``side_rhs``, then its (n, 3) slice of
-``side_coef``.  Run it on two checkouts and ``diff`` the outputs to show
+fields, then every array (``const`` and ``coef`` under their per-objective
+names ``dev_*`` for pvur_star or ``diff_*`` for pu_star, the other pair
+hashed as absent, then ``branch_weight``), then one side row at a time:
+its entry of ``side_labels`` and ``side_rhs``, then its (n, 3) slice of
+``side_coef``.  The per-objective names keep digests comparable with
+those of programs that stored the two pairs as separate fields.  Run it on two checkouts and ``diff`` the outputs to show
 that a change leaves every program bitwise alone:
 
     PYTHONPATH=src python3 scripts/compare_programs.py > after.txt
@@ -29,7 +31,15 @@ from phasebal.network import ConstraintConfig
 
 FIELDS = ("users", "c0", "objective_kind", "horizon", "delta_max", "gamma",
           "fixed_phase_counts")
-ARRAYS = ("dev_const", "dev_coef", "diff_const", "diff_coef", "branch_weight")
+
+
+def arrays(prog):
+    """(name, array or None) of every array in hashing order."""
+    live = "dev" if prog.objective_kind == "pvur_star" else "diff"
+    for prefix in ("dev", "diff"):
+        yield f"{prefix}_const", prog.const if prefix == live else None
+        yield f"{prefix}_coef", prog.coef if prefix == live else None
+    yield "branch_weight", prog.branch_weight
 
 
 def variants(feeder, delta_max: int):
@@ -46,8 +56,7 @@ def program_line(label: str, feeder, loads, metric: str, delta_max: int,
     digest = hashlib.sha256()
     for name in FIELDS:
         digest.update(f"{name} {getattr(prog, name)!r}\n".encode())
-    for name in ARRAYS:
-        arr = getattr(prog, name)
+    for name, arr in arrays(prog):
         shape = None if arr is None else arr.shape
         digest.update(f"{name} {shape}\n".encode())
         if arr is not None:

@@ -92,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="objective vs switching budget")
-    p_sweep.add_argument("--grid", default="0,1,2,3,5,10,20",
-                         help="comma-separated budgets")
+    p_sweep.add_argument("--grid", help="comma-separated budgets")
     p_sweep.add_argument("--csv", help="plot data CSV path")
     p_sweep.add_argument("--time-limit", type=float, dest="time_limit")
 
@@ -102,10 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--feeders", nargs="+",
                          help="feeder JSON files (profiles CSV alongside: "
                               "same path with .profiles.csv)")
-    p_scale.add_argument("--horizons", default="1,24",
-                         help="comma-separated horizon lengths")
-    p_scale.add_argument("--methods", default="miqp,ga")
-    p_scale.add_argument("--repeats", type=int, default=5)
+    p_scale.add_argument("--horizons", help="comma-separated horizon lengths")
+    p_scale.add_argument("--methods")
+    p_scale.add_argument("--repeats", type=int)
     p_scale.add_argument("--csv", help="timing rows CSV path")
 
     p_lp = sub.add_parser("export-lp", parents=[common],
@@ -119,19 +117,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {"objective": "pu-star", "method": "miqp", "seed": 0, "threads": 1,
              "delta_max": 5, "gamma_low": 0, "gamma_upp": 10 ** 9,
-             "enforce_phase_counts": False, "v_min": 0.90, "v_max": 1.10}
+             "enforce_phase_counts": False, "v_min": 0.90, "v_max": 1.10,
+             "grid": "0,1,2,3,5,10,20", "horizons": "1,24", "methods": "miqp,ga",
+             "repeats": 5}
+
+
+def _int_list(value) -> list[int]:
+    return [int(v) for v in str(value).split(",")]
+
+
+_TYPES = {"seed": int, "threads": int, "delta_max": int, "gamma_low": int,
+          "gamma_upp": int, "v_min": float, "v_max": float, "population": int,
+          "f_calls": int, "time_limit": float, "repeats": int, "grid": _int_list,
+          "horizons": _int_list}
 
 
 def _resolve(args) -> dict:
-    """Merge defaults < config file < explicit flags."""
+    """Merge defaults < config file < explicit flags, then type each value;
+    one that does not parse (``delta_max = abc`` in a config file) is a
+    ValidationError."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        for key, value in load_config(args.config).items():
-            merged[key] = value
-    for key, value in vars(args).items():
-        if value is not None:
-            merged[key] = value
+        merged.update(load_config(args.config))
+    merged.update((key, value) for key, value in vars(args).items() if value is not None)
+    for key, convert in _TYPES.items():
+        if merged.get(key) is not None:
+            try:
+                merged[key] = convert(merged[key])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bad value for {key}: {merged[key]!r}") from exc
     return merged
+
+
+def _read_assignment(path):
+    """The ``assignment`` of a run report JSON file, or the file's mapping."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # JSON, UTF-8 and nesting errors
+        raise InputParseError(f"cannot parse assignment file {path}: {exc}") from exc
+    return payload.get("assignment", payload) if isinstance(payload, dict) else payload
 
 
 def _load_inputs(opts):
@@ -146,11 +171,8 @@ def _load_inputs(opts):
 
 def _constraints(opts) -> ConstraintConfig:
     return ConstraintConfig(
-        delta_max=int(opts["delta_max"]),
-        gamma_low=int(opts["gamma_low"]),
-        gamma_upp=int(opts["gamma_upp"]),
-        v_min=float(opts["v_min"]),
-        v_max=float(opts["v_max"]),
+        delta_max=opts["delta_max"], gamma_low=opts["gamma_low"],
+        gamma_upp=opts["gamma_upp"], v_min=opts["v_min"], v_max=opts["v_max"],
         enforce_phase_counts=bool(opts["enforce_phase_counts"]))
 
 
@@ -176,36 +198,31 @@ def run(argv=None) -> int:
         ga_cfg = None
         if opts["method"] == "ga":
             ga_cfg = ga.GAConfig(
-                population_size=int(opts.get("population") or 100),
-                max_fitness_calls=int(opts.get("f_calls") or 6000),
-                rng_seed=int(opts["seed"]), threads=int(opts["threads"]))
+                population_size=opts.get("population") or 100,
+                max_fitness_calls=opts.get("f_calls") or 6000,
+                rng_seed=opts["seed"], threads=opts["threads"])
         report = harness.cmd_optimize(
             feeder, loads, opts["method"], _objective(opts), _constraints(opts),
-            seed=int(opts["seed"]), threads=int(opts["threads"]),
+            seed=opts["seed"], threads=opts["threads"],
             ga_config=ga_cfg, time_limit_s=opts.get("time_limit"),
             trace_path=opts.get("trace"))
         _emit(opts, report.to_json())
     elif args.verb == "validate":
         feeder, loads = _load_inputs(opts)
-        with open(args.assignment) as fh:
-            payload = json.load(fh)
         assignment = harness.assignment_from_payload(
-            feeder, payload.get("assignment", payload))
+            feeder, _read_assignment(args.assignment))
         report = harness.cmd_validate(feeder, assignment, loads,
                                       csv_path=opts.get("csv"))
         _emit(opts, json.dumps(report, sort_keys=True, indent=1))
     elif args.verb == "sweep":
         feeder, loads = _load_inputs(opts)
-        grid = [int(g) for g in str(opts.get("grid", "0,1,2,3,5,10,20")).split(",")]
         report = harness.cmd_sweep_switches(
-            feeder, loads, _objective(opts), grid, method=opts["method"],
-            seed=int(opts["seed"]), constraints=_constraints(opts),
+            feeder, loads, _objective(opts), opts["grid"], method=opts["method"],
+            seed=opts["seed"], constraints=_constraints(opts),
             time_limit_s=opts.get("time_limit") or 20.0,
             csv_path=opts.get("csv"))
         _emit(opts, json.dumps(report.__dict__, sort_keys=True, indent=1))
     elif args.verb == "scale":
-        horizons = [int(h) for h in str(opts.get("horizons", "1,24")).split(",")]
-        methods = str(opts.get("methods", "miqp,ga")).split(",")
         trio = []
         for path in args.feeders or []:
             feeder = load_feeder(path)
@@ -213,8 +230,9 @@ def run(argv=None) -> int:
             trio.append((path, feeder, load_profiles(profiles, feeder)))
         if not trio:
             raise ValidationError("scale needs --feeders")
-        report = harness.cmd_scaling(trio, horizons, methods,
-                                     repeats=int(opts.get("repeats", 5)),
+        report = harness.cmd_scaling(trio, opts["horizons"],
+                                     str(opts["methods"]).split(","),
+                                     repeats=opts["repeats"],
                                      objective=_objective(opts),
                                      constraints=_constraints(opts),
                                      csv_path=opts.get("csv"))

@@ -48,11 +48,16 @@ def assignment_payload(feeder: Feeder, assignment: PhaseAssignment) -> dict:
 
 
 def assignment_from_payload(feeder: Feeder, payload: dict) -> PhaseAssignment:
+    if not isinstance(payload, dict):
+        raise ValidationError(f"assignment payload is a {type(payload).__name__}, not a mapping")
     pr = feeder.reconfigurable_users()
     missing = [u.id for u in pr if u.id not in payload]
     if missing:
         raise ValidationError(f"assignment payload missing users {missing}")
-    return PhaseAssignment(tuple(int(payload[u.id]) for u in pr))
+    try:
+        return PhaseAssignment(tuple(int(payload[u.id]) for u in pr))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"assignment payload: {exc}") from exc
 
 
 @dataclass

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dropmatrices import GAMMA, GAMMA_IM, GAMMA_RE, ab_matrices  # noqa: F401 (re-exported)
 from .network import Feeder, LoadSeries, PhaseAssignment, injection_series
 
 

@@ -4,7 +4,8 @@ The writer materializes every row of the program (one-hot rows, then the
 non-zero entries of ``BinaryProgram.rows``: switch budget, optional
 phase-count rows and screened voltage/thermal rows, all in ``<=`` form, so
 a lower count bound is written negated; and, for the epigraph objective,
-every deviation row) in a fixed order: binaries first (users by id,
+both signs of every deviation ``const + coef . delta`` against its
+timestep's auxiliary) in a fixed order: binaries first (users by id,
 phases 1..3), then auxiliaries.  Quadratic objectives
 use the bracketed section with doubled coefficients and the trailing
 ``/ 2``, as CPLEX expects.  Objective constants ride on the conventional
@@ -67,12 +68,12 @@ def _program_rows(prog: BinaryProgram):
     n_side = len(labels)
     if prog.objective_kind == "pvur_star":
         # per (t, k, ph): coef . delta - m_t <= -const, then -coef . delta - m_t <= const
-        t_dim, k_dim, _ = prog.dev_const.shape
+        t_dim, k_dim, _ = prog.const.shape
         labels += [f"dev_t{t}_k{k}_ph{ph}_{tag}" for t in range(t_dim) for k in range(k_dim)
                    for ph in (1, 2, 3) for tag in ("pos", "neg")]
-        dev = np.stack([prog.dev_coef, -prog.dev_coef], axis=3)
+        dev = np.stack([prog.coef, -prog.coef], axis=3)
         coef = np.concatenate([coef, dev.reshape(len(labels) - n_side, -1)])
-        rhs = np.concatenate([rhs, np.stack([-prog.dev_const, prog.dev_const], axis=3).ravel()])
+        rhs = np.concatenate([rhs, np.stack([-prog.const, prog.const], axis=3).ravel()])
     names = prog.var_names()
     terms = [{} for _ in labels]
     for r, col in zip(*np.nonzero(coef)):

@@ -30,7 +30,7 @@ A node whose budget-feasible completions (``network.completion_count``)
 fit the leaf cap is closed exactly: its completions are generated in
 lexicographic order by ``network.completions`` and scored in chunks.
 Leaves are scored from (M, n) phase arrays in blocks of rows: the affine
-part of the objective and of each side row gathers one coefficient row
+part of the objective and of every ``<=`` row gathers one coefficient row
 per user and adds them in user order.  That is the dense one-hot
 contraction's order less its exact zeros, so objective values are bitwise
 the dense formula's, and no row's value depends on the batch around it.
@@ -59,7 +59,7 @@ from . import lindist, metrics
 from .errors import InfeasibleProgramError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
-                      completion_count, completions, feasible_mask, fixed_phase_counts)
+                      completion_count, completions, fixed_phase_counts)
 from .simplex import solve_lp
 
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
@@ -104,22 +104,21 @@ class BinaryProgram:
     epigraph objective) one auxiliary per timestep.
     """
 
-    feeder: Feeder
     users: tuple[str, ...]
     c0: tuple[int, ...]
     objective_kind: str
     horizon: int
     delta_max: int
-    gamma: tuple[int, int] | None      # remaining per-phase headroom handled at eval
-    fixed_phase_counts: tuple[int, int, int]
-    # pvur_star: deviation(t, loc, ph) = dev_const + dev_coef . delta   (percent)
-    dev_const: np.ndarray | None       # (T, K, 3)
-    dev_coef: np.ndarray | None        # (T, K, 3, n, 3)
-    # pu_star: diff(t, br, pair) = diff_const + diff_coef . delta  (pu), with
-    # weight[br] = 100 / denom[br]^2 applied inside the quadratic objective
-    diff_const: np.ndarray | None      # (T, B, 3)
-    diff_coef: np.ndarray | None       # (T, B, 3, n, 3)
-    branch_weight: np.ndarray | None   # (B,)
+    gamma: tuple[int, int] | None      # (low, upp) users per phase, None if not enforced
+    fixed_phase_counts: tuple[int, int, int]  # non-reconfigurable users per phase
+    # the objective's affine map x(t, loc, j) = const + coef . delta over L
+    # locations: pvur_star's deviation of phase j from its bus's phase mean
+    # (percent, K balance buses), pu_star's cyclic flow difference of phase
+    # pair j (pu, B balance branches), weighted by branch_weight[br] =
+    # 100 / denom[br]^2 inside the quadratic objective
+    const: np.ndarray                  # (T, L, 3)
+    coef: np.ndarray                   # (T, L, 3, n, 3)
+    branch_weight: np.ndarray | None   # (B,) for pu_star, None for pvur_star
     # R screened voltage-band and thermal rows over delta: coef . delta <= rhs
     side_labels: tuple[str, ...]       # (R,)
     side_coef: np.ndarray              # (R, n, 3)
@@ -140,16 +139,9 @@ class BinaryProgram:
 
     @functools.cached_property
     def _objective_columns(self) -> np.ndarray:
-        """The objective's affine coefficients as (3n, T*K*3) or (3n, T*B*3)."""
-        coef = self.dev_coef if self.objective_kind == "pvur_star" else self.diff_coef
-        return np.ascontiguousarray(np.moveaxis(coef, (3, 4), (0, 1))).reshape(
+        """``coef`` as (3n, T*L*3), one row per (user, phase)."""
+        return np.ascontiguousarray(np.moveaxis(self.coef, (3, 4), (0, 1))).reshape(
             3 * self.n_users, -1)
-
-    @functools.cached_property
-    def _side_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The side rows' coefficients as (3n, R) and their limits (R,)."""
-        coef = np.moveaxis(self.side_coef, 0, -1).reshape(3 * self.n_users, -1)
-        return coef, self.side_rhs + 1e-9
 
     @functools.cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -194,7 +186,7 @@ class BinaryProgram:
         """
         phases = np.asarray(phases)
         pvur = self.objective_kind == "pvur_star"
-        const = (self.dev_const if pvur else self.diff_const).reshape(-1)
+        const = self.const.reshape(-1)
         out = np.empty(len(phases))
         for start in range(0, len(phases), SCORE_BLOCK):
             block = phases[start:start + SCORE_BLOCK]
@@ -216,10 +208,8 @@ class BinaryProgram:
         """Per timestep, the objective column where the (n,) configuration
         ``row`` scores worst: the (bus, phase) deviation for pvur_star, the
         (branch, pair) term ``w_b x^2`` for pu_star."""
-        pvur = self.objective_kind == "pvur_star"
-        const = (self.dev_const if pvur else self.diff_const).reshape(-1)
-        worst = _gather_sum(self._objective_columns, row[None])[0] + const
-        if pvur:
+        worst = _gather_sum(self._objective_columns, row[None])[0] + self.const.reshape(-1)
+        if self.objective_kind == "pvur_star":
             worst = np.abs(worst)
         else:
             worst = np.square(worst).reshape(self.horizon, -1, 3) \
@@ -238,9 +228,8 @@ class BinaryProgram:
         objective maximizes over these entries or adds nonnegative terms to
         them before the same mean over t, and rounding is monotone on
         nonnegative numbers, so it is bitwise <= the objective for any keep."""
-        pvur = self.objective_kind == "pvur_star"
-        x += (self.dev_const if pvur else self.diff_const).reshape(-1)[keep]
-        if pvur:
+        x += self.const.reshape(-1)[keep]
+        if self.objective_kind == "pvur_star":
             np.abs(x, out=x)
         else:
             np.square(x, out=x)
@@ -250,16 +239,21 @@ class BinaryProgram:
         return x.mean(axis=1)
 
     def feasible_mask(self, phases: np.ndarray) -> np.ndarray:
-        """Which of the (M, n) configurations ``phases`` meet the budget, the
-        phase counts and every screened side row."""
+        """Which of the (M, n) configurations ``phases`` meet every row of
+        ``rows`` (budget, phase counts, side rows) to within 1e-9.
+
+        The budget and count sums are small integers, hence exact; each side
+        row's sum is the user-ordered ``_gather_sum`` of its own column."""
         phases = np.asarray(phases)
-        ok = feasible_mask(phases, self.c0, self.delta_max,
-                           self.fixed_phase_counts, self.gamma)
-        if self.side_labels:
-            columns, limits = self._side_columns
-            for start in range(0, len(phases), SCORE_BLOCK):
-                lhs = _gather_sum(columns, phases[start:start + SCORE_BLOCK])
-                ok[start:start + SCORE_BLOCK] &= (lhs <= limits).all(axis=1)
+        if phases.ndim != 2 or phases.shape[1] != self.n_users:
+            raise ValidationError(
+                f"configurations of shape {phases.shape} for {self.n_users} users")
+        coef, rhs, _ = self.rows
+        columns = np.moveaxis(coef, 0, -1).reshape(3 * self.n_users, -1)
+        ok = np.empty(len(phases), dtype=bool)
+        for start in range(0, len(phases), SCORE_BLOCK):
+            lhs = _gather_sum(columns, phases[start:start + SCORE_BLOCK])
+            ok[start:start + SCORE_BLOCK] = (lhs <= rhs + 1e-9).all(axis=1)
         return ok
 
     def point_feasible(self, assignment: PhaseAssignment) -> bool:
@@ -320,41 +314,31 @@ def build_program(feeder: Feeder, loads: LoadSeries,
                           feeder.branch_index(br), lim, -lim))
     side_labels, side_coef, side_rhs = _screened_rows(bands, n)
 
-    kwargs = dict(feeder=feeder, users=users, c0=c0, horizon=horizon,
-                  delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,
-                  fixed_phase_counts=fixed_phase_counts(feeder), side_labels=side_labels,
-                  side_coef=side_coef, side_rhs=side_rhs,
-                  dev_const=None, dev_coef=None, diff_const=None,
-                  diff_coef=None, branch_weight=None)
-
     if objective.metric == "pvur_star":
         buses = objective.buses_for(feeder)
         k_idx = [feeder.bus_index(b) for b in buses]
         omega0 = sens.omega0[:, k_idx, :]                    # (T, K, 3)
         d_omega = sens.d_omega[:, :, :, k_idx, :]            # (n, 3, T, K, 3)
-        dev_const = (omega0 - omega0.mean(axis=2, keepdims=True)) * 100.0
+        const = (omega0 - omega0.mean(axis=2, keepdims=True)) * 100.0
         coef = np.moveaxis(d_omega, (0, 1), (3, 4))          # (T, K, 3, n, 3)
-        dev_coef = (coef - coef.mean(axis=2, keepdims=True)) * 100.0
-        baseline = float(np.abs(dev_const).max(axis=(1, 2)).mean()) if n == 0 else 0.0
-        return BinaryProgram(**{**kwargs, "objective_kind": "pvur_star",
-                                "dev_const": dev_const, "dev_coef": dev_coef,
-                                "baseline_objective": baseline})
-
-    b_idx = [feeder.branch_index(br) for br in balance_branches]
-    flow0 = sens.flow0_p[:, b_idx]                           # (T, B, 3)
-    d_flow = sens.d_flow_p[:, :, :, b_idx]                   # (n, 3, T, B, 3)
-    diff_const = flow0 - np.roll(flow0, -1, axis=2)
-    coef = d_flow - np.roll(d_flow, -1, axis=4)
-    diff_coef = np.moveaxis(coef, (0, 1), (3, 4))            # (T, B, 3, n, 3)
-    weight = np.array([100.0 / metrics.denominator(feeder, loads, br) ** 2
-                       for br in balance_branches])
-    baseline = 0.0
-    if n == 0:
-        per_branch = (diff_const ** 2).sum(axis=2) * weight[None, :]
-        baseline = float(per_branch.mean(axis=1).mean())
-    return BinaryProgram(**{**kwargs, "objective_kind": "pu_star",
-                            "diff_const": diff_const, "diff_coef": diff_coef,
-                            "branch_weight": weight, "baseline_objective": baseline})
+        coef = (coef - coef.mean(axis=2, keepdims=True)) * 100.0
+        weight = None
+        baseline = 0.0 if n else float(np.abs(const).max(axis=(1, 2)).mean())
+    else:
+        b_idx = [feeder.branch_index(br) for br in balance_branches]
+        flow0 = sens.flow0_p[:, b_idx]                       # (T, B, 3)
+        d_flow = sens.d_flow_p[:, :, :, b_idx]               # (n, 3, T, B, 3)
+        const = flow0 - np.roll(flow0, -1, axis=2)
+        coef = np.moveaxis(d_flow - np.roll(d_flow, -1, axis=4), (0, 1), (3, 4))
+        weight = np.array([100.0 / metrics.denominator(feeder, loads, br) ** 2
+                           for br in balance_branches])
+        baseline = 0.0 if n else float(((const ** 2).sum(axis=2) * weight).mean(axis=1).mean())
+    return BinaryProgram(
+        users=users, c0=c0, objective_kind=objective.metric, horizon=horizon,
+        delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,
+        fixed_phase_counts=fixed_phase_counts(feeder), const=const, coef=coef,
+        branch_weight=weight, side_labels=side_labels, side_coef=side_coef,
+        side_rhs=side_rhs, baseline_objective=baseline)
 
 
 # -- branch and bound --------------------------------------------------------
@@ -371,23 +355,14 @@ class BnBResult:
     relaxations_solved: int = 0
 
 
-class _NodeData:
-    __slots__ = ("fixed", "bound", "active_rows")
-
-    def __init__(self, fixed, bound, active_rows=()):
-        self.fixed = fixed          # tuple of phase or 0 (free), length n
-        self.bound = bound
-        self.active_rows = active_rows  # epigraph working set, inherited
-
-
 def _quadratic_parts(prog: BinaryProgram):
     """Global (Q, q, const) of the pu_star objective over flattened delta."""
-    t_dim, b_dim, _, n, _ = prog.diff_coef.shape
-    a = prog.diff_coef.reshape(t_dim, b_dim, 3, 3 * n)
+    t_dim, b_dim, _, n, _ = prog.coef.shape
+    a = prog.coef.reshape(t_dim, b_dim, 3, 3 * n)
     w = prog.branch_weight[None, :, None] / (t_dim * b_dim)
     q_mat = np.einsum("tbja,tbjc,tbj->ac", a, a, np.broadcast_to(w, a.shape[:3]))
-    lin = 2.0 * np.einsum("tbja,tbj->a", a, prog.diff_const * w)
-    const = float(np.sum(prog.diff_const ** 2 * w))
+    lin = 2.0 * np.einsum("tbja,tbj->a", a, prog.const * w)
+    const = float(np.sum(prog.const ** 2 * w))
     return q_mat, lin, const
 
 
@@ -424,12 +399,12 @@ class _BnBSolver:
 
     def _node_dev(self, fixed, free):
         prog = self.prog
-        const = prog.dev_const.copy()
+        const = prog.const.copy()
         for i, ph in enumerate(fixed):
             if ph:
-                const += prog.dev_coef[:, :, :, i, ph - 1]
+                const += prog.coef[:, :, :, i, ph - 1]
         t_dim, k_dim, _ = const.shape
-        coef = prog.dev_coef[:, :, :, free, :].reshape(t_dim, k_dim, 3, -1)
+        coef = prog.coef[:, :, :, free, :].reshape(t_dim, k_dim, 3, -1)
         return const, coef
 
     def _solve_lp_node(self, fixed, active_rows):
@@ -545,8 +520,8 @@ class _BnBSolver:
         it is below ``inc_value``.
 
         Completions come in lexicographic order and are scored in chunks of
-        ``LEAF_CHUNK`` consecutive ones; points that break the counts or a
-        side row are masked out before scoring, and the first minimum wins.
+        ``LEAF_CHUNK`` consecutive ones; points that break a row of
+        ``prog.rows`` are masked out before scoring, and the first minimum wins.
         Before that, two bound passes drop the rows whose lower bound
         exceeds the leaf's best so far or ``inc_value``: one on the columns
         of the leaf's zero-switch completion, summed by ``completions``
@@ -628,14 +603,14 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
                 incumbent, inc_value = cand, val
 
     counter = itertools.count()
-    heap = [(-np.inf, next(counter),
-             _NodeData(fixed=(0,) * prog.n_users, bound=-np.inf))]
+    # (bound, seq, fixed phases or 0 for free, inherited epigraph working set)
+    heap = [(-np.inf, next(counter), (0,) * prog.n_users, ())]
     nodes = 0
     status = "optimal"
     final_bound = None
 
     while heap:
-        bound, _, node = heapq.heappop(heap)
+        bound, _, fixed, active_rows = heapq.heappop(heap)
         if bound >= inc_value - solver._prune_slack(inc_value):
             final_bound = bound  # remaining nodes cannot beat the incumbent
             break
@@ -648,33 +623,33 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
             break
         nodes += 1
 
-        n_free = node.fixed.count(0)
-        if completion_count(n_free, prog.delta_max - solver._used(node.fixed)) \
+        n_free = fixed.count(0)
+        if completion_count(n_free, prog.delta_max - solver._used(fixed)) \
                 <= opts.leaf_enum_cap:
-            val, assign = solver._enumerate_leaf(node.fixed, inc_value)
+            val, assign = solver._enumerate_leaf(fixed, inc_value)
             if assign is not None and val < inc_value:
                 inc_value, incumbent = val, assign
             continue
 
         if prog.objective_kind == "pvur_star":
-            st, rel_bound, x, active = solver._solve_lp_node(node.fixed,
-                                                             node.active_rows)
+            st, rel_bound, x, active = solver._solve_lp_node(fixed,
+                                                             active_rows)
         else:
-            st, rel_bound, x = solver._solve_qp_node(node.fixed, inc_value)
+            st, rel_bound, x = solver._solve_qp_node(fixed, inc_value)
             active = ()
         if st == "infeasible":
             continue
         if st != "optimal" or rel_bound is None:
-            rel_bound, x = node.bound, None
-        rel_bound = max(rel_bound, node.bound)
+            rel_bound, x = bound, None
+        rel_bound = max(rel_bound, bound)
         if rel_bound >= inc_value - solver._prune_slack(inc_value):
             continue
 
-        free = [i for i, ph in enumerate(node.fixed) if ph == 0]
+        free = [i for i, ph in enumerate(fixed) if ph == 0]
         branch_user = free[0]
         if x is not None:
             frac_score = -1.0
-            rounded = list(node.fixed)
+            rounded = list(fixed)
             for r, i in enumerate(free):
                 d_u = x[3 * r: 3 * r + 3]
                 score = 1.0 - float(d_u.max())
@@ -690,13 +665,12 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
                 # integral LP solution: the node bound equals its objective
                 continue
         for ph in (1, 2, 3):
-            child = list(node.fixed)
+            child = list(fixed)
             child[branch_user] = ph
             child = tuple(child)
             if solver._used(child) > prog.delta_max:
                 continue
-            heapq.heappush(heap, (rel_bound, next(counter),
-                                  _NodeData(child, rel_bound, active)))
+            heapq.heappush(heap, (rel_bound, next(counter), child, active))
 
     if incumbent is None:
         # the root relaxation is feasible, so no subset of rows is infeasible

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from phasebal.lindist import ab_matrices
+from phasebal.dropmatrices import ab_matrices
 from phasebal.network import injection_series, user_phases
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
@@ -193,9 +193,8 @@ def gather_sum_sequential(columns, phases):
 
 
 def _objective_columns(prog):
-    coef = prog.dev_coef if prog.objective_kind == "pvur_star" else prog.diff_coef
-    n = coef.shape[3]
-    return np.stack([coef[..., u, f].reshape(-1) for u in range(n) for f in range(3)])
+    n = prog.coef.shape[3]
+    return np.stack([prog.coef[..., u, f].reshape(-1) for u in range(n) for f in range(3)])
 
 
 def objective_sequential(prog, phases):
@@ -204,10 +203,10 @@ def objective_sequential(prog, phases):
     out = []
     for s in sums:
         if prog.objective_kind == "pvur_star":
-            dev = np.abs(prog.dev_const.reshape(-1) + s)
+            dev = np.abs(prog.const.reshape(-1) + s)
             out.append(dev.reshape(prog.horizon, -1).max(axis=1).mean())
         else:
-            diff = (prog.diff_const.reshape(-1) + s) ** 2
+            diff = (prog.const.reshape(-1) + s) ** 2
             per_branch = diff.reshape(prog.horizon, -1, 3).sum(axis=2) * prog.branch_weight
             out.append(per_branch.mean(axis=1).mean())
     return np.array(out)
@@ -217,9 +216,9 @@ def objective_einsum(prog, phases):
     """The program's objective as a dense contraction over one-hot matrices."""
     deltas = _one_hot(phases)
     if prog.objective_kind == "pvur_star":
-        dev = prog.dev_const[None] + np.einsum("tkpuf,muf->mtkp", prog.dev_coef, deltas)
+        dev = prog.const[None] + np.einsum("tkpuf,muf->mtkp", prog.coef, deltas)
         return np.abs(dev).max(axis=(2, 3)).mean(axis=1)
-    diff = prog.diff_const[None] + np.einsum("tbjuf,muf->mtbj", prog.diff_coef, deltas)
+    diff = prog.const[None] + np.einsum("tbjuf,muf->mtbj", prog.coef, deltas)
     per_branch = (diff ** 2).sum(axis=3) * prog.branch_weight[None, None, :]
     return per_branch.mean(axis=2).mean(axis=1)
 

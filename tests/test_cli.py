@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -251,3 +252,68 @@ def test_config_bad_line(tmp_path):
     path.write_text("just a word\n")
     with pytest.raises(InputParseError):
         load_config(path)
+
+
+@pytest.mark.parametrize("content", [None, "not json", "[1, 2, 3]",
+                                     json.dumps({"assignment": {"u1": "x", "u2": 1, "u3": 1}})],
+                         ids=["missing", "not_json", "list", "phase_text"])
+def test_unreadable_assignment_is_exit_2(line_paths, tmp_path, capsys, content):
+    feeder_path, profiles_path = line_paths
+    assignment = tmp_path / "assignment.json"
+    if content is not None:
+        assignment.write_text(content)
+    code = main(["validate", "--feeder", str(feeder_path), "--profiles", str(profiles_path),
+                 "--assignment", str(assignment)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, flag, config", [
+    ("sweep", ["--grid", "1,x"], ""),
+    ("scale", ["--horizons", "1,y"], ""),
+    ("sweep", [], "delta_max = abc\n"),
+    ("scale", [], "repeats = 1.5x\n"),
+], ids=["grid_text", "horizons_text", "config_delta_max_text", "config_repeats_text"])
+def test_unparsable_value_is_exit_2(line_paths, tmp_path, capsys, verb, flag, config):
+    feeder_path, profiles_path = line_paths
+    conf = tmp_path / "run.conf"
+    conf.write_text(config)
+    inputs = (["--feeders", str(feeder_path)] if verb == "scale"
+              else ["--feeder", str(feeder_path), "--profiles", str(profiles_path)])
+    code = main([verb, "--config", str(conf), *inputs, *flag])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_sets_sweep_grid_and_flag_overrides(line_paths, tmp_path, monkeypatch):
+    feeder_path, profiles_path = line_paths
+    seen = []
+
+    def fake_sweep(feeder, loads, objective, grid, **kwargs):
+        seen.append(grid)
+        return types.SimpleNamespace(grid=grid)
+
+    monkeypatch.setattr(harness, "cmd_sweep_switches", fake_sweep)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"feeder = {feeder_path}\nprofiles = {profiles_path}\ngrid = 0,1\n")
+    out = str(tmp_path / "sweep.json")
+    assert main(["sweep", "--config", str(conf), "--out", out]) == 0
+    assert main(["sweep", "--config", str(conf), "--grid", "2,3", "--out", out]) == 0
+    assert seen == [[0, 1], [2, 3]]
+
+
+def test_config_sets_scale_options(line_paths, tmp_path, monkeypatch):
+    feeder_path, _ = line_paths
+    seen = {}
+
+    def fake_scaling(feeder_loads, horizons, methods, **kwargs):
+        seen.update(horizons=horizons, methods=methods, repeats=kwargs["repeats"])
+        return {}
+
+    monkeypatch.setattr(harness, "cmd_scaling", fake_scaling)
+    conf = tmp_path / "run.conf"
+    conf.write_text("horizons = 2,3\nmethods = ga\nrepeats = 2\n")
+    assert main(["scale", "--config", str(conf), "--feeders", str(feeder_path)]) == 0
+    assert seen == {"horizons": [2, 3], "methods": ["ga"], "repeats": 2}
+    assert main(["scale", "--feeders", str(feeder_path)]) == 0
+    assert seen == {"horizons": [1, 24], "methods": ["miqp", "ga"], "repeats": 5}

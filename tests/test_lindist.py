@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures, powerflow
-from phasebal.lindist import (GAMMA_IM, GAMMA_RE, AffineSensitivity, _sweep,
-                              ab_matrices, evaluate_series, sensitivity)
+from phasebal.dropmatrices import GAMMA_IM, GAMMA_RE, ab_matrices
+from phasebal.lindist import AffineSensitivity, _sweep, evaluate_series, sensitivity
 from phasebal.network import (Branch, LoadSeries, PhaseAssignment, User,
                               downstream_users, make_feeder,
                               original_assignment)

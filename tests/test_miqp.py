@@ -145,12 +145,14 @@ def programs(twenty_user):
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 600),
        metric=st.sampled_from(["pvur_star", "pu_star"]),
-       locations=st.integers(1, 4), n_side=st.integers(0, 5))
+       locations=st.integers(1, 4), n_side=st.integers(0, 5), counts=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
-                                           n_side):
+                                           n_side, counts):
     rng = np.random.default_rng(seed)
     prog = programs[metric]
+    if not counts:
+        prog = dataclasses.replace(prog, gamma=None)
     t_dim, n = prog.horizon, prog.n_users
     const, coef = (rng.normal(size=(t_dim, locations, 3)),
                    rng.normal(size=(t_dim, locations, 3, n, 3)))
@@ -160,11 +162,8 @@ def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
     prog = _append_side_rows(dataclasses.replace(
         prog, delta_max=n, side_labels=(), side_coef=prog.side_coef[:0],
         side_rhs=prog.side_rhs[:0]), side)
-    if metric == "pvur_star":
-        prog = dataclasses.replace(prog, dev_const=const, dev_coef=coef)
-    else:
-        prog = dataclasses.replace(prog, diff_const=const, diff_coef=coef,
-                                   branch_weight=rng.uniform(0.5, 2.0, locations))
+    weight = None if metric == "pvur_star" else rng.uniform(0.5, 2.0, locations)
+    prog = dataclasses.replace(prog, const=const, coef=coef, branch_weight=weight)
     phases = rng.integers(1, 4, size=(m, n)).astype(np.int8)
 
     values = prog.objective_batch(phases)
@@ -191,6 +190,12 @@ def test_gather_scoring_matches_references(programs, seed, m, metric, locations,
     for i in rng.choice(m, size=min(m, 4), replace=False):
         assert prog.objective_batch(phases[i:i + 1])[0] == values[i]
         assert prog.feasible_mask(phases[i:i + 1])[0] == mask[i]
+
+
+@pytest.mark.parametrize("shape", [(4, 19), (4, 21), (4,), (2, 4, 20)])
+def test_feasible_mask_rejects_wrong_width(programs, shape):
+    with pytest.raises(ValidationError, match="configurations of shape"):
+        programs["pu_star"].feasible_mask(np.ones(shape, dtype=int))
 
 
 def test_gather_sum_edge_shapes():
