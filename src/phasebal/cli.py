@@ -119,17 +119,23 @@ _DEFAULTS = {"objective": "pu-star", "method": "miqp", "seed": 0, "threads": 1,
              "delta_max": 5, "gamma_low": 0, "gamma_upp": 10 ** 9,
              "enforce_phase_counts": False, "v_min": 0.90, "v_max": 1.10,
              "grid": "0,1,2,3,5,10,20", "horizons": "1,24", "methods": "miqp,ga",
-             "repeats": 5}
+             "repeats": 5, "population": 100, "f_calls": 6000}
 
 
 def _int_list(value) -> list[int]:
     return [int(v) for v in str(value).split(",")]
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):  # bool("abc") would be True
+        raise ValueError(value)
+    return value
+
+
 _TYPES = {"seed": int, "threads": int, "delta_max": int, "gamma_low": int,
           "gamma_upp": int, "v_min": float, "v_max": float, "population": int,
           "f_calls": int, "time_limit": float, "repeats": int, "grid": _int_list,
-          "horizons": _int_list}
+          "horizons": _int_list, "enforce_phase_counts": _flag}
 
 
 def _resolve(args) -> dict:
@@ -173,7 +179,7 @@ def _constraints(opts) -> ConstraintConfig:
     return ConstraintConfig(
         delta_max=opts["delta_max"], gamma_low=opts["gamma_low"],
         gamma_upp=opts["gamma_upp"], v_min=opts["v_min"], v_max=opts["v_max"],
-        enforce_phase_counts=bool(opts["enforce_phase_counts"]))
+        enforce_phase_counts=opts["enforce_phase_counts"])
 
 
 def _objective(opts) -> ObjectiveSpec:
@@ -198,8 +204,7 @@ def run(argv=None) -> int:
         ga_cfg = None
         if opts["method"] == "ga":
             ga_cfg = ga.GAConfig(
-                population_size=opts.get("population") or 100,
-                max_fitness_calls=opts.get("f_calls") or 6000,
+                population_size=opts["population"], max_fitness_calls=opts["f_calls"],
                 rng_seed=opts["seed"], threads=opts["threads"])
         report = harness.cmd_optimize(
             feeder, loads, opts["method"], _objective(opts), _constraints(opts),
@@ -219,7 +224,7 @@ def run(argv=None) -> int:
         report = harness.cmd_sweep_switches(
             feeder, loads, _objective(opts), opts["grid"], method=opts["method"],
             seed=opts["seed"], constraints=_constraints(opts),
-            time_limit_s=opts.get("time_limit") or 20.0,
+            time_limit_s=opts.get("time_limit", 20.0),
             csv_path=opts.get("csv"))
         _emit(opts, json.dumps(report.__dict__, sort_keys=True, indent=1))
     elif args.verb == "scale":

@@ -140,12 +140,11 @@ class PFTables:
             y[j:j + 3, j:j + 3] += yb
             y[i:i + 3, j:j + 3] -= yb
             y[j:j + 3, i:i + 3] -= yb
-        r = 3 * feeder.bus_index(feeder.reference_bus)
-        ref = np.arange(r, r + 3)
+        ref = 3 * feeder.bus_index(feeder.reference_bus) + np.arange(3)
         self.other = np.setdiff1d(np.arange(n), ref)
         self.y_nn = y[np.ix_(self.other, self.other)]
         self.z_nn = np.linalg.inv(self.y_nn)
-        self.slack_rhs = (y[np.ix_(self.other, ref)] @ REFERENCE_PHASORS)[:, None]
+        self.slack_rhs = y[np.ix_(self.other, ref)] @ REFERENCE_PHASORS
 
 
 @dataclass(frozen=True, eq=False)

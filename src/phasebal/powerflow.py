@@ -7,15 +7,15 @@ voltages and solves the reduced nodal admittance system for the
 non-reference voltages; convergence is declared when the infinity norm of
 the per-(bus, phase) power mismatch drops below the tolerance.
 
-All timesteps of a series are solved as one block, one column each; a
-column leaves the block once converged, or flagged as collapsed, so it
-takes the iterations of an independent solve.  A column's result must
-not depend on the block width, or a series would differ from its
-single-step solves.  BLAS products and a multi-right-hand-side LU solve
-pick kernels and summation orders by shape, so the iteration contracts
-with ``np.einsum`` (a fixed-order loop) against a dense inverse of the
-reduced Y-bus, built once per feeder (``Feeder.pf_tables``).  No
-``lu_solve`` runs in the loop, so worker threads share no pivot array.
+All timesteps of a series are solved as one time-major block, one row per
+active step; a step leaves it, and is written out, once converged or
+flagged as collapsed, so it takes the iterations of an independent solve.
+A step's result must not depend on the block width, or a series would
+differ from its single-step solves.  BLAS products and LU solves pick
+kernels and summation orders by shape, so the iteration contracts with
+``np.einsum`` (a fixed-order loop) against a dense inverse of the reduced
+Y-bus, built once per feeder (``Feeder.pf_tables``).  No ``lu_solve`` runs
+in the loop, so worker threads share no pivot array.
 """
 
 from __future__ import annotations
@@ -98,37 +98,33 @@ class PFSeries(Sequence):
 
 
 def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int) -> PFSeries:
-    """Solve every timestep of the (T, n_buses, 3) injections, one column
-    each; a converged or collapsed column is frozen and leaves the block."""
+    """Solve each timestep of the (T, n_buses, 3) injections as one block row."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
     pf = feeder.pf_tables
     horizon, n_buses = s_bus_w.shape[:2]
-    # net injected power: loads consume, so the net injection is negative
-    s_inj = -(s_bus_w.reshape(horizon, -1) / feeder.base_power)[:, pf.other].T
-    un = np.tile(REFERENCE_PHASORS, n_buses)[pf.other, None].repeat(horizon, axis=1)
+    # loads consume, so the net injection is negative; einsum wants contiguous rows
+    sa = np.ascontiguousarray(-(s_bus_w.reshape(horizon, -1) / feeder.base_power)[:, pf.other])
+    u = np.tile(REFERENCE_PHASORS, (horizon, n_buses))
+    ua = np.ascontiguousarray(u[:, pf.other])
     converged, iterations = np.zeros(horizon, dtype=bool), np.zeros(horizon, dtype=int)
     collapsed = np.zeros(horizon, dtype=bool)
-    mismatch, active = np.full(horizon, np.inf), np.arange(horizon)
+    mismatch, idx = np.full(horizon, np.inf), np.arange(horizon)
     for it in range(1, max_iter + 1):
-        ua = un[:, active]
-        low = np.abs(ua) < _COLLAPSE_PU
-        if low.any():
-            down = low.any(axis=0)
-            collapsed[active[down]] = True
-            active, ua = active[~down], ua[:, ~down]
-        if active.size == 0:
-            break
-        sa = s_inj[:, active]
-        ua = np.einsum("ij,jt->it", pf.z_nn, np.conj(sa / ua) - pf.slack_rhs)
-        s_calc = ua * np.conj(np.einsum("ij,jt->it", pf.y_nn, ua) + pf.slack_rhs)
-        un[:, active] = ua
-        iterations[active] = it
-        mismatch[active] = np.max(np.abs(s_calc - sa), axis=0)
-        converged[active] = mismatch[active] <= tol
-        active = active[~converged[active]]
-    u = np.tile(REFERENCE_PHASORS, (horizon, n_buses))
-    u[:, pf.other] = un.T
+        ua = np.einsum("ij,tj->ti", pf.z_nn, np.conj(sa / ua) - pf.slack_rhs)
+        s_calc = ua * np.conj(np.einsum("ij,tj->ti", pf.y_nn, ua) + pf.slack_rhs)
+        iterations[idx], mismatch[idx] = it, np.max(np.abs(s_calc - sa), axis=1)
+        done = mismatch[idx] <= tol
+        # a collapsed iterate is caught before the next iteration starts from it
+        down = ~done & (np.abs(ua) < _COLLAPSE_PU).any(axis=1) & (it < max_iter)
+        leave = done | down
+        if leave.any():
+            converged[idx[done]], collapsed[idx[down]] = True, True
+            u[np.ix_(idx[leave], pf.other)] = ua[leave]
+            idx, ua, sa = idx[~leave], ua[~leave], sa[~leave]
+            if idx.size == 0:
+                break
+    u[np.ix_(idx, pf.other)] = ua
     u = u.reshape(horizon, n_buses, 3)
     ui, uj = u[:, pf.from_bus], u[:, feeder.sweep_tables().to_bus]
     current = np.einsum("kab,tkb->tka", pf.y_branch, ui - uj)

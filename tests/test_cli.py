@@ -273,7 +273,11 @@ def test_unreadable_assignment_is_exit_2(line_paths, tmp_path, capsys, content):
     ("scale", ["--horizons", "1,y"], ""),
     ("sweep", [], "delta_max = abc\n"),
     ("scale", [], "repeats = 1.5x\n"),
-], ids=["grid_text", "horizons_text", "config_delta_max_text", "config_repeats_text"])
+    ("sweep", [], "enforce_phase_counts = abc\n"),
+    ("sweep", [], "enforce_phase_counts = 2\n"),
+    ("optimize", ["--method", "ga", "--population", "0"], ""),
+], ids=["grid_text", "horizons_text", "config_delta_max_text", "config_repeats_text",
+        "config_phase_counts_text", "config_phase_counts_int", "zero_population"])
 def test_unparsable_value_is_exit_2(line_paths, tmp_path, capsys, verb, flag, config):
     feeder_path, profiles_path = line_paths
     conf = tmp_path / "run.conf"
@@ -317,3 +321,26 @@ def test_config_sets_scale_options(line_paths, tmp_path, monkeypatch):
     assert seen == {"horizons": [2, 3], "methods": ["ga"], "repeats": 2}
     assert main(["scale", "--feeders", str(feeder_path)]) == 0
     assert seen == {"horizons": [1, 24], "methods": ["miqp", "ga"], "repeats": 5}
+
+
+def test_explicit_zero_reaches_the_solvers(line_paths, tmp_path, monkeypatch):
+    feeder_path, profiles_path = line_paths
+    inputs = ["--feeder", str(feeder_path), "--profiles", str(profiles_path),
+              "--out", str(tmp_path / "out.json")]
+    seen = []
+
+    def fake_optimize(feeder, loads, method, objective, constraints, **kwargs):
+        seen.append(kwargs["ga_config"].max_fitness_calls)
+        return types.SimpleNamespace(to_json=lambda: "{}")
+
+    def fake_sweep(feeder, loads, objective, grid, **kwargs):
+        seen.append(kwargs["time_limit_s"])
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(harness, "cmd_optimize", fake_optimize)
+    monkeypatch.setattr(harness, "cmd_sweep_switches", fake_sweep)
+    assert main(["optimize", "--method", "ga", *inputs]) == 0
+    assert main(["optimize", "--method", "ga", "--f-calls", "0", *inputs]) == 0
+    assert main(["sweep", *inputs]) == 0
+    assert main(["sweep", "--time-limit", "0", *inputs]) == 0
+    assert seen == [6000, 0, 20.0, 0.0]

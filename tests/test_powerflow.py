@@ -7,10 +7,10 @@ from phasebal import fixtures
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, LoadSeries, PhaseAssignment,
-                              User, make_feeder, original_assignment)
+                              User, injection_series, make_feeder, original_assignment)
 from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_pf, solve_series
 from phasebal.problem import Problem, evaluate_exact
-from reference_impls import i2r_losses_percent, newton_pf
+from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
 from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
@@ -312,3 +312,39 @@ def test_block_columns_independent_of_block(name, data):
         assert np.array_equal(sols[k].u, solo.u)
         assert np.array_equal(sols[k].current, solo.current)
         assert sols[k].iterations == solo.iterations
+
+
+@pytest.mark.parametrize("name, collapse, stall", [("line", 14.0, 12.0),
+                                                   ("twenty_user", 10.0, 4.0)])
+def test_block_with_every_exit_matches_one_column_solves(name, collapse, stall):
+    """Zero-load steps leave the block after iteration 1, loaded steps later,
+    one step collapses and one stalls at ``max_iter``; every field of each
+    step equals its one-column solve bitwise."""
+    feeder, loads = fixtures.fixture(name)
+    a = original_assignment(feeder)
+    steps = [(0, 0.0), (0, 1.0), (18, collapse), (6, 0.0), (6, 1.0), (18, stall),
+             (12, 1.0), (19, 0.0), (19, 1.0)]
+    rows = [t for t, _ in steps]
+    scale = np.array([s for _, s in steps])[:, None]
+    block = LoadSeries(loads.user_ids, loads.p[rows] * scale, loads.q[rows] * scale)
+    series = solve_series(feeder, a, block, max_iter=20)
+    assert series.iterations[[0, 3, 7]].tolist() == [1, 1, 1]
+    assert series.converged.tolist() == [True, True, False, True, True, False,
+                                         True, True, True]
+    assert np.flatnonzero(series.collapsed).tolist() == [2]
+    assert series.iterations[5] == 20 and min(series.iterations[[1, 4, 6, 8]]) > 1
+    # each step's stored iterate is the one its mismatch was measured at
+    u = series.u.reshape(len(steps), -1)
+    s_calc = u * np.conj(u @ ybus_by_hand(feeder).T)
+    s_load = injection_series(feeder, a, block).reshape(len(steps), -1) / feeder.base_power
+    other = np.repeat([b != feeder.reference_bus for b in feeder.buses], 3)
+    assert np.allclose(np.abs(s_calc + s_load)[:, other].max(axis=1), series.max_mismatch,
+                       rtol=1e-6, atol=1e-10)
+    # no iteration follows a low iterate at max_iter, so that step stalls
+    last = solve_series(feeder, a, block.slice_window(2, 3), max_iter=int(series.iterations[2]))
+    assert not last.collapsed[0] and not last.converged[0]
+    for k in range(len(steps)):
+        one = solve_series(feeder, a, block.slice_window(k, k + 1), max_iter=20)
+        for field in ("u", "s_from", "s_to", "current", "iterations", "converged",
+                      "max_mismatch", "collapsed"):
+            assert np.array_equal(getattr(series, field)[k], getattr(one, field)[0]), (k, field)
