@@ -5,10 +5,12 @@ Solves each case with ``powerflow.solve_series`` and prints one line per
 (case, assignment): the step count, the total iterations, the converged
 and collapsed counts and a sha256 over all eight ``PFSeries`` fields
 (each array's dtype, shape and bytes).  The assignments are the original
-one and five seeded random ones.  On ``twenty_user`` it also prints one GA
-run (its trace as ``float.hex``) and one ``cmd_validate`` report of the
-GA's plan.  Run it on two checkouts and ``diff`` the outputs to show that
-a change leaves every power-flow field bitwise alone:
+one and five seeded random ones.  Each case also prints a sha256 of the
+``phasebal pf`` JSON report (``harness.cmd_pf``) over its horizon.  On
+``twenty_user`` it also prints one GA run (its trace as ``float.hex``) and
+one ``cmd_validate`` report of the GA's plan.  Run it on two checkouts and
+``diff`` the outputs to show that a change leaves every power-flow field
+bitwise alone:
 
     PYTHONPATH=src python3 scripts/compare_pf.py > after.txt
 
@@ -55,6 +57,12 @@ def series_line(label: str, feeder, loads, a: PhaseAssignment) -> str:
             f"sha256={digest.hexdigest()}")
 
 
+def pf_report_line(label: str, feeder, loads) -> str:
+    text = json.dumps(harness.cmd_pf(feeder, loads), sort_keys=True, indent=1)
+    return (f"{label} pf steps={loads.horizon} "
+            f"sha256={hashlib.sha256(text.encode()).hexdigest()}")
+
+
 def ga_lines(label: str, feeder, loads, long_loads) -> list[str]:
     problem = Problem(feeder, loads, ConstraintConfig(delta_max=5), ObjectiveSpec("pu"))
     res = ga.run_ga(problem, ga.GAConfig(population_size=20, max_fitness_calls=200,
@@ -95,6 +103,7 @@ def main():
     for label, feeder, loads, ga_inputs in cases:
         for a in assignments(feeder):
             print(series_line(label, feeder, loads, a), flush=True)
+        print(pf_report_line(label, feeder, loads), flush=True)
         if ga_inputs is not None:
             for line in ga_lines(label, feeder, *ga_inputs):
                 print(line, flush=True)

@@ -278,9 +278,6 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
     summary = {}
     for label, feeder, loads in feeder_loads:
         for horizon in horizons:
-            if horizon > loads.horizon:
-                raise ValidationError(
-                    f"horizon {horizon} exceeds available {loads.horizon}")
             window = loads.slice_window(0, horizon)
             cons = constraints or ConstraintConfig.from_fractions(
                 feeder, delta_max=5)
@@ -318,23 +315,23 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
 
 def cmd_pf(feeder: Feeder, loads: LoadSeries, t: int | None = None) -> dict:
     """Solve the exact power flow and dump voltages, flows and losses."""
-    a0 = original_assignment(feeder)
     steps = range(loads.horizon) if t is None else [t]
+    window = loads if t is None else loads.slice_window(t, t + 1)
+    sols = powerflow.solve_series(feeder, original_assignment(feeder), window).check_collapse()
     out = {"schema_version": SCHEMA_VERSION, "timesteps": {}}
-    for step in steps:
-        sol = powerflow.solve_pf(feeder, a0, loads, step)
-        u_mag = sol.u_mag()
+    for step, sol in zip(steps, sols):
+        u_mag = np.abs(sol.u)
         entry = {
-            "converged": bool(sol.converged),
+            "converged": sol.converged,
             "iterations": sol.iterations,
             "max_mismatch_pu": sol.max_mismatch,
             "voltage_magnitude_pu": {bus: [float(v) for v in u_mag[i]]
                                      for i, bus in enumerate(feeder.buses)},
             "loss_percent": powerflow.losses(sol, feeder) if sol.converged else None,
-            "flows_pu": {f"{k[0]}->{k[1]}":
+            "flows_pu": {f"{br.from_bus}->{br.to_bus}":
                          {"p": [float(x) for x in np.real(s_from)],
                           "q": [float(x) for x in np.imag(s_from)]}
-                         for k, (s_from, _) in sol.flows.items()},
+                         for br, s_from in zip(feeder.branches, sol.s_from)},
         }
         out["timesteps"][str(step)] = entry
     return out

@@ -370,14 +370,14 @@ class _BnBSolver:
     def __init__(self, prog: BinaryProgram, opts: BnBOptions):
         self.prog = prog
         self.opts = opts
-        self.n = prog.n_users
         self.relaxations = 0
         if prog.objective_kind == "pu_star":
             self.q_mat, self.q_lin, self.q_const = _quadratic_parts(prog)
 
     def _used(self, fixed) -> int:
         """Switches spent by the fixed users of a node."""
-        return sum(1 for ph, p0 in zip(fixed, self.prog.c0) if ph not in (0, p0))
+        fixed = np.asarray(fixed)
+        return int(np.count_nonzero((fixed != 0) & (fixed != self.prog.c0)))
 
     # ---- shared polytope rows over the free users of a node ----
 
@@ -454,14 +454,11 @@ class _BnBSolver:
     # ---- pu_star: Frank-Wolfe with certified bounds ----
 
     def _node_quadratic(self, fixed, free):
-        vals = np.zeros(3 * self.n)
-        for i, ph in enumerate(fixed):
-            if ph:
-                vals[3 * i + ph - 1] = 1.0
-        free_cols = np.concatenate([np.arange(3 * i, 3 * i + 3) for i in free]) \
-            if free else np.zeros(0, dtype=int)
-        fixed_cols = np.flatnonzero(~np.isin(np.arange(3 * self.n), free_cols))
-        v = vals[fixed_cols]
+        fixed = np.asarray(fixed)
+        on, phase = np.flatnonzero(fixed), np.arange(3)
+        free_cols = (3 * np.asarray(free, dtype=int)[:, None] + phase).ravel()
+        fixed_cols = (3 * on[:, None] + phase).ravel()
+        v = (fixed[on, None] - 1 == phase).ravel().astype(float)
         q_ff = self.q_mat[np.ix_(free_cols, free_cols)]
         lin = self.q_lin[free_cols] + 2.0 * self.q_mat[np.ix_(free_cols, fixed_cols)] @ v
         const = (self.q_const + float(v @ self.q_mat[np.ix_(fixed_cols, fixed_cols)] @ v)

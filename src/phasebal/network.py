@@ -355,6 +355,8 @@ class LoadSeries:
             raise ValidationError(
                 f"load series shape mismatch: p {p.shape}, q {q.shape}, "
                 f"{len(self.user_ids)} users")
+        if p.shape[0] == 0:
+            raise ValidationError("load series has no timesteps")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise ValidationError("load series contains missing or non-finite values")
         p.setflags(write=False)
@@ -380,6 +382,10 @@ class LoadSeries:
         return np.ascontiguousarray(self.p.T).mean(axis=1)
 
     def slice_window(self, start: int, stop: int) -> "LoadSeries":
+        """Timesteps start..stop-1; raises unless 0 <= start < stop <= horizon."""
+        if not 0 <= start < stop <= self.horizon:
+            raise ValidationError(
+                f"window [{start}, {stop}) outside horizon {self.horizon}")
         return LoadSeries(self.user_ids, self.p[start:stop], self.q[start:stop],
                           self.resolution_s)
 
@@ -387,20 +393,9 @@ class LoadSeries:
 # -- injections ------------------------------------------------------------
 
 
-def injections(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
-               t: int) -> np.ndarray:
-    """Complex per-bus, per-phase load injections at timestep t, in watts.
-
-    Rows follow feeder.buses order; passive buses get the zero vector.
-    """
-    if t < 0 or t >= loads.horizon:
-        raise ValidationError(f"timestep {t} outside horizon {loads.horizon}")
-    return injection_series(feeder, assignment, loads.slice_window(t, t + 1))[0]
-
-
 def injection_series(feeder: Feeder, assignment: PhaseAssignment,
                      loads: LoadSeries) -> np.ndarray:
-    """Complex (T, n_buses, 3) injections in watts for every timestep."""
+    """Complex (T, n_buses, 3) injections in watts, buses in feeder.buses order."""
     phases = user_phases(feeder, assignment)
     # rank r holds the r-th user of each (bus, phase) in feeder.users order, so
     # one scatter per rank adds the users sharing a (bus, phase) in that order

@@ -7,15 +7,20 @@ voltages and solves the reduced nodal admittance system for the
 non-reference voltages; convergence is declared when the infinity norm of
 the per-(bus, phase) power mismatch drops below the tolerance.
 
-All timesteps of a series are solved as one time-major block, one row per
-active step; a step leaves it, and is written out, once converged or
-flagged as collapsed, so it takes the iterations of an independent solve.
-A step's result must not depend on the block width, or a series would
-differ from its single-step solves.  BLAS products and LU solves pick
-kernels and summation orders by shape, so the iteration contracts with
-``np.einsum`` (a fixed-order loop) against a dense inverse of the reduced
-Y-bus, built once per feeder (``Feeder.pf_tables``).  No ``lu_solve`` runs
-in the loop, so worker threads share no pivot array.
+A series is the only entry point; one timestep is a one-step window
+(``LoadSeries.slice_window``).  All timesteps of a series are solved as
+one time-major block, one row per active step; a step leaves it, and is
+written out, once converged or flagged as collapsed, so it takes the
+iterations of an independent solve.  A step's result must not depend on
+the block width, or a series would differ from its single-step solves.
+BLAS products and LU solves pick kernels and summation orders by shape,
+so the iteration contracts with ``np.einsum`` (a fixed-order loop) against
+a dense inverse of the reduced Y-bus, built once per feeder
+(``Feeder.pf_tables``).  No ``lu_solve`` runs in the loop, so worker
+threads share no pivot array.  Complex products are written out of place,
+``np.multiply(x, np.conj(y))``: in the operator form numpy reuses the
+``np.conj`` temporary as the output once it reaches 256 KiB, and that
+in-place product rounds differently.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MetricError, ValidationError
 from .network import (REFERENCE_PHASORS, Feeder, LoadSeries, PhaseAssignment,
-                      injection_series, injections)
+                      injection_series)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -50,16 +55,6 @@ class PFSolution:
     converged: bool
     iterations: int
     max_mismatch: float
-    feeder: Feeder
-
-    @property
-    def flows(self) -> dict:
-        """Branch key -> (s_from, s_to), complex 3-vectors."""
-        return {br.key: (self.s_from[k], self.s_to[k])
-                for k, br in enumerate(self.feeder.branches)}
-
-    def u_mag(self) -> np.ndarray:
-        return np.abs(self.u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +70,6 @@ class PFSeries(Sequence):
     iterations: np.ndarray        # (T,) int
     max_mismatch: np.ndarray      # (T,) float
     collapsed: np.ndarray         # (T,) bool, a subset of ~converged
-    feeder: Feeder
 
     def __len__(self) -> int:
         return self.u.shape[0]
@@ -84,9 +78,9 @@ class PFSeries(Sequence):
         arrays = (self.u[t], self.s_from[t], self.s_to[t], self.current[t])
         if isinstance(t, slice):
             return PFSeries(*arrays, self.converged[t], self.iterations[t],
-                            self.max_mismatch[t], self.collapsed[t], self.feeder)
+                            self.max_mismatch[t], self.collapsed[t])
         return PFSolution(*arrays, bool(self.converged[t]), int(self.iterations[t]),
-                          float(self.max_mismatch[t]), self.feeder)
+                          float(self.max_mismatch[t]))
 
     def check_collapse(self) -> PFSeries:
         """This series; raises ConvergenceError if any step collapsed."""
@@ -112,7 +106,7 @@ def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int)
     mismatch, idx = np.full(horizon, np.inf), np.arange(horizon)
     for it in range(1, max_iter + 1):
         ua = np.einsum("ij,tj->ti", pf.z_nn, np.conj(sa / ua) - pf.slack_rhs)
-        s_calc = ua * np.conj(np.einsum("ij,tj->ti", pf.y_nn, ua) + pf.slack_rhs)
+        s_calc = np.multiply(ua, np.conj(np.einsum("ij,tj->ti", pf.y_nn, ua) + pf.slack_rhs))
         iterations[idx], mismatch[idx] = it, np.max(np.abs(s_calc - sa), axis=1)
         done = mismatch[idx] <= tol
         # a collapsed iterate is caught before the next iteration starts from it
@@ -128,16 +122,8 @@ def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int)
     u = u.reshape(horizon, n_buses, 3)
     ui, uj = u[:, pf.from_bus], u[:, feeder.sweep_tables().to_bus]
     current = np.einsum("kab,tkb->tka", pf.y_branch, ui - uj)
-    return PFSeries(u, ui * np.conj(current), uj * np.conj(-current), current,
-                    converged, iterations, mismatch, collapsed, feeder)
-
-
-def solve_pf(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
-             t: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-             ) -> PFSolution:
-    """Solve one timestep; a stall is flagged, a collapse raises."""
-    s_bus = injections(feeder, assignment, loads, t)
-    return _solve_block(feeder, s_bus[None], tol, max_iter).check_collapse()[0]
+    return PFSeries(u, np.multiply(ui, np.conj(current)), np.multiply(uj, np.conj(-current)),
+                    current, converged, iterations, mismatch, collapsed)
 
 
 def solve_series(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,

@@ -28,11 +28,12 @@ def test_pf_verb(line_paths, tmp_path, capsys):
 
 def test_pf_timestep_outside_horizon_is_exit_2(line_paths, tmp_path, capsys):
     feeder_path, profiles_path = line_paths
-    code = main(["pf", "--feeder", str(feeder_path),
-                 "--profiles", str(profiles_path), "--t", "999",
-                 "--out", str(tmp_path / "pf.json")])
-    assert code == 2
-    assert "outside horizon" in capsys.readouterr().err
+    for t in ("999", "-1"):  # a negative step must not wrap to one from the end
+        code = main(["pf", "--feeder", str(feeder_path),
+                     "--profiles", str(profiles_path), "--t", t,
+                     "--out", str(tmp_path / "pf.json")])
+        assert code == 2
+        assert "outside horizon" in capsys.readouterr().err
 
 
 def test_collapsed_step_is_exit_3(collapsing_line, tmp_path, capsys):
@@ -179,6 +180,9 @@ def test_scale_verb(line_paths, tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["reported"]) == 2
+    for horizons in ("0", "-1", "25"):
+        assert main(["scale", "--feeders", str(feeder_path), "--horizons", horizons,
+                     "--methods", "miqp", "--repeats", "1"]) == 2
 
 
 def test_scale_passes_the_constraint_flags(line_paths, monkeypatch):

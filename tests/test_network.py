@@ -16,7 +16,7 @@ from phasebal.miqp import _gather_sum, build_program
 from phasebal.network import (PHASES, Branch, ConstraintConfig, LoadSeries,
                               PhaseAssignment, User, binary_feasible, completion_count,
                               completions, downstream_users, feasible_mask,
-                              fixed_phase_counts, injection_series, injections,
+                              fixed_phase_counts, injection_series,
                               load_feeder, load_profiles, make_feeder,
                               original_assignment, switch_count, user_phases)
 from phasebal.problem import Problem, evaluate_exact, evaluate_ld3f
@@ -309,13 +309,14 @@ def const_loads(user_ids, watts, horizon=2):
 
 def test_injection_one_hot_placement():
     feeder = one_user_feeder(phase=2)
-    s = injections(feeder, PhaseAssignment((2,)), const_loads(["u1"], 1000.0), 0)
+    loads = const_loads(["u1"], 1000.0)
+    s = injection_series(feeder, PhaseAssignment((2,)), loads.slice_window(0, 1))[0]
     assert np.allclose(s[feeder.bus_index("b1")], [0, 1000 + 0j, 0])
 
 
 def test_injection_passive_bus_zero(line):
     feeder, loads = line
-    s = injections(feeder, original_assignment(feeder), loads, 0)
+    s = injection_series(feeder, original_assignment(feeder), loads.slice_window(0, 1))[0]
     # the reference bus carries no load injection
     assert np.allclose(s[feeder.bus_index("r")], 0.0)
 
@@ -323,16 +324,20 @@ def test_injection_passive_bus_zero(line):
 def test_injection_additive_same_phase(two_bus):
     feeder, _ = two_bus
     loads = const_loads(["u1", "u2", "u3"], 1000.0)
-    s = injections(feeder, PhaseAssignment((1, 1, 1)), loads, 0)
+    s = injection_series(feeder, PhaseAssignment((1, 1, 1)), loads.slice_window(0, 1))[0]
     assert np.allclose(s[feeder.bus_index("b1")], [3000 + 0j, 0, 0])
-    two = injections(feeder, PhaseAssignment((1, 1, 2)), loads, 0)
+    two = injection_series(feeder, PhaseAssignment((1, 1, 2)), loads.slice_window(0, 1))[0]
     assert np.allclose(two[feeder.bus_index("b1")], [2000 + 0j, 1000 + 0j, 0])
 
 
 def test_injection_bad_timestep(two_bus):
-    feeder, loads = two_bus
-    with pytest.raises(ValidationError, match="horizon"):
-        injections(feeder, original_assignment(feeder), loads, loads.horizon)
+    _, loads = two_bus
+    for start, stop in [(loads.horizon, loads.horizon + 1), (-1, 0), (2, 2),
+                        (3, 2), (0, loads.horizon + 1)]:
+        with pytest.raises(ValidationError, match="horizon"):
+            loads.slice_window(start, stop)
+    with pytest.raises(ValidationError, match="no timesteps"):
+        LoadSeries(loads.user_ids, loads.p[:0], loads.q[:0])
 
 
 # -- constraint config -------------------------------------------------------
@@ -449,7 +454,8 @@ def test_injection_series_matches_loop(twenty_user):
                 loads.p[:, col] + 1j * loads.q[:, col])
         assert np.array_equal(injection_series(feeder, a, loads), expected)
         for t in range(loads.horizon):
-            assert np.array_equal(injections(feeder, a, loads, t), expected[t])
+            one = injection_series(feeder, a, loads.slice_window(t, t + 1))
+            assert np.array_equal(one[0], expected[t])
 
 
 @given(case=radial_cases(), horizon=st.sampled_from([1, 12, 720]), data=st.data())

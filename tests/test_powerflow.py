@@ -8,7 +8,7 @@ from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, LoadSeries, PhaseAssignment,
                               User, injection_series, make_feeder, original_assignment)
-from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_pf, solve_series
+from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_series
 from phasebal.problem import Problem, evaluate_exact
 from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
 from strategies import radial_cases
@@ -21,6 +21,12 @@ def zero_loads(feeder, horizon=1):
     ids = tuple(u.id for u in feeder.users)
     p = np.zeros((horizon, len(ids)))
     return LoadSeries(ids, p, p.copy())
+
+
+def solve_step(feeder, assignment, loads, t, **kwargs):
+    """Timestep t solved alone, as a one-step window; a collapse raises."""
+    window = loads.slice_window(t, t + 1)
+    return solve_series(feeder, assignment, window, **kwargs).check_collapse()[0]
 
 
 # -- Y-bus -------------------------------------------------------------------
@@ -63,31 +69,31 @@ def test_ybus_symmetric(twenty_user):
     assert np.allclose(y, y.T)
 
 
-# -- solve_pf ----------------------------------------------------------------
+# -- one timestep ------------------------------------------------------------
 
 
 def test_zero_load_fixed_point(line):
     feeder, _ = line
-    sol = solve_pf(feeder, original_assignment(feeder), zero_loads(feeder), 0)
+    sol = solve_step(feeder, original_assignment(feeder), zero_loads(feeder), 0)
     assert sol.converged
     for b in range(len(feeder.buses)):
         assert np.allclose(sol.u[b], REFERENCE_PHASORS, atol=1e-12)
-    for s_from, s_to in sol.flows.values():
+    for s_from, s_to in zip(sol.s_from, sol.s_to):
         assert np.allclose(s_from, 0.0, atol=1e-12)
         assert np.allclose(s_to, 0.0, atol=1e-12)
 
 
 def test_balanced_users_equal_magnitudes(two_bus):
     feeder, loads = two_bus
-    sol = solve_pf(feeder, PhaseAssignment((1, 2, 3)), loads, 0)
-    mags = sol.u_mag()[feeder.bus_index("b1")]
+    sol = solve_step(feeder, PhaseAssignment((1, 2, 3)), loads, 0)
+    mags = np.abs(sol.u)[feeder.bus_index("b1")]
     assert mags.max() - mags.min() < 1e-10
 
 
 def test_all_on_phase_one_sags_phase_one(line):
     feeder, loads = line
-    sol = solve_pf(feeder, PhaseAssignment((1, 1, 1)), loads, 12)
-    mags = sol.u_mag()[feeder.bus_index("b3")]
+    sol = solve_step(feeder, PhaseAssignment((1, 1, 1)), loads, 12)
+    mags = np.abs(sol.u)[feeder.bus_index("b3")]
     assert np.argmin(mags) == 0
     assert mags[0] < mags[1] and mags[0] < mags[2]
 
@@ -96,7 +102,7 @@ def test_against_newton_oracle(line):
     feeder, loads = line
     a = PhaseAssignment((1, 1, 1))
     for t in (0, 7, 18):
-        sol = solve_pf(feeder, a, loads, t)
+        sol = solve_step(feeder, a, loads, t)
         u_ref = newton_pf(feeder, a, loads, t)
         assert np.abs(sol.u - u_ref).max() < 1e-8
 
@@ -130,15 +136,14 @@ def test_loading_below_half_ampacity(line):
 
 def test_reference_bus_pinned(line):
     feeder, loads = line
-    sol = solve_pf(feeder, original_assignment(feeder), loads, 3)
+    sol = solve_step(feeder, original_assignment(feeder), loads, 3)
     assert np.allclose(sol.u[feeder.bus_index("r")], REFERENCE_PHASORS)
 
 
 def test_node_power_balance(line):
     feeder, loads = line
     a = original_assignment(feeder)
-    sol = solve_pf(feeder, a, loads, 18, tol=1e-10)
-    from phasebal.network import injection_series
+    sol = solve_step(feeder, a, loads, 18, tol=1e-10)
     s_spec = injection_series(feeder, a, loads)[18] / feeder.base_power
     for b, bus in enumerate(feeder.buses):
         if bus == feeder.reference_bus:
@@ -146,18 +151,18 @@ def test_node_power_balance(line):
         total = -s_spec[b]
         for br in feeder.branches:
             if br.from_bus == bus:
-                total -= sol.flows[br.key][0]
+                total -= sol.s_from[feeder.branch_index(br)]
             elif br.to_bus == bus:
-                total -= sol.flows[br.key][1]
+                total -= sol.s_to[feeder.branch_index(br)]
         assert np.abs(total).max() < 1e-9
 
 
 def test_uniform_phase_rotation_rotates_solution(line):
     feeder, loads = line
-    base = solve_pf(feeder, PhaseAssignment((1, 2, 2)), loads, 9)
-    rotated = solve_pf(feeder, PhaseAssignment((2, 3, 3)), loads, 9)
+    base = solve_step(feeder, PhaseAssignment((1, 2, 2)), loads, 9)
+    rotated = solve_step(feeder, PhaseAssignment((2, 3, 3)), loads, 9)
     # symmetric Z: rotating every user 1->2->3->1 permutes the magnitudes
-    assert np.allclose(np.roll(base.u_mag(), 1, axis=1), rotated.u_mag(),
+    assert np.allclose(np.roll(np.abs(base.u), 1, axis=1), np.abs(rotated.u),
                        atol=1e-9)
 
 
@@ -165,7 +170,7 @@ def test_uniform_phase_rotation_rotates_solution(line):
 def test_timestep_outside_horizon_rejected(line, t):
     feeder, loads = line
     with pytest.raises(ValidationError, match="outside horizon"):
-        solve_pf(feeder, original_assignment(feeder), loads, t)
+        solve_step(feeder, original_assignment(feeder), loads, t)
 
 
 def test_non_convergence_flagged_not_fatal(line):
@@ -175,7 +180,7 @@ def test_non_convergence_flagged_not_fatal(line):
     p = np.full((1, 3), 2.0e6)
     heavy = LoadSeries(ids, p, np.zeros_like(p))
     try:
-        sol = solve_pf(feeder, PhaseAssignment((1, 1, 1)), heavy, 0, max_iter=8)
+        sol = solve_step(feeder, PhaseAssignment((1, 1, 1)), heavy, 0, max_iter=8)
         assert not sol.converged
         assert sol.max_mismatch > 1e-8
     except ConvergenceError:
@@ -188,7 +193,7 @@ def test_voltage_collapse_raises(line):
     p = np.full((1, 3), 1.0e6)
     heavy = LoadSeries(ids, p, np.zeros_like(p))
     with pytest.raises(ConvergenceError):
-        solve_pf(feeder, PhaseAssignment((1, 1, 1)), heavy, 0)
+        solve_step(feeder, PhaseAssignment((1, 1, 1)), heavy, 0)
 
 
 def test_collapsed_step_is_flagged_and_the_rest_kept(collapsing_line):
@@ -198,9 +203,9 @@ def test_collapsed_step_is_flagged_and_the_rest_kept(collapsing_line):
     assert np.flatnonzero(series.collapsed).tolist() == [5]
     assert not series.converged[5]
     with pytest.raises(ConvergenceError, match="collapsed"):
-        solve_pf(feeder, a, loads, 5)
+        solve_step(feeder, a, loads, 5)
     for t in set(range(loads.horizon)) - {5}:
-        solo = solve_pf(feeder, a, loads, t)
+        solo = solve_step(feeder, a, loads, t)
         assert np.array_equal(series.u[t], solo.u)
         assert np.array_equal(series.current[t], solo.current)
         assert series.iterations[t] == solo.iterations
@@ -216,7 +221,7 @@ def test_collapsed_step_is_flagged_and_the_rest_kept(collapsing_line):
 
 def test_losses_zero_load(line):
     feeder, _ = line
-    sol = solve_pf(feeder, original_assignment(feeder), zero_loads(feeder), 0)
+    sol = solve_step(feeder, original_assignment(feeder), zero_loads(feeder), 0)
     assert losses(sol, feeder) == 0.0
 
 
@@ -230,20 +235,20 @@ def test_losses_reactive_only_line_is_lossless():
         base_voltage=230.0, base_power=10000.0)
     p = np.full((1, 1), 2000.0)
     loads = LoadSeries(("u1",), p, np.zeros_like(p))
-    sol = solve_pf(feeder, PhaseAssignment((1,)), loads, 0)
+    sol = solve_step(feeder, PhaseAssignment((1,)), loads, 0)
     assert abs(losses(sol, feeder)) < 1e-8
 
 
 def test_losses_match_i2r_recomputation(line):
     feeder, loads = line
     for t in (0, 12, 18):
-        sol = solve_pf(feeder, original_assignment(feeder), loads, t)
+        sol = solve_step(feeder, original_assignment(feeder), loads, t)
         assert abs(losses(sol, feeder) - i2r_losses_percent(feeder, sol.u)) < 1e-8
 
 
 def test_losses_undefined_for_zero_reference_flow(line):
     feeder, _ = line
-    sol = solve_pf(feeder, original_assignment(feeder), zero_loads(feeder), 0)
+    sol = solve_step(feeder, original_assignment(feeder), zero_loads(feeder), 0)
     # zero flows and zero loss short-circuit to 0 percent
     assert losses(sol, feeder) == 0.0
     from_ref = [k for k, br in enumerate(feeder.branches)
@@ -275,7 +280,7 @@ def test_series_matches_single_solves(line):
     a = PhaseAssignment((2, 1, 3))
     sols = solve_series(feeder, a, loads)
     for t in range(loads.horizon):
-        solo = solve_pf(feeder, a, loads, t)
+        solo = solve_step(feeder, a, loads, t)
         assert np.array_equal(sols[t].u, solo.u)
 
 
@@ -285,7 +290,7 @@ def test_series_losses_match_single_solves(line):
     per_step = losses(solve_series(feeder, a, loads), feeder)
     assert per_step.shape == (loads.horizon,)
     for t in (0, 12, 18):
-        assert abs(per_step[t] - losses(solve_pf(feeder, a, loads, t), feeder)) < 1e-12
+        assert abs(per_step[t] - losses(solve_step(feeder, a, loads, t), feeder)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["line", "twenty_user"])
@@ -308,7 +313,7 @@ def test_block_columns_independent_of_block(name, data):
                 "max_mismatch", "collapsed"):
         assert np.array_equal(getattr(sols, arr), getattr(full, arr)[steps]), arr
     for k in range(len(steps)):
-        solo = solve_pf(feeder, a, block, k)
+        solo = solve_step(feeder, a, block, k)
         assert np.array_equal(sols[k].u, solo.u)
         assert np.array_equal(sols[k].current, solo.current)
         assert sols[k].iterations == solo.iterations
@@ -348,3 +353,18 @@ def test_block_with_every_exit_matches_one_column_solves(name, collapse, stall):
         for field in ("u", "s_from", "s_to", "current", "iterations", "converged",
                       "max_mismatch", "collapsed"):
             assert np.array_equal(getattr(series, field)[k], getattr(one, field)[0]), (k, field)
+
+
+def test_long_block_matches_one_step_solves():
+    """At T=720 the working arrays pass 256 KiB, where numpy would run an
+    operator-form complex product in place with other rounding; every field
+    of every step still equals its one-step solve bitwise."""
+    feeder = fixtures.twenty_user_feeder()
+    loads = fixtures.twenty_user_profiles(horizon=720, seed=7)
+    a = original_assignment(feeder)
+    series = solve_series(feeder, a, loads)
+    for t in range(loads.horizon):
+        one = solve_series(feeder, a, loads.slice_window(t, t + 1))
+        for field in ("u", "s_from", "s_to", "current", "iterations", "converged",
+                      "max_mismatch", "collapsed"):
+            assert np.array_equal(getattr(series, field)[t], getattr(one, field)[0]), (t, field)
