@@ -8,9 +8,14 @@ and collapsed counts and a sha256 over all eight ``PFSeries`` fields
 one and five seeded random ones.  Each case also prints a sha256 of the
 ``phasebal pf`` JSON report (``harness.cmd_pf``) over its horizon.  On
 ``twenty_user`` it also prints one GA run (its trace as ``float.hex``) and
-one ``cmd_validate`` report of the GA's plan.  Run it on two checkouts and
+one ``cmd_validate`` report of the GA's plan.  Each case also prints a
+sha256 over its feeder's derived tables: the branch keys in order, the
+``SweepTables``, the ``PFTables`` arrays and each branch's sorted
+downstream users.  A last line hashes the same tables over 200 seeded
+random radial feeders, given their buses and branches shuffled, some
+branches drawn toward a random reference.  Run it on two checkouts and
 ``diff`` the outputs to show that a change leaves every power-flow field
-bitwise alone:
+and every feeder table bitwise alone:
 
     PYTHONPATH=src python3 scripts/compare_pf.py > after.txt
 
@@ -25,15 +30,21 @@ import json
 
 import numpy as np
 
-from phasebal import fixtures, ga, harness, powerflow
+from phasebal import fixtures, ga, harness, network, powerflow
 from phasebal.metrics import ObjectiveSpec
-from phasebal.network import ConstraintConfig, PhaseAssignment, original_assignment
+from phasebal.network import (Branch, ConstraintConfig, Feeder, PhaseAssignment, User,
+                              downstream_users, original_assignment)
 from phasebal.problem import Problem
 
 FIELDS = ("u", "s_from", "s_to", "current", "converged", "iterations",
           "max_mismatch", "collapsed")
 RANDOM_ASSIGNMENTS = 5
 LONG_HORIZON = 720
+RANDOM_TREES = 200
+SWEEP_FIELDS = ("to_bus", "children", "downward", "a_t", "b_t")
+PF_TABLE_FIELDS = ("y_branch", "from_bus", "ybus", "other", "y_nn", "z_nn", "slack_rhs")
+# ``Feeder`` orients the branches it is given; older checkouts did it in ``make_feeder``
+build_feeder = getattr(network, "make_feeder", Feeder)
 
 
 def assignments(feeder, seed: int = 0):
@@ -79,6 +90,58 @@ def ga_lines(label: str, feeder, loads, long_loads) -> list[str]:
             f"sha256={hashlib.sha256(text.encode()).hexdigest()}"]
 
 
+def feeder_digest(feeder) -> str:
+    digest = hashlib.sha256(repr([br.key for br in feeder.branches]).encode())
+    tables = [(name, getattr(feeder.sweep_tables(), name)) for name in SWEEP_FIELDS]
+    tables += [(name, getattr(feeder.pf_tables, name)) for name in PF_TABLE_FIELDS]
+    for name, value in tables:
+        if isinstance(value, tuple):
+            digest.update(f"{name} {value!r}\n".encode())
+        else:
+            digest.update(f"{name} {value.dtype} {value.shape}\n".encode())
+            digest.update(value.tobytes())
+    for br in feeder.branches:
+        digest.update(f"{br.key} {sorted(downstream_users(feeder, br))}\n".encode())
+    return digest.hexdigest()
+
+
+def _impedance(rng):
+    m = rng.uniform(0.0, 0.04, (3, 3))
+    m = (m + m.T) / 2
+    np.fill_diagonal(m, rng.uniform(0.05, 0.3, 3))
+    return m
+
+
+def random_feeder(rng):
+    """A radial feeder of 2-12 buses with its buses and branches shuffled,
+    about half the branches drawn toward a randomly chosen reference."""
+    n_bus = int(rng.integers(2, 13))
+    buses = [f"b{k}" for k in range(n_bus)]
+    branches = []
+    for k in range(1, n_bus):
+        ends = [buses[int(rng.integers(0, k))], buses[k]]
+        if rng.random() < 0.5:
+            ends.reverse()
+        branches.append(Branch(*ends, _impedance(rng), _impedance(rng)))
+    users = [User(f"u{m}", buses[int(rng.integers(n_bus))], int(rng.integers(1, 4)),
+                  reconfigurable=bool(rng.random() < 0.8))
+             for m in range(int(rng.integers(1, 8)))]
+    return build_feeder([buses[k] for k in rng.permutation(n_bus)],
+                        [branches[k] for k in rng.permutation(n_bus - 1)],
+                        buses[int(rng.integers(n_bus))], users, 230.0, 10000.0)
+
+
+def random_trees_line() -> str:
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    n_branches = 0
+    for _ in range(RANDOM_TREES):
+        feeder = random_feeder(rng)
+        n_branches += len(feeder.branches)
+        digest.update(feeder_digest(feeder).encode())
+    return f"random_trees n={RANDOM_TREES} branches={n_branches} sha256={digest.hexdigest()}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -101,12 +164,14 @@ def main():
                          if name == "twenty_user" else None)
             cases.append((name, feeder, loads, ga_inputs))
     for label, feeder, loads, ga_inputs in cases:
+        print(f"{label} feeder sha256={feeder_digest(feeder)}", flush=True)
         for a in assignments(feeder):
             print(series_line(label, feeder, loads, a), flush=True)
         print(pf_report_line(label, feeder, loads), flush=True)
         if ga_inputs is not None:
             for line in ga_lines(label, feeder, *ga_inputs):
                 print(line, flush=True)
+    print(random_trees_line(), flush=True)
 
 
 if __name__ == "__main__":

@@ -135,13 +135,16 @@ def _flag(value) -> bool:
 _TYPES = {"seed": int, "threads": int, "delta_max": int, "gamma_low": int,
           "gamma_upp": int, "v_min": float, "v_max": float, "population": int,
           "f_calls": int, "time_limit": float, "repeats": int, "grid": _int_list,
-          "horizons": _int_list, "enforce_phase_counts": _flag}
+          "horizons": _int_list, "enforce_phase_counts": _flag,
+          "objective": _OBJECTIVES.__getitem__, "feeder": str, "profiles": str,
+          "out": str, "csv": str, "trace": str}
 
 
 def _resolve(args) -> dict:
     """Merge defaults < config file < explicit flags, then type each value;
-    one that does not parse (``delta_max = abc`` in a config file) is a
-    ValidationError."""
+    one that does not parse (``delta_max = abc`` in a config file) or names
+    no objective is a ValidationError.  Paths are text, so ``out = 1``
+    names a file, not a file descriptor."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(load_config(args.config))
@@ -150,7 +153,7 @@ def _resolve(args) -> dict:
         if merged.get(key) is not None:
             try:
                 merged[key] = convert(merged[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, KeyError) as exc:
                 raise ValidationError(f"bad value for {key}: {merged[key]!r}") from exc
     return merged
 
@@ -183,7 +186,7 @@ def _constraints(opts) -> ConstraintConfig:
 
 
 def _objective(opts) -> ObjectiveSpec:
-    return ObjectiveSpec(_OBJECTIVES[opts["objective"]])
+    return ObjectiveSpec(opts["objective"])
 
 
 def _emit(opts, payload: str) -> None:

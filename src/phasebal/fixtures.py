@@ -20,8 +20,7 @@ import os
 
 import numpy as np
 
-from .network import (Branch, Feeder, LoadSeries, User, make_feeder,
-                      save_feeder, save_profiles)
+from .network import Branch, Feeder, LoadSeries, User, save_feeder, save_profiles
 
 FIXTURE_NAMES = ("two_bus", "line", "twenty_user")
 
@@ -63,7 +62,7 @@ def synthetic_profiles(user_base_w: dict[str, float], horizon: int,
 
 def two_bus_feeder() -> Feeder:
     r, x = _zmat(0.10 + 0.06j, 0.03 + 0.02j)
-    return make_feeder(
+    return Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", r, x, ampacity_a=80.0,
                          power_limit_va=15_000.0)],
@@ -86,7 +85,7 @@ def two_bus_profiles(horizon: int = 4) -> LoadSeries:
 def line_feeder() -> Feeder:
     r, x = _zmat(0.09 + 0.055j, 0.030 + 0.020j)
     seg = dict(ampacity_a=90.0, power_limit_va=18_000.0)
-    return make_feeder(
+    return Feeder(
         buses=["r", "b1", "b2", "b3"],
         branches=[Branch("r", "b1", r, x, **seg),
                   Branch("b1", "b2", r, x, **seg),
@@ -152,8 +151,8 @@ def twenty_user_feeder() -> Feeder:
     users = [User(uid, bus, phase) for uid, bus, phase, _ in _TWENTY_USERS]
     buses = ["r", "t1", "t2", "t3", "a1", "a2", "a3",
              "b1", "b2", "b3", "c1", "c2", "c3"]
-    return make_feeder(buses, branches, "r", users,
-                       base_voltage=230.0, base_power=10_000.0)
+    return Feeder(buses, branches, "r", users,
+                  base_voltage=230.0, base_power=10_000.0)
 
 
 def twenty_user_profiles(horizon: int = 24, seed: int = 7) -> LoadSeries:

@@ -26,8 +26,6 @@ from .network import (PhaseAssignment, binary_feasible, feasible_mask, fixed_pha
                       original_assignment)
 from .problem import Problem, evaluate_exact
 
-PHASE_CHOICES = (1, 2, 3)
-
 
 @dataclass(frozen=True)
 class GAConfig:

@@ -20,7 +20,7 @@ from . import ga, metrics, miqp, oracle, powerflow
 from .errors import PhasebalError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
-                      binary_feasible, original_assignment, switch_count)
+                      as_phase, binary_feasible, original_assignment, switch_count)
 from .problem import Problem, metric_values_exact
 
 SCHEMA_VERSION = 1
@@ -54,10 +54,8 @@ def assignment_from_payload(feeder: Feeder, payload: dict) -> PhaseAssignment:
     missing = [u.id for u in pr if u.id not in payload]
     if missing:
         raise ValidationError(f"assignment payload missing users {missing}")
-    try:
-        return PhaseAssignment(tuple(int(payload[u.id]) for u in pr))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"assignment payload: {exc}") from exc
+    return PhaseAssignment(tuple(as_phase(payload[u.id], f"assignment of user {u.id}")
+                                 for u in pr))
 
 
 @dataclass

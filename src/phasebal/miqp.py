@@ -30,8 +30,9 @@ A node whose budget-feasible completions (``network.completion_count``)
 fit the leaf cap is closed exactly: its completions are generated in
 lexicographic order by ``network.completions`` and scored in chunks.
 Leaves are scored from (M, n) phase arrays in blocks of rows: the affine
-part of the objective and of every ``<=`` row gathers one coefficient row
-per user and adds them in user order.  That is the dense one-hot
+part of the objective and of every side row gathers one coefficient row
+per user and adds them in user order; the switch budget and phase counts
+are ``network.feasible_mask``'s integer counts.  That is the dense one-hot
 contraction's order less its exact zeros, so objective values are bitwise
 the dense formula's, and no row's value depends on the batch around it.
 
@@ -59,7 +60,7 @@ from . import lindist, metrics
 from .errors import InfeasibleProgramError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
-                      completion_count, completions, fixed_phase_counts)
+                      completion_count, completions, feasible_mask, fixed_phase_counts)
 from .simplex import solve_lp
 
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
@@ -145,7 +146,8 @@ class BinaryProgram:
 
     @functools.cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        """Every ``<=`` row over delta as (coef (R', n, 3), rhs (R',), labels).
+        """Every ``<=`` row over delta as (coef (R', n, 3), rhs (R',), labels),
+        for the node LPs, the infeasibility report and the LP writer.
 
         The switch budget comes first, then ``count_upp`` and ``count_low``
         per phase when gamma is enforced (``count_low`` negated into ``<=``
@@ -239,21 +241,17 @@ class BinaryProgram:
         return x.mean(axis=1)
 
     def feasible_mask(self, phases: np.ndarray) -> np.ndarray:
-        """Which of the (M, n) configurations ``phases`` meet every row of
-        ``rows`` (budget, phase counts, side rows) to within 1e-9.
-
-        The budget and count sums are small integers, hence exact; each side
-        row's sum is the user-ordered ``_gather_sum`` of its own column."""
+        """Which of the (M, n) configurations ``phases`` keep the switch
+        budget and phase counts (``network.feasible_mask``) and meet every
+        side row to within 1e-9; each side row's sum is the user-ordered
+        ``_gather_sum`` of its own column."""
+        ok = feasible_mask(phases, self.c0, self.delta_max, self.fixed_phase_counts,
+                           self.gamma)
         phases = np.asarray(phases)
-        if phases.ndim != 2 or phases.shape[1] != self.n_users:
-            raise ValidationError(
-                f"configurations of shape {phases.shape} for {self.n_users} users")
-        coef, rhs, _ = self.rows
-        columns = np.moveaxis(coef, 0, -1).reshape(3 * self.n_users, -1)
-        ok = np.empty(len(phases), dtype=bool)
+        columns = np.moveaxis(self.side_coef, 0, -1).reshape(3 * self.n_users, -1)
         for start in range(0, len(phases), SCORE_BLOCK):
             lhs = _gather_sum(columns, phases[start:start + SCORE_BLOCK])
-            ok[start:start + SCORE_BLOCK] = (lhs <= rhs + 1e-9).all(axis=1)
+            ok[start:start + SCORE_BLOCK] &= (lhs <= self.side_rhs + 1e-9).all(axis=1)
         return ok
 
     def point_feasible(self, assignment: PhaseAssignment) -> bool:
@@ -517,8 +515,8 @@ class _BnBSolver:
         it is below ``inc_value``.
 
         Completions come in lexicographic order and are scored in chunks of
-        ``LEAF_CHUNK`` consecutive ones; points that break a row of
-        ``prog.rows`` are masked out before scoring, and the first minimum wins.
+        ``LEAF_CHUNK`` consecutive ones; points that ``prog.feasible_mask``
+        rejects are masked out before scoring, and the first minimum wins.
         Before that, two bound passes drop the rows whose lower bound
         exceeds the leaf's best so far or ``inc_value``: one on the columns
         of the leaf's zero-switch completion, summed by ``completions``

@@ -1,11 +1,12 @@
 """Feeder data model, file ingestion and topology queries.
 
-A feeder is a radial three-wire LV network: buses, directed branches with
-3x3 series impedance matrices, a reference bus at the transformer, and
-single-phase users attached to buses.  Phase choices of the reconfigurable
-users are represented either as an integer list ``c`` (one entry per
-reconfigurable user, values in {1,2,3}) or as a one-hot 0/1 matrix
-``delta`` with one row per user; the two views round-trip exactly.
+A feeder is a radial three-wire LV network: buses, branches with 3x3
+series impedance matrices, a reference bus at the transformer, and
+single-phase users attached to buses; branches are oriented away from the
+reference, in walk order.  Phase choices of the reconfigurable users are
+represented either as an integer list ``c`` (one entry per reconfigurable
+user, values in {1,2,3}) or as a one-hot 0/1 matrix ``delta`` with one
+row per user; the two views round-trip exactly.
 
 Impedances are stored in ohms and converted to per-unit on
 (base_voltage, base_power), where base_voltage is line-to-neutral volts
@@ -87,6 +88,14 @@ class Branch:
                       self.ampacity_a, self.power_limit_va)
 
 
+def as_phase(p, what: str) -> int:
+    """A phase read from outside the program as an int; a bool, text or a
+    fraction (2.7, which int() reads as 2) raises."""
+    if isinstance(p, bool) or p not in PHASES:
+        raise ValidationError(f"{what}: phase must be in {PHASES}, got {p!r}")
+    return int(p)
+
+
 @dataclass(frozen=True)
 class User:
     id: str
@@ -95,9 +104,10 @@ class User:
     reconfigurable: bool = True
 
     def __post_init__(self):
-        if self.original_phase not in PHASES:
-            raise ValidationError(
-                f"user {self.id}: phase must be in {PHASES}, got {self.original_phase}")
+        phase = as_phase(self.original_phase, f"user {self.id}")
+        object.__setattr__(self, "original_phase", phase)
+        if not isinstance(self.reconfigurable, bool):
+            raise ValidationError(f"user {self.id}: reconfigurable is not a bool")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +159,9 @@ class PFTables:
 
 @dataclass(frozen=True, eq=False)
 class Feeder:
-    """Validated radial feeder. Immutable; safe to share across workers."""
+    """Validated radial feeder. Immutable; safe to share across workers.
+    ``branches`` holds the given branches oriented away from the reference,
+    in the order one depth-first walk from it reaches them."""
 
     buses: tuple[str, ...]
     branches: tuple[Branch, ...]
@@ -160,7 +172,7 @@ class Feeder:
 
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(str(b) for b in self.buses))
-        object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "reference_bus", str(self.reference_bus))
         object.__setattr__(self, "users", tuple(self.users))
         if self.base_voltage <= 0 or self.base_power <= 0:
             raise ValidationError("base_voltage and base_power must be positive")
@@ -173,10 +185,12 @@ class Feeder:
             raise ValidationError(
                 f"non-radial: {len(self.branches)} branches for {len(self.buses)} buses "
                 f"(need exactly |buses|-1)")
+        adjacency: dict[str, list[Branch]] = {b: [] for b in self.buses}
         for br in self.branches:
             for end in br.key:
                 if end not in bus_set:
                     raise ValidationError(f"branch {br.key}: unknown bus {end!r}")
+                adjacency[end].append(br)
         seen_users = set()
         for u in self.users:
             if u.bus not in bus_set:
@@ -184,52 +198,50 @@ class Feeder:
             if u.id in seen_users:
                 raise ValidationError(f"duplicate user id {u.id!r}")
             seen_users.add(u.id)
-        # connectivity + orientation away from the reference
-        children: dict[str, list] = {b: [] for b in self.buses}
-        for br in self.branches:
-            children[br.from_bus].append(br)
+        # the one walk of the tree: depth first from the reference, each
+        # branch oriented away from it and numbered in the order it is reached;
+        # ``children`` lists each bus's child branches in that order
         order: list[Branch] = []
+        children: dict[str, list[int]] = {b: [] for b in self.buses}
         stack = [self.reference_bus]
         visited = {self.reference_bus}
         while stack:
             bus = stack.pop()
-            for br in children[bus]:
-                if br.to_bus in visited:
-                    raise ValidationError(f"non-radial: bus {br.to_bus!r} reached twice")
-                visited.add(br.to_bus)
-                order.append(br)
-                stack.append(br.to_bus)
+            for br in adjacency[bus]:
+                other = br.to_bus if br.from_bus == bus else br.from_bus
+                if other in visited:
+                    continue
+                visited.add(other)
+                children[bus].append(len(order))
+                order.append(br if br.from_bus == bus else br.reversed())
+                stack.append(other)
         if visited != bus_set:
-            missing = sorted(bus_set - visited)
             raise ValidationError(
-                f"non-radial: buses {missing} unreachable from the reference "
-                f"(are all branches directed away from it?)")
+                f"non-radial: buses {sorted(bus_set - visited)} unreachable from the reference")
+        object.__setattr__(self, "branches", tuple(order))
         bus_index = {b: i for i, b in enumerate(self.buses)}
-        branch_index = {br.key: k for k, br in enumerate(self.branches)}
-        # one walk up the tree: flows and user sets accumulate leaves first;
-        # ``children`` lists siblings in ``order``'s order (the walk above
-        # appends a bus's children together, in that list's order)
+        branch_index = {br.key: k for k, br in enumerate(order)}
+        # flows and user sets accumulate leaves first, up the walk
         below = {b: set() for b in self.buses}
         for u in self.users:
             below[u.bus].add(u.id)
         pairs = []
-        for br in reversed(order):
-            for child in children[br.to_bus]:
-                below[br.to_bus] |= below[child.to_bus]
-                pairs.append((branch_index[br.key], branch_index[child.key]))
+        for k in reversed(range(len(order))):
+            bus = order[k].to_bus
+            for child in children[bus]:
+                below[bus] |= below[order[child].to_bus]
+                pairs.append((k, child))
         z_pu = np.stack([self.z_pu(br) for br in self.branches])
         a, b = ab_matrices(z_pu.real, z_pu.imag)
         to_bus = np.array([bus_index[br.to_bus] for br in self.branches])
         for arr in (a, b, to_bus):
             arr.setflags(write=False)
         object.__setattr__(self, "_bus_index", bus_index)
-        object.__setattr__(
-            self, "_branch_by_key", {br.key: br for br in self.branches})
         object.__setattr__(self, "_branch_index", branch_index)
         object.__setattr__(self, "_sweep_tables", SweepTables(
             to_bus=to_bus, children=tuple(pairs),
-            downward=tuple((branch_index[br.key], bus_index[br.from_bus],
-                            bus_index[br.to_bus]) for br in order),
+            downward=tuple((k, bus_index[br.from_bus], bus_index[br.to_bus])
+                           for k, br in enumerate(order)),
             a_t=a.swapaxes(-1, -2), b_t=b.swapaxes(-1, -2)))
         object.__setattr__(
             self, "_downstream", {br.key: frozenset(below[br.to_bus]) for br in self.branches})
@@ -256,7 +268,7 @@ class Feeder:
 
     def branch(self, from_bus: str, to_bus: str) -> Branch:
         try:
-            return self._branch_by_key[(from_bus, to_bus)]
+            return self.branches[self._branch_index[(from_bus, to_bus)]]
         except KeyError:
             raise ValidationError(f"unknown branch ({from_bus!r}, {to_bus!r})") from None
 
@@ -517,7 +529,8 @@ def feasible_mask(phases, c0, delta_max: int, fixed_counts,
             f"configurations of shape {phases.shape} for {len(c0)} reconfigurable users")
     ok = (phases != np.asarray(c0)).sum(axis=1) <= delta_max
     if gamma is not None:
-        counts = (phases[:, :, None] == PHASES).sum(axis=1) + np.asarray(fixed_counts)
+        counts = np.stack([np.count_nonzero(phases == p, axis=1) for p in PHASES], axis=1)
+        counts += np.asarray(fixed_counts)
         ok &= np.all((counts >= gamma[0]) & (counts <= gamma[1]), axis=1)
     return ok
 
@@ -534,35 +547,6 @@ def binary_feasible(feeder: Feeder, assignment: PhaseAssignment,
 
 
 # -- file ingestion ----------------------------------------------------------
-
-
-def make_feeder(buses, branches, reference_bus, users, base_voltage,
-                base_power) -> Feeder:
-    """Build a Feeder, flipping any branch that points toward the reference."""
-    reference_bus = str(reference_bus)
-    adjacency: dict[str, list[Branch]] = {str(b): [] for b in buses}
-    for br in branches:
-        if br.from_bus not in adjacency or br.to_bus not in adjacency:
-            raise ValidationError(f"branch {br.key}: unknown bus")
-        adjacency[br.from_bus].append(br)
-        adjacency[br.to_bus].append(br)
-    oriented: list[Branch] = []
-    visited = {reference_bus}
-    stack = [reference_bus]
-    while stack:
-        bus = stack.pop()
-        for br in adjacency[bus]:
-            other = br.to_bus if br.from_bus == bus else br.from_bus
-            if other in visited:
-                continue
-            visited.add(other)
-            oriented.append(br if br.from_bus == bus else br.reversed())
-            stack.append(other)
-    if len(oriented) != len(branches):
-        # cycle or disconnection; let Feeder validation produce the message
-        oriented = list(branches)
-    return Feeder(tuple(buses), tuple(oriented), reference_bus, tuple(users),
-                  base_voltage, base_power)
 
 
 def load_feeder(path) -> Feeder:
@@ -589,10 +573,10 @@ def load_feeder(path) -> Feeder:
             users.append(User(
                 id=str(spec["id"]),
                 bus=str(spec["bus"]),
-                original_phase=int(spec["phase"]),
-                reconfigurable=bool(spec.get("reconfigurable", True)),
+                original_phase=spec["phase"],
+                reconfigurable=spec.get("reconfigurable", True),
             ))
-        return make_feeder(
+        return Feeder(
             buses=buses,
             branches=branches,
             reference_bus=raw["reference_bus"],

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from phasebal.network import Branch, LoadSeries, User, make_feeder
+from phasebal.network import Branch, Feeder, LoadSeries, User
 
 
 def _impedance(rng):
@@ -30,7 +30,7 @@ def radial_cases(draw):
         branches.append(Branch(*ends, _impedance(rng), _impedance(rng)))
     users = [User(f"u{m}", buses[rng.integers(n_bus)], int(rng.integers(1, 4)),
                   reconfigurable=not f) for m, f in enumerate(fixed)]
-    feeder = make_feeder(buses, branches, "b0", users, 230.0, 10000.0)
+    feeder = Feeder(buses, branches, "b0", users, 230.0, 10000.0)
     p = rng.uniform(0.0, 5000.0, (horizon, len(users)))
     loads = LoadSeries(tuple(u.id for u in users), p, p * rng.uniform(0.0, 0.5, p.shape))
     return feeder, loads, rng

@@ -259,8 +259,11 @@ def test_config_bad_line(tmp_path):
 
 
 @pytest.mark.parametrize("content", [None, "not json", "[1, 2, 3]",
-                                     json.dumps({"assignment": {"u1": "x", "u2": 1, "u3": 1}})],
-                         ids=["missing", "not_json", "list", "phase_text"])
+                                     json.dumps({"assignment": {"u1": "x", "u2": 1, "u3": 1}}),
+                                     json.dumps({"assignment": {"u1": 2.7, "u2": 1, "u3": 1}}),
+                                     json.dumps({"assignment": {"u1": True, "u2": 1, "u3": 1}})],
+                         ids=["missing", "not_json", "list", "phase_text", "phase_fraction",
+                              "phase_bool"])
 def test_unreadable_assignment_is_exit_2(line_paths, tmp_path, capsys, content):
     feeder_path, profiles_path = line_paths
     assignment = tmp_path / "assignment.json"
@@ -280,17 +283,33 @@ def test_unreadable_assignment_is_exit_2(line_paths, tmp_path, capsys, content):
     ("sweep", [], "enforce_phase_counts = abc\n"),
     ("sweep", [], "enforce_phase_counts = 2\n"),
     ("optimize", ["--method", "ga", "--population", "0"], ""),
+    ("sweep", [], "objective = foo\n"),
+    ("sweep", [], "profiles = 1.5\n"),
 ], ids=["grid_text", "horizons_text", "config_delta_max_text", "config_repeats_text",
-        "config_phase_counts_text", "config_phase_counts_int", "zero_population"])
+        "config_phase_counts_text", "config_phase_counts_int", "zero_population",
+        "config_objective_unknown", "config_profiles_number"])
 def test_unparsable_value_is_exit_2(line_paths, tmp_path, capsys, verb, flag, config):
     feeder_path, profiles_path = line_paths
     conf = tmp_path / "run.conf"
     conf.write_text(config)
-    inputs = (["--feeders", str(feeder_path)] if verb == "scale"
-              else ["--feeder", str(feeder_path), "--profiles", str(profiles_path)])
+    paths = ({"feeders": feeder_path} if verb == "scale"
+             else {"feeder": feeder_path, "profiles": profiles_path})
+    # an input the config file names is not also given as a flag, which would win
+    inputs = [arg for key, path in paths.items() if f"{key} =" not in config
+              for arg in (f"--{key}", str(path))]
     code = main([verb, "--config", str(conf), *inputs, *flag])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_out_number_names_a_file(line_paths, tmp_path, monkeypatch, capsys):
+    feeder_path, profiles_path = line_paths
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"feeder = {feeder_path}\nprofiles = {profiles_path}\nout = 1\n")
+    assert main(["pf", "--config", str(conf), "--t", "0"]) == 0
+    assert "wrote 1" in capsys.readouterr().out
+    assert json.loads((tmp_path / "1").read_text())["timesteps"]["0"]["converged"]
 
 
 def test_config_sets_sweep_grid_and_flag_overrides(line_paths, tmp_path, monkeypatch):

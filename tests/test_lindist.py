@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from phasebal import fixtures, powerflow
 from phasebal.dropmatrices import GAMMA_IM, GAMMA_RE, ab_matrices
 from phasebal.lindist import AffineSensitivity, _sweep, evaluate_series, sensitivity
-from phasebal.network import (Branch, LoadSeries, PhaseAssignment, User,
-                              downstream_users, make_feeder,
-                              original_assignment)
+from phasebal.network import (Branch, Feeder, LoadSeries, PhaseAssignment, User,
+                              downstream_users, original_assignment)
 from reference_impls import sensitivity_loop, sweep_by_branch
 from strategies import radial_cases
 
@@ -142,7 +141,7 @@ def test_ld3f_linearity_disjoint_sets(line):
 def test_sensitivity_no_reconfigurable_users():
     z_r = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
     z_x = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", z_r, z_x)],
         reference_bus="r",

@@ -13,9 +13,9 @@ from phasebal.errors import InfeasibleProgramError, ValidationError
 from phasebal.metrics import ObjectiveSpec, aggregate
 from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BnBOptions, _BnBSolver, _gather_sum,
                            _quadratic_parts, branch_and_bound, build_program)
-from phasebal.network import (Branch, ConstraintConfig, LoadSeries,
+from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, completion_count, completions,
-                              downstream_users, feasible_mask, make_feeder)
+                              downstream_users, feasible_mask)
 from phasebal.problem import (Problem, evaluate, evaluate_exact,
                               metric_values_ld3f)
 from strategies import radial_cases
@@ -45,7 +45,7 @@ def test_exact_metrics_rejected(line):
 
 
 def test_no_reconfigurable_users_constant_program():
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", Z_R, Z_X)],
         reference_bus="r",
@@ -69,7 +69,7 @@ def test_no_reconfigurable_users_constant_program():
 @pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
 def test_no_reconfigurable_users_breaking_a_row_is_infeasible(metric):
     z = np.diag([0.2, 0.2, 0.2])
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"], branches=[Branch("r", "b1", z, z)], reference_bus="r",
         users=[User("fix", "b1", 1, reconfigurable=False)],
         base_voltage=230.0, base_power=10000.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 
 import reference_impls as ref
 from phasebal import fixtures
-from phasebal.errors import InputParseError, ValidationError
+from phasebal.errors import InputParseError, PhasebalError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.miqp import _gather_sum, build_program
-from phasebal.network import (PHASES, Branch, ConstraintConfig, LoadSeries,
+from phasebal.network import (PHASES, Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, binary_feasible, completion_count,
                               completions, downstream_users, feasible_mask,
                               fixed_phase_counts, injection_series,
-                              load_feeder, load_profiles, make_feeder,
+                              load_feeder, load_profiles,
                               original_assignment, switch_count, user_phases)
 from phasebal.problem import Problem, evaluate_exact, evaluate_ld3f
 from strategies import radial_cases
@@ -98,6 +99,42 @@ def test_branch_direction_normalized_toward_leaves(tmp_path):
     payload = feeder_dict(branches=[{"from": "b1", "to": "r", "R": Z_R, "X": Z_X}])
     feeder = load_feeder(write_json(tmp_path, payload))
     assert feeder.branches[0].key == ("r", "b1")
+
+
+@pytest.mark.parametrize("field, value", [("phase", 2.7), ("phase", True),
+                                          ("reconfigurable", "false"), ("reconfigurable", 1)],
+                         ids=["phase_fraction", "phase_bool", "flag_text", "flag_int"])
+def test_load_feeder_rejects_inexact_phase_or_flag(tmp_path, field, value):
+    payload = feeder_dict()
+    payload["users"][0][field] = value
+    with pytest.raises(PhasebalError):
+        load_feeder(write_json(tmp_path, payload))
+
+
+def test_load_feeder_reads_integral_float_phase(tmp_path):
+    payload = feeder_dict()
+    payload["users"][0]["phase"] = 2.0
+    phase = load_feeder(write_json(tmp_path, payload)).users[0].original_phase
+    assert phase == 2 and type(phase) is int
+
+
+def test_feeder_orients_branches_in_walk_order():
+    """Branches come out oriented away from the reference, numbered in the
+    order one depth-first walk from it reaches them (a bus's branches in
+    the order given, the last bus found explored first)."""
+    def br(a, b):
+        return Branch(a, b, Z_R, Z_X)
+
+    given = [br("b", "a"), br("d", "r"), br("a", "c"), br("e", "d"), br("r", "a")]
+    feeder = Feeder(["r", "a", "b", "c", "d", "e"], given, "r",
+                    [User("u1", "e", 1)], 230.0, 10000.0)
+    expected = [("r", "d"), ("r", "a"), ("a", "b"), ("a", "c"), ("d", "e")]
+    assert [b.key for b in feeder.branches] == expected
+    assert [b.key for b in dataclasses.replace(feeder).branches] == expected
+    # |buses| - 1 branches, one pair joined twice: bus c is cut off
+    with pytest.raises(ValidationError, match=r"non-radial: buses \['c'\] unreachable"):
+        Feeder(["r", "a", "b", "c"], [br("r", "a"), br("a", "r"), br("a", "b")], "r",
+               [], 230.0, 10000.0)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -294,7 +331,7 @@ def test_downstream_nested_along_path(twenty_user):
 
 
 def one_user_feeder(phase):
-    return make_feeder(
+    return Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", Z_R, Z_X)],
         reference_bus="r",
@@ -367,7 +404,7 @@ def test_phase_user_counts(twenty_user):
 
 
 def test_feasible_mask_counts_fixed_users():
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", Z_R, Z_X)],
         reference_bus="r",
@@ -478,7 +515,7 @@ def test_injection_series_is_bitwise_the_sequential_sum(case, horizon, data):
 
 
 def test_user_phases_respects_fixed_users():
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", Z_R, Z_X)],
         reference_bus="r",

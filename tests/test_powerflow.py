@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from phasebal import fixtures
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
-from phasebal.network import (Branch, ConstraintConfig, LoadSeries, PhaseAssignment,
-                              User, injection_series, make_feeder, original_assignment)
+from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
+                              PhaseAssignment, User, injection_series, original_assignment)
 from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_series
 from phasebal.problem import Problem, evaluate_exact
 from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
@@ -34,7 +34,7 @@ def solve_step(feeder, assignment, loads, t, **kwargs):
 
 def test_ybus_single_branch_block_structure():
     z = np.diag([0.1 + 0.05j, 0.2 + 0.1j, 0.1 + 0.08j])
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", z.real, z.imag)],
         reference_bus="r",
@@ -227,7 +227,7 @@ def test_losses_zero_load(line):
 
 def test_losses_reactive_only_line_is_lossless():
     zero_r = [[1e-9 if i == j else 0.0 for j in range(3)] for i in range(3)]
-    feeder = make_feeder(
+    feeder = Feeder(
         buses=["r", "b1"],
         branches=[Branch("r", "b1", zero_r, Z_X)],
         reference_bus="r",
