@@ -12,6 +12,12 @@ Operators: binary tournament selection, single point crossover, random
 resetting mutation, elitist replacement.  The run is deterministic given
 the seed, and repeated candidates are served from a memo cache (cache
 hits still count against the fitness-call budget).
+
+A generation's unique, budget-feasible candidates are solved in chunks of
+at most ``CHUNK_ROWS`` power-flow rows, each as one stacked block, and
+each candidate's slice goes through ``evaluate_exact``.  A stacked step
+equals its own solve bitwise, so no fitness depends on the chunking; with
+``threads > 1`` the chunks are spread over the workers.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ import numpy as np
 from .errors import ValidationError
 from .network import (PhaseAssignment, binary_feasible, feasible_mask, fixed_phase_counts,
                       original_assignment)
+from .powerflow import solve_series
 from .problem import Problem, evaluate_exact
+
+CHUNK_ROWS = 96  # candidates x timesteps per block; larger blocks raise peak memory
 
 
 @dataclass(frozen=True)
@@ -57,9 +66,6 @@ class GAResult:
     pf_evaluations: int
     feasible: bool
 
-    def trace_rows(self):
-        return [(g, b, m, w) for g, (b, m, w) in enumerate(self.trace)]
-
 
 class FitnessEvaluator:
     """Penalty fitness with memoization and call accounting."""
@@ -76,14 +82,20 @@ class FitnessEvaluator:
         self.i0 = evaluate_exact(problem, self.a0).objective
         self.pf_evaluations = 1
 
-    def _exact(self, c: tuple) -> float:
-        """Penalized exact-PF fitness of a budget- and count-feasible
-        candidate; pure so it can run on worker threads."""
-        ev = evaluate_exact(self.problem, PhaseAssignment(c))
-        value = ev.objective
-        if not ev.operational_ok or not np.isfinite(value):
-            value = (value if np.isfinite(value) else 0.0) + self.m * self.i0
-        return value
+    def _exact(self, chunk: list[tuple]) -> list[float]:
+        """Penalized exact-PF fitness of feasible candidates, solved as one
+        stacked block; pure so that chunks can run on worker threads."""
+        batch = [PhaseAssignment(c) for c in chunk]
+        prob, horizon = self.problem, self.problem.loads.horizon
+        series = solve_series(prob.feeder, batch, prob.loads)
+        values = []
+        for k, a in enumerate(batch):
+            ev = evaluate_exact(prob, a, series[k * horizon:(k + 1) * horizon])
+            value = ev.objective
+            if not ev.operational_ok or not np.isfinite(value):
+                value = (value if np.isfinite(value) else 0.0) + self.m * self.i0
+            values.append(value)
+        return values
 
     def __call__(self, c) -> float:
         return self.evaluate_population([c])[0]
@@ -101,11 +113,13 @@ class FitnessEvaluator:
         if unique:
             ok = feasible_mask(unique, *self._mask_args)
             todo = [c for c, good in zip(unique, ok) if good]
-            if threads > 1 and len(todo) > 1:
+            size = max(1, CHUNK_ROWS // self.problem.loads.horizon)
+            chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+            if threads > 1 and len(chunks) > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    values = list(pool.map(self._exact, todo))
+                    values = [v for vs in pool.map(self._exact, chunks) for v in vs]
             else:
-                values = [self._exact(c) for c in todo]
+                values = [v for chunk in chunks for v in self._exact(chunk)]
             self.pf_evaluations += len(todo)
             exact = dict(zip(todo, values))
             for c in unique:
@@ -183,8 +197,7 @@ def run_ga(problem: Problem, config: GAConfig) -> GAResult:
     best_i = int(np.argmin(fitnesses))
     best = PhaseAssignment(population[best_i])
     ev = evaluate_exact(problem, best)
-    feasible = (binary_feasible(feeder, best, problem.constraints)
-                and ev.operational_ok)
+    feasible = binary_feasible(feeder, best, problem.constraints) and ev.operational_ok
     return GAResult(best=best, best_fitness=fitnesses[best_i], trace=trace,
                     fitness_calls=evaluator.fitness_calls,
                     pf_evaluations=evaluator.pf_evaluations,

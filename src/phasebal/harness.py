@@ -138,12 +138,16 @@ def cmd_optimize(feeder: Feeder, loads: LoadSeries, method: str,
     )
 
 
-def write_trace_csv(result: ga.GAResult, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["generation", "best", "median", "worst"])
-        for row in result.trace_rows():
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trace_csv(result: ga.GAResult, path) -> None:
+    _write_csv(path, ["generation", "best", "median", "worst"],
+               ([g] + [repr(v) for v in row] for g, row in enumerate(result.trace)))
 
 
 # -- validation over unseen loads --------------------------------------------
@@ -182,15 +186,10 @@ def cmd_validate(feeder: Feeder, assignment: PhaseAssignment,
         report["metrics"][spec.metric] = {tag: _distribution(v[np.isfinite(v)])
                                           for tag, v in series.items()}
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t"] + [f"{n}_{tag}" for n in metric_names
-                              for tag in ("original", "solution")]
-            writer.writerow(header)
-            for t in range(validation_loads.horizon):
-                row = [t] + [repr(float(per_t[n][tag][t])) for n in metric_names
-                             for tag in ("original", "solution")]
-                writer.writerow(row)
+        cols = [(n, tag) for n in metric_names for tag in ("original", "solution")]
+        _write_csv(csv_path, ["t"] + [f"{n}_{tag}" for n, tag in cols],
+                   ([t] + [repr(float(per_t[n][tag][t])) for n, tag in cols]
+                    for t in range(validation_loads.horizon)))
     return report
 
 
@@ -250,12 +249,9 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
                          grid=grid, values=values, switches_used=used,
                          failures=failures)
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta_max", "objective", "switches_used"])
-            for g, v, s in zip(grid, values, used):
-                writer.writerow([g, "" if v is None else repr(v),
-                                 "" if s is None else s])
+        _write_csv(csv_path, ["delta_max", "objective", "switches_used"],
+                   ([g, "" if v is None else repr(v), "" if s is None else s]
+                    for g, v, s in zip(grid, values, used)))
     return report
 
 
@@ -298,13 +294,9 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
               "reported": [{"feeder": k[0], "horizon": k[1], "method": k[2],
                             "wall_time_s": v} for k, v in summary.items()]}
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feeder", "horizon", "method", "repeat",
-                             "wall_time_s"])
-            for row in rows:
-                writer.writerow([row["feeder"], row["horizon"], row["method"],
-                                 row["repeat"], repr(row["wall_time_s"])])
+        keys = ("feeder", "horizon", "method", "repeat")
+        _write_csv(csv_path, [*keys, "wall_time_s"],
+                   ([row[k] for k in keys] + [repr(row["wall_time_s"])] for row in rows))
     return report
 
 

@@ -56,7 +56,6 @@ def _write_linear(terms, out, indent=" "):
         wrote = True
     if not wrote:
         out.append(f"{indent}0 {_CONST_VAR}")
-    return wrote
 
 
 def _program_rows(prog: BinaryProgram):
@@ -104,21 +103,15 @@ def export_lp(prog: BinaryProgram, path) -> None:
     """Write the program in LP format; verifies its own round trip."""
     lin, quad, const = _program_objective(prog)
     out = ["\\ phase re-assignment binary program", "Minimize"]
-    line = ["obj:"]
-    terms = [(name, lin.get(name, 0.0)) for name in prog.var_names()
-             if name in lin]
     obj_parts = []
-    _write_linear(terms, obj_parts, indent=" ")
+    _write_linear([(name, lin[name]) for name in prog.var_names() if name in lin], obj_parts)
     if const != 0.0:
         obj_parts.append(f" + {_fmt(const)} {_CONST_VAR}")
     if quad:
-        quad_parts = []
-        for (na, nb), coef in sorted(quad.items()):
-            piece = f"{_fmt(2.0 * coef)} {na} ^ 2" if na == nb \
-                else f"{_fmt(2.0 * coef)} {na} * {nb}"
-            quad_parts.append(piece)
+        quad_parts = [f"{_fmt(2.0 * coef)} {na} " + ("^ 2" if na == nb else f"* {nb}")
+                      for (na, nb), coef in sorted(quad.items())]
         obj_parts.append(" + [ " + " + ".join(quad_parts) + " ] / 2")
-    out.append("".join(line) + "".join(obj_parts))
+    out.append("obj:" + "".join(obj_parts))
     out.append("Subject To")
     rows = _program_rows(prog)
     for label, terms, sense, rhs in rows:
@@ -128,15 +121,13 @@ def export_lp(prog: BinaryProgram, path) -> None:
     out.append("Bounds")
     if const != 0.0:
         out.append(f" {_CONST_VAR} = 1")
-    for t in range(prog.horizon if prog.objective_kind == "pvur_star" else 0):
-        out.append(f" 0 <= m_{t}")
+    if prog.objective_kind == "pvur_star":
+        out += [f" 0 <= m_{t}" for t in range(prog.horizon)]
     out.append("Binaries")
-    for u in prog.users:
-        out.append(" " + " ".join(f"d_{u}_{ph}" for ph in (1, 2, 3)))
+    out += [" " + " ".join(f"d_{u}_{ph}" for ph in (1, 2, 3)) for u in prog.users]
     out.append("End")
-    text = "\n".join(out) + "\n"
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(out) + "\n")
     _verify_roundtrip(prog, parse_lp(path), lin, quad, const, len(rows))
 
 
@@ -210,13 +201,8 @@ def parse_lp(path) -> LpModel:
 
 def _parse_lp(path) -> LpModel:
     model = LpModel()
-    with open(path) as fh:
-        raw_lines = [ln.rstrip("\n") for ln in fh]
-    lines = []
-    for ln in raw_lines:
-        ln = ln.split("\\")[0].rstrip()
-        if ln.strip():
-            lines.append(ln.strip())
+    with open(path) as fh:  # text after a backslash is a comment
+        lines = [ln for ln in (raw.split("\\")[0].strip() for raw in fh) if ln]
     section = None
     buffer = []
 
@@ -258,23 +244,17 @@ def _parse_lp(path) -> LpModel:
             terms[name] = terms.get(name, 0.0) + c
         model.constraints.append((label, terms, sense, rhs))
 
+    flushes = {"minimize": flush_objective, "subject to": flush_constraint,
+               "st": flush_constraint, "s.t.": flush_constraint}
     for ln in lines + ["End"]:
+        flush = flushes.get(section)
         if _SECTION.match(ln):
-            if section == "minimize" and buffer:
-                flush_objective(buffer)
-            elif section in ("subject to", "st", "s.t.") and buffer:
-                flush_constraint(buffer)
-            buffer = []
-            section = ln.lower()
-            continue
-        if section == "minimize":
+            if flush and buffer:
+                flush(buffer)
+            buffer, section = [], ln.lower()
+        elif flush:  # a labelled line starts the next objective or row
             if re.match(r"^\s*[\w.\-]+\s*:", ln) and buffer:
-                flush_objective(buffer)
-                buffer = []
-            buffer.append(ln)
-        elif section in ("subject to", "st", "s.t."):
-            if re.match(r"^\s*[\w.\-]+\s*:", ln) and buffer:
-                flush_constraint(buffer)
+                flush(buffer)
                 buffer = []
             buffer.append(ln)
         elif section == "bounds":

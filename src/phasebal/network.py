@@ -23,6 +23,7 @@ import csv
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,27 @@ class Branch:
                       self.ampacity_a, self.power_limit_va)
 
 
+_PHASE_OF = {p: p for p in PHASES}  # 2.0 finds 2; 2.7, "2" and None find nothing
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def as_phases(values, what: str) -> tuple[int, ...]:
+    """Phases as ints; a bool (Python or numpy), text or a fraction (2.7,
+    which int() reads as 2) raises.  One dict lookup per entry, as every GA
+    candidate and oracle row passes here; ``tolist`` reads an array row."""
+    values = values.tolist() if isinstance(values, np.ndarray) else tuple(values)
+    try:
+        phases = tuple(map(_PHASE_OF.get, values))
+    except TypeError:  # an unhashable entry
+        phases = (None,)
+    if None in phases or not _BOOL_TYPES.isdisjoint(map(type, values)):
+        bad = next((p for p in values if type(p) in _BOOL_TYPES or p not in PHASES), values)
+        raise ValidationError(f"{what}: phase must be in {PHASES}, got {bad!r}")
+    return phases
+
+
 def as_phase(p, what: str) -> int:
-    """A phase read from outside the program as an int; a bool, text or a
-    fraction (2.7, which int() reads as 2) raises."""
-    if isinstance(p, bool) or p not in PHASES:
-        raise ValidationError(f"{what}: phase must be in {PHASES}, got {p!r}")
-    return int(p)
+    return as_phases((p,), what)[0]
 
 
 @dataclass(frozen=True)
@@ -223,7 +239,9 @@ class Feeder:
         branch_index = {br.key: k for k, br in enumerate(order)}
         # flows and user sets accumulate leaves first, up the walk
         below = {b: set() for b in self.buses}
+        place = []  # each user's place among the users of its bus
         for u in self.users:
+            place.append(len(below[u.bus]))
             below[u.bus].add(u.id)
         pairs = []
         for k in reversed(range(len(order))):
@@ -245,8 +263,18 @@ class Feeder:
             a_t=a.swapaxes(-1, -2), b_t=b.swapaxes(-1, -2)))
         object.__setattr__(
             self, "_downstream", {br.key: frozenset(below[br.to_bus]) for br in self.branches})
-        object.__setattr__(self, "_reconfigurable", tuple(
-            sorted((u for u in self.users if u.reconfigurable), key=lambda u: u.id)))
+        at = sorted((i for i, u in enumerate(self.users) if u.reconfigurable),
+                    key=lambda i: self.users[i].id)
+        object.__setattr__(self, "_reconfigurable", tuple(self.users[i] for i in at))
+        # per user, its injection slot 3 * bus + phase - 1 on the flat (bus,
+        # phase) axis, at phase 0 if reconfigurable; layer j holds the j-th
+        # user of every bus, so no two users of a layer share a slot
+        object.__setattr__(self, "_user_slot", np.array(
+            [3 * bus_index[u.bus] - 1 + (0 if u.reconfigurable else u.original_phase)
+             for u in self.users], dtype=int))
+        object.__setattr__(self, "_reconfigurable_at", np.array(at, dtype=int))
+        object.__setattr__(self, "_user_layers", tuple(
+            np.flatnonzero(np.equal(place, j)) for j in range(max(place, default=-1) + 1)))
 
     # -- bases -------------------------------------------------------------
 
@@ -314,14 +342,10 @@ class PhaseAssignment:
     phases: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(int(p) for p in self.phases))
-        for p in self.phases:
-            if p not in PHASES:
-                raise ValidationError(f"phase {p} not in {PHASES}")
+        object.__setattr__(self, "phases", as_phases(self.phases, "assignment"))
 
     def __len__(self):
         return len(self.phases)
-
 
 
 def original_assignment(feeder: Feeder) -> PhaseAssignment:
@@ -334,18 +358,6 @@ def switch_count(a: PhaseAssignment, a0: PhaseAssignment) -> int:
         raise ValidationError(
             f"assignment length mismatch: {len(a)} vs {len(a0)}")
     return sum(1 for p, p0 in zip(a.phases, a0.phases) if p != p0)
-
-
-def user_phases(feeder: Feeder, assignment: PhaseAssignment) -> dict[str, int]:
-    """Phase of every user under ``assignment`` (fixed users keep their own)."""
-    pr = feeder.reconfigurable_users()
-    if len(assignment) != len(pr):
-        raise ValidationError(
-            f"assignment has {len(assignment)} entries for {len(pr)} reconfigurable users")
-    phases = {u.id: u.original_phase for u in feeder.users}
-    for u, p in zip(pr, assignment.phases):
-        phases[u.id] = p
-    return phases
 
 
 # -- load series -----------------------------------------------------------
@@ -389,6 +401,11 @@ class LoadSeries:
             raise ValidationError(f"no load series for user {user_id!r}") from None
 
     @functools.cached_property
+    def user_demand(self) -> np.ndarray:
+        """Complex demand p + jq in W / var, one contiguous (T,) row per column."""
+        return np.ascontiguousarray((self.p + 1j * self.q).T)
+
+    @functools.cached_property
     def mean_p(self) -> np.ndarray:
         """Each column's time-mean active demand in W, bitwise p[:, c].mean()."""
         return np.ascontiguousarray(self.p.T).mean(axis=1)
@@ -405,29 +422,27 @@ class LoadSeries:
 # -- injections ------------------------------------------------------------
 
 
-def injection_series(feeder: Feeder, assignment: PhaseAssignment,
+def injection_series(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment],
                      loads: LoadSeries) -> np.ndarray:
-    """Complex (T, n_buses, 3) injections in watts, buses in feeder.buses order."""
-    phases = user_phases(feeder, assignment)
-    # rank r holds the r-th user of each (bus, phase) in feeder.users order, so
-    # one scatter per rank adds the users sharing a (bus, phase) in that order
-    ranks = []  # per rank: (load columns, flat (bus, phase) slots)
-    seen = {}
-    for u in feeder.users:
-        slot = 3 * feeder.bus_index(u.bus) + phases[u.id] - 1
-        r = seen[slot] = seen.get(slot, -1) + 1
-        if r == len(ranks):
-            ranks.append(([], []))
-        ranks[r][0].append(loads.column(u.id))
-        ranks[r][1].append(slot)
-    cols = [c for rank_cols, _ in ranks for c in rank_cols]
-    s = loads.p[:, cols] + 1j * loads.q[:, cols]
-    out = np.zeros((loads.horizon, 3 * len(feeder.buses)), dtype=complex)
-    start = 0
-    for _, slots in ranks:
-        out[:, slots] += s[:, start:start + len(slots)]
-        start += len(slots)
-    return out.reshape(loads.horizon, len(feeder.buses), 3)
+    """Complex (K * T, n_buses, 3) injections in watts of K assignments,
+    candidate-major (one assignment is a batch of one), buses in
+    feeder.buses order.  Each (bus, phase) adds its users in feeder.users
+    order from +0, one scatter per layer (the j-th user of every bus) over
+    all candidates, so each candidate's rows are bitwise its own call's."""
+    batch = (assignments,) if isinstance(assignments, PhaseAssignment) else assignments
+    n = len(feeder.reconfigurable_users())
+    if any(len(a) != n for a in batch):
+        raise ValidationError(f"phases {[len(a) for a in batch]} for {n} reconfigurable users")
+    width = 3 * len(feeder.buses)
+    # the out row of each (candidate, user) pair, candidate k's from k * width
+    slots = feeder._user_slot + width * np.arange(len(batch))[:, None]
+    phases = np.array([a.phases for a in batch], dtype=int).reshape(len(batch), n)
+    slots[:, feeder._reconfigurable_at] += phases
+    demand = loads.user_demand[[loads.column(u.id) for u in feeder.users]]
+    out = np.zeros((len(batch) * width, loads.horizon), dtype=complex)
+    for layer in feeder._user_layers:
+        out[slots[:, layer]] += demand[layer]
+    return out.reshape(len(batch), width, -1).transpose(0, 2, 1).reshape(-1, len(feeder.buses), 3)
 
 
 # -- constraint configuration ----------------------------------------------
@@ -472,11 +487,8 @@ class ConstraintConfig:
 
 def fixed_phase_counts(feeder: Feeder) -> tuple[int, int, int]:
     """Users per phase among the users that cannot be reconfigured."""
-    counts = [0, 0, 0]
-    for u in feeder.users:
-        if not u.reconfigurable:
-            counts[u.original_phase - 1] += 1
-    return tuple(counts)
+    fixed = [u.original_phase for u in feeder.users if not u.reconfigurable]
+    return tuple(fixed.count(p) for p in PHASES)
 
 
 def completion_count(n_free: int, budget: int) -> int:
@@ -536,12 +548,10 @@ def feasible_mask(phases, c0, delta_max: int, fixed_counts,
 
 
 def binary_feasible(feeder: Feeder, assignment: PhaseAssignment,
-                    constraints: ConstraintConfig,
-                    a0: PhaseAssignment | None = None) -> bool:
+                    constraints: ConstraintConfig) -> bool:
     """Check the switch budget and (optionally) per-phase user counts."""
-    if a0 is None:
-        a0 = original_assignment(feeder)
-    return bool(feasible_mask([assignment.phases], a0.phases, constraints.delta_max,
+    return bool(feasible_mask([assignment.phases], original_assignment(feeder).phases,
+                              constraints.delta_max,
                               fixed_phase_counts(feeder),
                               constraints.phase_count_bounds)[0])
 
@@ -671,11 +681,11 @@ def load_profiles(path, feeder: Feeder, power_factor: float = 0.95,
         raise ValidationError(f"profiles file {path} has a header but no rows")
     arr = np.array(data, dtype=float)
     tan_phi = math.tan(math.acos(power_factor))
-    p = np.empty((arr.shape[0], len(user_ids)))
-    q = np.empty_like(p)
+    p = arr[:, [p_col[uid] for uid in user_ids]]
+    q = p * tan_phi
     for j, uid in enumerate(user_ids):
-        p[:, j] = arr[:, p_col[uid]]
-        q[:, j] = arr[:, q_col[uid]] if uid in q_col else p[:, j] * tan_phi
+        if uid in q_col:
+            q[:, j] = arr[:, q_col[uid]]
     return LoadSeries(user_ids, p, q, resolution_s)
 
 
@@ -686,8 +696,5 @@ def save_profiles(loads: LoadSeries, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in range(loads.horizon):
-            row = [t]
-            for j in range(len(loads.user_ids)):
-                row += [repr(float(loads.p[t, j])), repr(float(loads.q[t, j]))]
-            writer.writerow(row)
+        writer.writerows([t] + [repr(float(x)) for pq in zip(loads.p[t], loads.q[t]) for x in pq]
+                         for t in range(loads.horizon))

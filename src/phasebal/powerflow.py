@@ -11,8 +11,10 @@ A series is the only entry point; one timestep is a one-step window
 (``LoadSeries.slice_window``).  All timesteps of a series are solved as
 one time-major block, one row per active step; a step leaves it, and is
 written out, once converged or flagged as collapsed, so it takes the
-iterations of an independent solve.  A step's result must not depend on
-the block width, or a series would differ from its single-step solves.
+iterations of an independent solve.  K assignments (the GA's chunks)
+stack into K * T rows, candidate k's at ``series[k * T:(k + 1) * T]``.
+A step's result must not depend on the block's width or other rows, or
+a series would differ from its single-step solves.
 BLAS products and LU solves pick kernels and summation orders by shape,
 so the iteration contracts with ``np.einsum`` (a fixed-order loop) against
 a dense inverse of the reduced Y-bus, built once per feeder
@@ -126,11 +128,14 @@ def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int)
                     current, converged, iterations, mismatch, collapsed)
 
 
-def solve_series(feeder: Feeder, assignment: PhaseAssignment, loads: LoadSeries,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-                 ) -> PFSeries:
-    """Independent flat-start solves of every timestep, as one block."""
-    return _solve_block(feeder, injection_series(feeder, assignment, loads),
+def solve_series(feeder: Feeder,
+                 assignments: PhaseAssignment | Sequence[PhaseAssignment],
+                 loads: LoadSeries, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER) -> PFSeries:
+    """Independent flat-start solves of every timestep of each assignment,
+    as one block of K * T rows, candidate-major; one assignment is a batch
+    of one."""
+    return _solve_block(feeder, injection_series(feeder, assignments, loads),
                         tol, max_iter)
 
 

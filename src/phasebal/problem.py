@@ -128,11 +128,14 @@ def check_operational(feeder: Feeder, constraints: ConstraintConfig,
     return tuple(violations)
 
 
-def evaluate_exact(problem: Problem, assignment: PhaseAssignment) -> Evaluation:
-    """Exact-PF objective plus operational feasibility of a configuration."""
+def evaluate_exact(problem: Problem, assignment: PhaseAssignment,
+                   series: powerflow.PFSeries | None = None) -> Evaluation:
+    """Exact-PF objective plus operational feasibility of a configuration;
+    ``series`` is its power flow if already solved, as in a stacked block."""
+    if series is None:
+        series = powerflow.solve_series(problem.feeder, assignment, problem.loads)
     try:
-        sols = powerflow.solve_series(problem.feeder, assignment,
-                                      problem.loads).check_collapse()
+        sols = series.check_collapse()
     except ConvergenceError as exc:
         return Evaluation(objective=np.inf, operational_ok=False,
                           violations=(str(exc),))

@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from phasebal.dropmatrices import ab_matrices
-from phasebal.network import injection_series, user_phases
+from phasebal.errors import ValidationError
+from phasebal.network import injection_series
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
 
@@ -333,6 +334,18 @@ def sensitivity_loop(feeder, loads):
                 feeder, p_bus, q_bus)
             d_omega[i, ph - 1] = omega - 1.0
     return omega0, d_omega, flow0_p, flow0_q, d_flow_p, d_flow_q
+
+
+def user_phases(feeder, assignment):
+    """Phase of every user under ``assignment`` (fixed users keep their own)."""
+    pr = feeder.reconfigurable_users()
+    if len(assignment) != len(pr):
+        raise ValidationError(
+            f"assignment has {len(assignment)} entries for {len(pr)} reconfigurable users")
+    phases = {u.id: u.original_phase for u in feeder.users}
+    for u, p in zip(pr, assignment.phases):
+        phases[u.id] = p
+    return phases
 
 
 def injection_series_sequential(feeder, assignment, loads):

@@ -15,11 +15,11 @@ from phasebal.errors import InputParseError, PhasebalError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.miqp import _gather_sum, build_program
 from phasebal.network import (PHASES, Branch, ConstraintConfig, Feeder, LoadSeries,
-                              PhaseAssignment, User, binary_feasible, completion_count,
-                              completions, downstream_users, feasible_mask,
-                              fixed_phase_counts, injection_series,
-                              load_feeder, load_profiles,
-                              original_assignment, switch_count, user_phases)
+                              PhaseAssignment, User, as_phase, binary_feasible,
+                              completion_count, completions, downstream_users,
+                              feasible_mask, fixed_phase_counts, injection_series,
+                              load_feeder, load_profiles, original_assignment,
+                              switch_count)
 from phasebal.problem import Problem, evaluate_exact, evaluate_ld3f
 from strategies import radial_cases
 
@@ -216,6 +216,30 @@ def test_load_profiles_ragged_row(tmp_path, two_bus):
         fh.write("3,1.0\n")
     with pytest.raises(ValidationError, match="fields"):
         load_profiles(path, feeder)
+
+
+# -- phase assignments -------------------------------------------------------
+
+NOT_PHASES = [2.7, np.float64(1.5), "2", True, False, np.True_, np.False_, 0, 4, -1,
+              None, [1]]
+
+
+@pytest.mark.parametrize("bad", NOT_PHASES, ids=repr)
+def test_phase_assignment_rejects_what_is_not_a_phase(bad):
+    """Fractions, text and bools of either kind raise rather than being
+    truncated by int(): (2.7, True) once read as (2, 1)."""
+    with pytest.raises(ValidationError, match="phase must be in"):
+        PhaseAssignment((1, bad))
+    with pytest.raises(ValidationError, match="phase must be in"):
+        as_phase(bad, "user u1")
+
+
+def test_phase_assignment_reads_integer_kinds_as_ints():
+    a = PhaseAssignment((np.int8(1), np.int64(2), 3, 2.0))
+    assert a.phases == (1, 2, 3, 2)
+    assert all(type(p) is int for p in a.phases)
+    assert PhaseAssignment(np.array([3, 1], dtype=np.int8)).phases == (3, 1)
+    assert type(as_phase(np.int64(3), "user u1")) is int
 
 
 # -- switch_count ------------------------------------------------------------
@@ -420,7 +444,7 @@ def test_feasible_mask_counts_fixed_users():
                                 enforce_phase_counts=gamma is not None)
         expected = []
         for c in configs:
-            counts = [list(user_phases(feeder, PhaseAssignment(c)).values()).count(p)
+            counts = [list(ref.user_phases(feeder, PhaseAssignment(c)).values()).count(p)
                       for p in PHASES]
             expected.append(switch_count(PhaseAssignment(c), PhaseAssignment(c0)) <= budget
                             and (gamma is None
@@ -483,7 +507,7 @@ def test_injection_series_matches_loop(twenty_user):
                           for _ in range(20)]
     for c in draws:
         a = PhaseAssignment(c)
-        phases = user_phases(feeder, a)
+        phases = ref.user_phases(feeder, a)
         expected = np.zeros((loads.horizon, len(feeder.buses), 3), dtype=complex)
         for u in feeder.users:
             col = loads.column(u.id)
@@ -495,23 +519,44 @@ def test_injection_series_matches_loop(twenty_user):
             assert np.array_equal(one[0], expected[t])
 
 
-@given(case=radial_cases(), horizon=st.sampled_from([1, 12, 720]), data=st.data())
+@given(case=radial_cases(), horizon=st.sampled_from([1, 12, 720]), crowd=st.booleans(),
+       data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_injection_series_is_bitwise_the_sequential_sum(case, horizon, data):
+def test_injection_series_is_bitwise_the_sequential_sum(case, horizon, crowd, data):
     """Users sharing a (bus, phase) add up in feeder.users order, zeros of
-    both signs included, whatever the horizon and the load column order."""
+    both signs included, whatever the horizon and the load column order;
+    each candidate of a batch gets exactly the rows of its own sum.  A
+    crowded feeder has every user, fixed ones included, on one bus, and its
+    first candidate puts every reconfigurable user on phase 1."""
     feeder, _, rng = case
+    if crowd:
+        feeder = Feeder(feeder.buses, feeder.branches, feeder.reference_bus,
+                        [dataclasses.replace(u, bus=feeder.buses[-1]) for u in feeder.users],
+                        feeder.base_voltage, feeder.base_power)
     n = len(feeder.reconfigurable_users())
-    a = PhaseAssignment(tuple(data.draw(st.lists(st.integers(1, 3), min_size=n,
-                                                 max_size=n))))
+    batch = [PhaseAssignment(c) for c in data.draw(st.lists(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n), min_size=1, max_size=5))]
+    if crowd:
+        batch[0] = PhaseAssignment((1,) * n)
     p, q = rng.uniform(-5000.0, 5000.0, (2, horizon, len(feeder.users)))
     for x in (p, q):
         x[rng.random(x.shape) < 0.3] = -0.0
         x[rng.random(x.shape) < 0.1] = 0.0
     ids = tuple(u.id for u in feeder.users)
     loads = LoadSeries(tuple(ids[k] for k in rng.permutation(len(ids))), p, q)
-    assert (injection_series(feeder, a, loads).tobytes()
-            == ref.injection_series_sequential(feeder, a, loads).tobytes())
+    stacked = injection_series(feeder, batch, loads)
+    assert stacked.shape == (len(batch) * horizon, len(feeder.buses), 3)
+    for k, a in enumerate(batch):
+        expected = ref.injection_series_sequential(feeder, a, loads).tobytes()
+        assert injection_series(feeder, a, loads).tobytes() == expected
+        assert stacked[k * horizon:(k + 1) * horizon].tobytes() == expected, k
+
+
+def test_injection_series_rejects_a_wrong_length_in_a_batch(two_bus):
+    feeder, loads = two_bus
+    good = original_assignment(feeder)
+    with pytest.raises(ValidationError, match="reconfigurable users"):
+        injection_series(feeder, [good, PhaseAssignment((1, 2))], loads)
 
 
 def test_user_phases_respects_fixed_users():
@@ -521,5 +566,8 @@ def test_user_phases_respects_fixed_users():
         reference_bus="r",
         users=[User("fix", "b1", 3, reconfigurable=False), User("u1", "b1", 1)],
         base_voltage=230.0, base_power=10000.0)
-    phases = user_phases(feeder, PhaseAssignment((2,)))
+    demand = {"fix": 1000.0, "u1": 10.0}
+    loads = LoadSeries(tuple(demand), np.array([list(demand.values())]), np.zeros((1, 2)))
+    s = injection_series(feeder, PhaseAssignment((2,)), loads)[0, feeder.bus_index("b1")]
+    phases = {uid: int(np.flatnonzero(s.real == w)[0]) + 1 for uid, w in demand.items()}
     assert phases == {"fix": 3, "u1": 2}

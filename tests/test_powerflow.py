@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures
+from phasebal.ga import FitnessEvaluator
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
@@ -15,6 +16,8 @@ from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
 Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
+PF_FIELDS = ("u", "s_from", "s_to", "current", "converged", "iterations", "max_mismatch",
+             "collapsed")
 
 
 def zero_loads(feeder, horizon=1):
@@ -368,3 +371,70 @@ def test_long_block_matches_one_step_solves():
         for field in ("u", "s_from", "s_to", "current", "iterations", "converged",
                       "max_mismatch", "collapsed"):
             assert np.array_equal(getattr(series, field)[t], getattr(one, field)[0]), (t, field)
+
+
+# -- stacked candidate blocks ------------------------------------------------
+
+
+def assert_stack_is_own_solves(feeder, batch, loads, **kwargs):
+    """Every field of each candidate's slice of the stacked block equals
+    its own solve bitwise; returns the stacked series."""
+    stacked = solve_series(feeder, batch, loads, **kwargs)
+    horizon = loads.horizon
+    assert len(stacked) == len(batch) * horizon
+    for k, a in enumerate(batch):
+        own = solve_series(feeder, a, loads, **kwargs)
+        part = stacked[k * horizon:(k + 1) * horizon]
+        for field in PF_FIELDS:
+            got, want = getattr(part, field), getattr(own, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, field)
+    return stacked
+
+
+@given(case=radial_cases(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_candidates_equal_their_own_solves(case, data):
+    feeder, loads, rng = case
+    n = len(feeder.reconfigurable_users())
+    k = data.draw(st.integers(1, 8))
+    batch = [PhaseAssignment(tuple(int(p) for p in rng.integers(1, 4, n))) for _ in range(k)]
+    scale = data.draw(st.sampled_from([1.0, 40.0]))  # 40x leaves some steps unconverged
+    scaled = LoadSeries(loads.user_ids, loads.p * scale, loads.q * scale)
+    assert_stack_is_own_solves(feeder, batch, scaled, max_iter=30)
+
+
+@pytest.fixture(scope="module")
+def crowded_bus():
+    """Three users on one bus, one per phase at first: at the 60/80/100 kW
+    step, all on phase 1 collapses and (1, 1, 2) stalls at max_iter, while
+    one user per phase converges at every step."""
+    feeder = Feeder(["r", "b1"], [Branch("r", "b1", Z_R, Z_X)], "r",
+                    [User("u1", "b1", 1), User("u2", "b1", 2), User("u3", "b1", 3)],
+                    230.0, 10000.0)
+    p = np.array([[6e3, 8e3, 10e3], [60e3, 80e3, 100e3], [30e3, 40e3, 50e3]])
+    return feeder, LoadSeries(("u1", "u2", "u3"), p, 0.2 * p)
+
+
+def test_a_failing_candidate_leaves_its_neighbours_alone(crowded_bus):
+    feeder, loads = crowded_bus
+    plans = [(1, 2, 3), (1, 1, 1), (2, 1, 3), (1, 1, 2), (3, 1, 2)]
+    batch = [PhaseAssignment(c) for c in plans]
+    stacked = assert_stack_is_own_solves(feeder, batch, loads)
+    by_plan = stacked.collapsed.reshape(len(plans), -1).tolist()
+    assert by_plan == [[False] * 3, [False, True, False], [False] * 3, [False] * 3, [False] * 3]
+    stalled = (~stacked.converged & ~stacked.collapsed).reshape(len(plans), -1)
+    assert stalled.any(axis=1).tolist() == [False, True, False, True, False]
+    wide_band = ConstraintConfig(delta_max=3, v_min=0.5, v_max=1.5)
+    problem = Problem(feeder, loads, wide_band, ObjectiveSpec("pu"))
+    evaluator = FitnessEvaluator(problem)
+    chunked = evaluator.evaluate_population(plans)
+    assert evaluator.pf_evaluations == 1 + len(plans)
+    alone = [FitnessEvaluator(problem).evaluate_population([c])[0] for c in plans]
+    assert chunked == alone
+    penalty = evaluator.m * evaluator.i0
+    assert np.isfinite(evaluator.i0)
+    assert chunked[1] == penalty  # collapsed: inf objective, scored as the penalty
+    assert chunked[3] > penalty   # stalled: objective plus the penalty
+    for k in (0, 2, 4):
+        ev = evaluate_exact(problem, batch[k])
+        assert ev.operational_ok and chunked[k] == ev.objective < penalty
