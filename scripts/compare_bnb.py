@@ -18,13 +18,14 @@ import argparse
 
 import numpy as np
 
-from phasebal import fixtures, harness, miqp
+from phasebal import fixtures, miqp
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import ConstraintConfig
 
 DAYS = 16
 DAY_STEPS = 12  # two-hour resolution
 DAY_STREAM = 3  # the seed stream the benchmark draws its days from
+LEAF_ENUM_CAP = 16384  # the leaf size ``cmd_optimize`` enumerates
 
 
 def planning_days(seed: int):
@@ -42,7 +43,7 @@ def planning_days(seed: int):
 def result_line(label: str, feeder, loads, metric: str, delta_max: int) -> str:
     prog = miqp.build_program(feeder, loads, ConstraintConfig(delta_max=delta_max),
                               ObjectiveSpec(metric))
-    res = miqp.branch_and_bound(prog, harness._bnb_options())
+    res = miqp.branch_and_bound(prog, miqp.BnBOptions(leaf_enum_cap=LEAF_ENUM_CAP))
     phases = "".join(map(str, res.assignment.phases))
     return (f"{label} {metric} {phases} {res.objective.hex()} {res.bound.hex()} "
             f"nodes={res.nodes} relaxations={res.relaxations_solved} {res.status}")

@@ -2,6 +2,8 @@
 
 Verbs: optimize, validate, sweep, scale, export-lp, pf.  Global flags may
 also come from a key = value config file (--config); explicit flags win.
+A config value is typed as its flag is: ``delta_max = 2.7`` or
+``seed = true`` is an input error, as ``--delta-max 2.7`` is.
 Exit codes: 0 success, 2 input/validation error, 3 solver non-convergence.
 """
 
@@ -126,15 +128,25 @@ def _int_list(value) -> list[int]:
     return [int(v) for v in str(value).split(",")]
 
 
+def _whole(value) -> int:
+    """An int; a whole-valued float reads as one.  A bool or a fraction
+    raises, where int() would read ``true`` as 1 and 2.7 as 2."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(value)
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):  # bool("abc") would be True
         raise ValueError(value)
     return value
 
 
-_TYPES = {"seed": int, "threads": int, "delta_max": int, "gamma_low": int,
-          "gamma_upp": int, "v_min": float, "v_max": float, "population": int,
-          "f_calls": int, "time_limit": float, "repeats": int, "grid": _int_list,
+_TYPES = {"seed": _whole, "threads": _whole, "delta_max": _whole, "gamma_low": _whole,
+          "gamma_upp": _whole, "v_min": float, "v_max": float, "population": _whole,
+          "f_calls": _whole, "time_limit": float, "repeats": _whole, "grid": _int_list,
           "horizons": _int_list, "enforce_phase_counts": _flag,
           "objective": _OBJECTIVES.__getitem__, "feeder": str, "profiles": str,
           "out": str, "csv": str, "trace": str}

@@ -1,5 +1,9 @@
 """Experiment procedures and reports: optimize, validate, sweep, scale.
 
+``_plan`` is the one dispatch over the optimizers (GA, branch-and-bound,
+oracle) that optimize, sweep and scale plan through.  A wall time (a
+report's ``wall_time_s``, a scaling row) covers that call alone.
+
 Every report recomputes its metric table from the stored assignment via
 the exact power flow; nothing is copied through from solver internals.
 Reports serialize to JSON (schema_version field, sorted keys) and plot
@@ -80,9 +84,38 @@ class RunReport:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
 
-def _bnb_options(time_limit_s=None, initial=None) -> miqp.BnBOptions:
-    return miqp.BnBOptions(leaf_enum_cap=16384, time_limit_s=time_limit_s,
-                           initial_incumbent=initial)
+@dataclass(frozen=True)
+class _Plan:
+    best: PhaseAssignment
+    value: float
+    solver: dict
+    ga_result: ga.GAResult | None = None
+    fitness_calls: int | None = None
+    pf_evaluations: int | None = None
+
+
+def _plan(problem: Problem, method: str, ga_config: ga.GAConfig,
+          time_limit_s: float | None, initial: PhaseAssignment | None = None) -> _Plan:
+    """Run one optimizer on ``problem``: the one method dispatch.  The
+    branch-and-bound starts from ``initial`` when it is feasible."""
+    if method == "ga":
+        res = ga.run_ga(problem, ga_config)
+        return _Plan(res.best, res.best_fitness,
+                     {"generations": len(res.trace), "feasible": bool(res.feasible)},
+                     res, res.fitness_calls, res.pf_evaluations)
+    if method == "miqp":
+        prog = miqp.build_program(problem.feeder, problem.loads, problem.constraints,
+                                  problem.objective)
+        res = miqp.branch_and_bound(prog, miqp.BnBOptions(
+            leaf_enum_cap=16384, time_limit_s=time_limit_s, initial_incumbent=initial))
+        return _Plan(res.assignment, res.objective,
+                     {"bound": res.bound, "gap": res.gap, "nodes": res.nodes,
+                      "status": res.status, "relaxations_solved": res.relaxations_solved})
+    if method == "oracle":
+        res = oracle.enumerate_optimal(problem, evaluator="exact")
+        return _Plan(res.best, res.objective, {"evaluated": res.evaluated},
+                     pf_evaluations=res.evaluated)
+    raise ValidationError(f"unknown method {method!r}; pick ga, miqp or oracle")
 
 
 def cmd_optimize(feeder: Feeder, loads: LoadSeries, method: str,
@@ -91,51 +124,27 @@ def cmd_optimize(feeder: Feeder, loads: LoadSeries, method: str,
                  ga_config: ga.GAConfig | None = None,
                  time_limit_s: float | None = None,
                  trace_path=None) -> RunReport:
-    """Run one optimizer and score the result on every exact metric."""
+    """Run one optimizer and score the result on every exact metric.  A
+    GA report's seed and threads are those of the configuration that ran."""
     prob = Problem(feeder, loads, constraints, objective)
-    a0 = original_assignment(feeder)
+    cfg = ga_config or ga.GAConfig(rng_seed=seed, threads=threads)
     started = time.monotonic()
-    fitness_calls = pf_evals = None
-    if method == "ga":
-        cfg = ga_config or ga.GAConfig(rng_seed=seed, threads=threads)
-        result = ga.run_ga(prob, cfg)
-        best, value = result.best, result.best_fitness
-        fitness_calls, pf_evals = result.fitness_calls, result.pf_evaluations
-        solver = {"generations": len(result.trace),
-                  "feasible": bool(result.feasible)}
-        if trace_path:
-            write_trace_csv(result, trace_path)
-    elif method == "miqp":
-        prog = miqp.build_program(feeder, loads, constraints, objective)
-        res = miqp.branch_and_bound(prog, _bnb_options(time_limit_s))
-        best, value = res.assignment, res.objective
-        solver = {"bound": res.bound, "gap": res.gap, "nodes": res.nodes,
-                  "status": res.status,
-                  "relaxations_solved": res.relaxations_solved}
-    elif method == "oracle":
-        res = oracle.enumerate_optimal(prob, evaluator="exact")
-        best, value = res.best, res.objective
-        solver = {"evaluated": res.evaluated}
-        pf_evals = res.evaluated
-    else:
-        raise ValidationError(f"unknown method {method!r}; pick ga, miqp or oracle")
+    plan = _plan(prob, method, cfg, time_limit_s)
     wall = time.monotonic() - started
+    if trace_path and plan.ga_result:
+        write_trace_csv(plan.ga_result, trace_path)
+    a0 = original_assignment(feeder)
     return RunReport(
-        method=method,
-        objective=objective.metric,
-        seed=seed if method == "ga" else None,
-        threads=threads,
-        wall_time_s=wall,
-        fitness_calls=fitness_calls,
-        pf_evaluations=pf_evals,
-        objective_value=value,
-        solver=solver,
-        assignment=assignment_payload(feeder, best),
-        switches=switch_count(best, a0),
-        binary_feasible=binary_feasible(feeder, best, constraints),
+        method=method, objective=objective.metric, wall_time_s=wall,
+        seed=cfg.rng_seed if method == "ga" else None,
+        threads=cfg.threads if method == "ga" else threads,
+        fitness_calls=plan.fitness_calls, pf_evaluations=plan.pf_evaluations,
+        objective_value=plan.value, solver=plan.solver,
+        assignment=assignment_payload(feeder, plan.best),
+        switches=switch_count(plan.best, a0),
+        binary_feasible=binary_feasible(feeder, plan.best, constraints),
         metrics_original=metric_table(feeder, loads, a0),
-        metrics_solution=metric_table(feeder, loads, best),
-    )
+        metrics_solution=metric_table(feeder, loads, plan.best))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -213,38 +222,30 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
                        constraints: ConstraintConfig | None = None,
                        time_limit_s: float | None = 20.0,
                        csv_path=None) -> SweepReport:
-    """One optimization per budget; larger budgets warm-start from smaller
-    ones, which also enforces the expected monotone improvement."""
+    """One plan per budget, smallest first; a budget that fails is recorded
+    in ``failures`` and the sweep goes on.  A plan that fits a budget fits
+    every larger one, so each search starts from the best plan so far and a
+    budget keeps that plan when its own scores higher: the values never rise
+    with the budget.  Only the GA, which is not exact, ever needs the carry.
+    """
     grid = sorted(set(int(g) for g in grid))
-    values, used, failures = [], [], {}
-    prev = None
+    cfg, a0 = ga.GAConfig(rng_seed=seed), original_assignment(feeder)
+    values, used, failures, best = [], [], {}, None
     for budget in grid:
         cons = (replace(constraints, delta_max=budget) if constraints
                 else ConstraintConfig(delta_max=budget))
         try:
-            if method == "miqp":
-                prog = miqp.build_program(feeder, loads, cons, objective)
-                res = miqp.branch_and_bound(
-                    prog, _bnb_options(time_limit_s, initial=prev))
-                best, value = res.assignment, res.objective
-            else:
-                report = cmd_optimize(feeder, loads, method, objective, cons,
-                                      seed=seed)
-                best = assignment_from_payload(feeder, report.assignment)
-                value = report.objective_value
+            plan = _plan(Problem(feeder, loads, cons, objective), method, cfg,
+                         time_limit_s, initial=None if best is None else best.best)
         except PhasebalError as exc:  # record, keep sweeping
             failures[budget] = f"{type(exc).__name__}: {exc}"
             values.append(None)
             used.append(None)
             continue
-        prev = best
-        values.append(float(value))
-        used.append(switch_count(best, original_assignment(feeder)))
-    ok = [v for v in values if v is not None]
-    for a, b in zip(ok, ok[1:]):
-        if b > a + 1e-9:
-            raise ValidationError(
-                "sweep objective increased with a larger switching budget")
+        if best is None or plan.value <= best.value:
+            best = plan
+        values.append(float(best.value))
+        used.append(switch_count(best.best, a0))
     report = SweepReport(objective=objective.metric, method=method,
                          grid=grid, values=values, switches_used=used,
                          failures=failures)
@@ -262,26 +263,24 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
                 objective: ObjectiveSpec | None = None,
                 constraints: ConstraintConfig | None = None,
                 csv_path=None) -> dict:
-    """Wall-time grid over (feeder, horizon, method).
+    """Wall-time grid over (feeder, horizon, method), timing ``_plan`` alone.
 
-    The GA is repeated and judged by its slowest run; deterministic
-    methods run once per cell.  Rows carry every repeat.
+    The GA is repeated with seeds 0, 1, ... and judged by its slowest run;
+    deterministic methods run once per cell.  Rows carry every repeat.
     """
+    if repeats < 1:
+        raise ValidationError(f"repeats must be at least 1, got {repeats}")
     objective = objective or ObjectiveSpec("pu_star")
-    rows = []
-    summary = {}
+    rows, summary = [], {}
     for label, feeder, loads in feeder_loads:
+        cons = constraints or ConstraintConfig.from_fractions(feeder, delta_max=5)
         for horizon in horizons:
-            window = loads.slice_window(0, horizon)
-            cons = constraints or ConstraintConfig.from_fractions(
-                feeder, delta_max=5)
+            prob = Problem(feeder, loads.slice_window(0, horizon), cons, objective)
             for method in methods:
-                n_rep = repeats if method == "ga" else 1
                 times = []
-                for rep in range(n_rep):
+                for rep in range(repeats if method == "ga" else 1):
                     started = time.monotonic()
-                    cmd_optimize(feeder, window, method, objective, cons,
-                                 seed=rep)
+                    _plan(prob, method, ga.GAConfig(rng_seed=rep), None)
                     dt = time.monotonic() - started
                     times.append(dt)
                     rows.append({"feeder": label, "horizon": horizon,

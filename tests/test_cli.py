@@ -283,11 +283,18 @@ def test_unreadable_assignment_is_exit_2(line_paths, tmp_path, capsys, content):
     ("sweep", [], "enforce_phase_counts = abc\n"),
     ("sweep", [], "enforce_phase_counts = 2\n"),
     ("optimize", ["--method", "ga", "--population", "0"], ""),
+    ("scale", ["--methods", "ga", "--repeats", "0"], ""),
     ("sweep", [], "objective = foo\n"),
     ("sweep", [], "profiles = 1.5\n"),
+    ("sweep", [], "delta_max = 2.7\n"),
+    ("optimize", [], "delta_max = true\n"),
+    ("optimize", [], "seed = true\n"),
+    ("sweep", [], "delta_max = inf\n"),
 ], ids=["grid_text", "horizons_text", "config_delta_max_text", "config_repeats_text",
         "config_phase_counts_text", "config_phase_counts_int", "zero_population",
-        "config_objective_unknown", "config_profiles_number"])
+        "zero_repeats", "config_objective_unknown", "config_profiles_number",
+        "config_delta_max_fraction", "config_delta_max_bool", "config_seed_bool",
+        "config_delta_max_inf"])
 def test_unparsable_value_is_exit_2(line_paths, tmp_path, capsys, verb, flag, config):
     feeder_path, profiles_path = line_paths
     conf = tmp_path / "run.conf"
@@ -300,6 +307,19 @@ def test_unparsable_value_is_exit_2(line_paths, tmp_path, capsys, verb, flag, co
     code = main([verb, "--config", str(conf), *inputs, *flag])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_whole_float_reads_as_int(line_paths, tmp_path):
+    feeder_path, profiles_path = line_paths
+    config = tmp_path / "run.conf"
+    config.write_text(f"feeder = {feeder_path}\nprofiles = {profiles_path}\n"
+                      "delta_max = 1.0\nseed = 3.0\n")
+    out = tmp_path / "report.json"
+    assert main(["optimize", "--config", str(config), "--method", "ga",
+                 "--population", "4", "--f-calls", "8", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["seed"] == 3 and isinstance(report["seed"], int)
+    assert report["switches"] <= 1
 
 
 def test_config_out_number_names_a_file(line_paths, tmp_path, monkeypatch, capsys):

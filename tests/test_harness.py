@@ -7,6 +7,7 @@ import pytest
 
 from phasebal import cli, fixtures, harness, oracle
 from phasebal.errors import MetricError
+from phasebal.ga import GAConfig, run_ga
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
                               original_assignment)
@@ -35,12 +36,19 @@ def _redact_timing(text: str) -> str:
 def test_ga_report_deterministic(line):
     feeder, loads = line
     cons = ConstraintConfig(delta_max=3)
-    from phasebal.ga import GAConfig
     cfg = GAConfig(population_size=10, max_fitness_calls=100, rng_seed=5)
     reports = [harness.cmd_optimize(feeder, loads, "ga", ObjectiveSpec("pu"),
                                     cons, seed=5, ga_config=cfg).to_json()
                for _ in range(2)]
     assert _redact_timing(reports[0]) == _redact_timing(reports[1])
+
+
+def test_ga_report_names_the_config_that_ran(line):
+    feeder, loads = line
+    cfg = GAConfig(population_size=10, max_fitness_calls=40, rng_seed=5, threads=2)
+    report = harness.cmd_optimize(feeder, loads, "ga", ObjectiveSpec("pu"),
+                                  ConstraintConfig(delta_max=3), ga_config=cfg)
+    assert (report.seed, report.threads) == (5, 2)
 
 
 def test_miqp_report_improves_both_spaces(line):
@@ -149,6 +157,20 @@ def test_sweep_full_budget_hits_oracle(line, line_sweep):
 def test_sweep_non_increasing(line_sweep):
     vals = line_sweep.values
     assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def test_sweep_ga_never_increases(twenty_user):
+    """Δ=8 keeps Δ=6's plan, which fits it and beats Δ=8's own GA run."""
+    feeder, loads = twenty_user
+    loads = loads.slice_window(0, 12)
+    spec = ObjectiveSpec("pu")
+    report = harness.cmd_sweep_switches(feeder, loads, spec, grid=(6, 8), method="ga")
+    own = run_ga(Problem(feeder, loads, ConstraintConfig(delta_max=8), spec),
+                 GAConfig(rng_seed=0))
+    assert own.best_fitness > report.values[0]
+    assert report.failures == {}
+    assert report.values[1] == report.values[0]
+    assert report.switches_used == [6, 6]
 
 
 def test_sweep_csv(tmp_path, line):
