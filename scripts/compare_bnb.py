@@ -6,10 +6,13 @@ Rebuilds the planning days of the ``miqp_plan`` benchmark workload (the
 seed) through ``phasebal.fixtures``, solves each with the options
 ``cmd_optimize`` uses and prints one line per (seed, day, objective): the
 assignment, the objective and bound as exact hex floats, the nodes, the
-relaxations and the status.  Run it on two checkouts and ``diff`` the
-outputs to show that a change leaves every search result bitwise alone:
+relaxations, the status and the simplex pivots of every ``solve_lp`` call
+the search made.  Run it on two checkouts and ``diff`` the outputs to show
+that a change leaves every search result bitwise alone; the first six
+fields hold the plan, objective and bound:
 
     PYTHONPATH=src python3 scripts/compare_bnb.py --seeds 7,3,23 > after.txt
+    diff <(cut -d' ' -f1-6 before.txt) <(cut -d' ' -f1-6 after.txt)
 
 ``--fixture twenty_user`` plans that fixture's own profiles instead.
 """
@@ -43,10 +46,22 @@ def planning_days(seed: int):
 def result_line(label: str, feeder, loads, metric: str, delta_max: int) -> str:
     prog = miqp.build_program(feeder, loads, ConstraintConfig(delta_max=delta_max),
                               ObjectiveSpec(metric))
-    res = miqp.branch_and_bound(prog, miqp.BnBOptions(leaf_enum_cap=LEAF_ENUM_CAP))
+    solve_lp, pivots = miqp.solve_lp, []
+
+    def counting_solve_lp(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        pivots.append(res.iterations)
+        return res
+
+    miqp.solve_lp = counting_solve_lp  # the name the search calls
+    try:
+        res = miqp.branch_and_bound(prog, miqp.BnBOptions(leaf_enum_cap=LEAF_ENUM_CAP))
+    finally:
+        miqp.solve_lp = solve_lp
     phases = "".join(map(str, res.assignment.phases))
     return (f"{label} {metric} {phases} {res.objective.hex()} {res.bound.hex()} "
-            f"nodes={res.nodes} relaxations={res.relaxations_solved} {res.status}")
+            f"nodes={res.nodes} relaxations={res.relaxations_solved} {res.status} "
+            f"pivots={sum(pivots)}")
 
 
 def main():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import ga, harness, lpfile, miqp
@@ -128,25 +129,26 @@ def _int_list(value) -> list[int]:
     return [int(v) for v in str(value).split(",")]
 
 
-def _whole(value) -> int:
-    """An int; a whole-valued float reads as one.  A bool or a fraction
-    raises, where int() would read ``true`` as 1 and 2.7 as 2."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise ValueError(value)
-    return value
+def _strict(accepts, convert):
+    """A reader that converts only the values ``accepts`` takes, where a
+    plain int(), float() or bool() would read ``true`` as 1, 2.7 as 2,
+    ``infinity`` as a number and any text as True."""
+    def read(value):
+        if not accepts(value):
+            raise ValueError(value)
+        return convert(value)
+    return read
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):  # bool("abc") would be True
-        raise ValueError(value)
-    return value
+# type(), not isinstance(): a bool is an int
+_whole = _strict(lambda v: type(v) is int or type(v) is float and v.is_integer(), int)
+_real = _strict(lambda v: type(v) in (int, float) and math.isfinite(v), float)
+_flag = _strict(lambda v: type(v) is bool, bool)
 
 
 _TYPES = {"seed": _whole, "threads": _whole, "delta_max": _whole, "gamma_low": _whole,
-          "gamma_upp": _whole, "v_min": float, "v_max": float, "population": _whole,
-          "f_calls": _whole, "time_limit": float, "repeats": _whole, "grid": _int_list,
+          "gamma_upp": _whole, "v_min": _real, "v_max": _real, "population": _whole,
+          "f_calls": _whole, "time_limit": _real, "repeats": _whole, "grid": _int_list,
           "horizons": _int_list, "enforce_phase_counts": _flag,
           "objective": _OBJECTIVES.__getitem__, "feeder": str, "profiles": str,
           "out": str, "csv": str, "trace": str}
@@ -165,7 +167,7 @@ def _resolve(args) -> dict:
         if merged.get(key) is not None:
             try:
                 merged[key] = convert(merged[key])
-            except (TypeError, ValueError, KeyError) as exc:
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
                 raise ValidationError(f"bad value for {key}: {merged[key]!r}") from exc
     return merged
 

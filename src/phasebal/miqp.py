@@ -17,15 +17,18 @@ The exact metrics (pvur, i_u, p_u) contain ratios of variables and are
 rejected; they are not representable in this variable space.
 
 Branch-and-bound is best-first with 3-way branching (fix one user to one
-phase per child).  Node bounds come from the continuous relaxation:
-a dense simplex with lazily generated epigraph rows for the linear
-objective, and Frank-Wolfe over the node polytope for the quadratic one.
-Each Frank-Wolfe iteration yields a certified lower bound from the
-linearization gap, so early termination never produces an invalid bound.
-Within a node, each LP warm-starts from the previous one's optimal
-tableau (``solve_lp(..., warm=...)``): a cut round only appends violated
-epigraph rows, and a Frank-Wolfe oracle LP only changes the cost.  A
-node's first LP, the root check and the deletion filter solve cold.
+phase per child).  Node bounds come from the continuous relaxation over
+the full node polytope: a dense simplex for the linear objective, and
+Frank-Wolfe for the quadratic one, whose every iteration yields a
+certified lower bound from the linearization gap.  A node LP holds the
+budget and phase-count rows plus a working set of lazy rows: epigraph
+cuts, and the screened side rows that an LP point of the node or of an
+ancestor broke.  A row joins when the LP point violates it, and the LP
+warm-starts from the previous optimal tableau (``solve_lp(..., warm=...)``)
+with it appended, until the point meets every row; a Frank-Wolfe oracle
+LP otherwise only changes the cost.  Children start from the cuts tight
+at the parent's optimum and all its side rows.  A node's first LP, the
+root check and the deletion filter solve cold.
 A node whose budget-feasible completions (``network.completion_count``)
 fit the leaf cap is closed exactly: its completions are generated in
 lexicographic order by ``network.completions`` and scored in chunks.
@@ -393,6 +396,25 @@ class _BnBSolver:
         a_ub = coef[:, free].reshape(len(rhs), -1)
         return a_eq, np.ones(len(free)), a_ub, rhs - fixed_part, free
 
+    def _node_lp(self, fixed, side, width=0):
+        """A node's LP [a_ub, b_ub, a_eq, b_eq], ``width`` zero columns wider,
+        with only the side rows ``side``; its free users; and
+        ``add_broken(x)``, which appends the side rows ``x`` breaks by over
+        1e-9 (one matvec) to ``side`` and to the LP and says if there were any."""
+        a_eq, b_eq, a_ub, b_ub, free = self._node_base_rows(fixed)
+        a_eq, a_ub = (np.hstack([a, np.zeros((len(a), width))]) for a in (a_eq, a_ub))
+        base = len(b_ub) - len(self.prog.side_rhs)
+        keep = np.r_[0:base, base + np.array(side, dtype=int)]
+        lp, side_a, side_b = [a_ub[keep], b_ub[keep], a_eq, b_eq], a_ub[base:], b_ub[base:]
+
+        def add_broken(x):
+            new = [r for r in np.flatnonzero(side_a @ x > side_b + 1e-9).tolist() if r not in side]
+            if new:
+                side.extend(new)
+                lp[:2] = np.vstack([lp[0], side_a[new]]), np.concatenate([lp[1], side_b[new]])
+            return bool(new)
+        return lp, free, add_broken
+
     # ---- pvur_star: lazy-row epigraph LP ----
 
     def _node_dev(self, fixed, free):
@@ -405,49 +427,45 @@ class _BnBSolver:
         coef = prog.coef[:, :, :, free, :].reshape(t_dim, k_dim, 3, -1)
         return const, coef
 
-    def _solve_lp_node(self, fixed, active_rows):
-        prog = self.prog
-        a_eq, b_eq, a_ub, b_ub, free = self._node_base_rows(fixed)
-        f = len(free)
-        nv = 3 * f
-        t_dim = prog.horizon
+    def _solve_lp_node(self, fixed, working):
+        """The node's epigraph LP bound, from the working set (cuts, side
+        rows) handed down by its parent.  Each round appends the broken side
+        rows and each timestep's most violated cut and warm-starts; the
+        children get the cuts tight at the optimum and every side row."""
+        new, side, t_dim = list(working[0]), list(working[1]), self.prog.horizon
+        lp, free, add_broken = self._node_lp(fixed, side, t_dim)
+        nv = 3 * len(free)
         const, coef = self._node_dev(fixed, free)
-        total = nv + t_dim
-        c_obj = np.zeros(total)
-        c_obj[nv:] = 1.0 / t_dim
-        a_eq_full = np.hstack([a_eq, np.zeros((a_eq.shape[0], t_dim))])
-        base_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], t_dim))])
-        active = list(dict.fromkeys(active_rows))
-        res = None
+        c_obj = np.r_[np.zeros(nv), np.full(t_dim, 1.0 / t_dim)]
+        cuts, res = [], None
         for _ in range(200):
-            keys = np.array(active, dtype=float).reshape(-1, 4)
-            cut = tuple(keys[:, :3].astype(int).T)      # (t, k, ph) of each cut
-            signs = keys[:, 3]
-            cuts = np.zeros((len(keys), total))
-            cuts[:, :nv] = signs[:, None] * coef[cut]
-            cuts[np.arange(len(keys)), nv + cut[0]] = -1.0
-            # new cuts are appended, so each round warm-starts from the last
-            res = solve_lp(c_obj, np.vstack([base_ub, cuts]),
-                           np.concatenate([b_ub, -signs * const[cut]]),
-                           a_eq_full, b_eq, warm=res)
+            keys = np.array(new, dtype=float).reshape(-1, 4)
+            cut, signs = tuple(keys[:, :3].astype(int).T), keys[:, 3]  # (t, k, ph), sign
+            rows = np.zeros((len(keys), nv + t_dim))
+            rows[:, :nv] = signs[:, None] * coef[cut]
+            rows[np.arange(len(keys)), nv + cut[0]] = -1.0
+            # new rows are appended, so each round warm-starts from the last
+            lp[:2] = np.vstack([lp[0], rows]), np.concatenate([lp[1], -signs * const[cut]])
+            cuts += new
+            res = solve_lp(c_obj, *lp, warm=res)
             self.relaxations += 1
             if res.status != "optimal":
-                return res.status, None, None, tuple(active)
+                return res.status, None, None, (tuple(cuts), tuple(side))
             x = res.x
             dev = const + np.einsum("tkpa,a->tkp", coef, x[:nv])
             m = x[nv:]
             viol = np.abs(dev) - (m[:, None, None] + 1e-9)
             worst = viol.reshape(t_dim, -1).max(axis=1)
-            if np.all(worst <= 1e-9):
-                return "optimal", res.objective, x, tuple(active)
-            for t in np.flatnonzero(worst > 1e-9):
-                flat = np.argmax(viol[t].reshape(-1))
-                k, ph = np.unravel_index(flat, viol[t].shape)
-                sign = 1.0 if dev[t, k, ph] >= 0 else -1.0
-                key = (int(t), int(k), int(ph), sign)
-                if key not in active:
-                    active.append(key)
-        return "iteration_limit", None, None, tuple(active)
+            if not add_broken(x) and np.all(worst <= 1e-9):
+                tight = tuple(key for key in cuts if key[3] * dev[key[:3]] >= m[key[0]] - 1e-9)
+                return "optimal", res.objective, x, (tight, tuple(side))
+            # each violated timestep's worst (k, ph), signed by its deviation
+            t = np.flatnonzero(worst > 1e-9)
+            k, ph = np.unravel_index(viol.reshape(t_dim, -1)[t].argmax(axis=1), viol.shape[1:])
+            new = [key for key in zip(t.tolist(), k.tolist(), ph.tolist(),
+                                      np.where(dev[t, k, ph] >= 0, 1.0, -1.0).tolist())
+                   if key not in cuts]
+        return "iteration_limit", None, None, (tuple(cuts), tuple(side))
 
     # ---- pu_star: Frank-Wolfe with certified bounds ----
 
@@ -463,30 +481,36 @@ class _BnBSolver:
                  + float(self.q_lin[fixed_cols] @ v))
         return q_ff, lin, const
 
-    def _solve_qp_node(self, fixed, incumbent_value):
-        a_eq, b_eq, a_ub, b_ub, free = self._node_base_rows(fixed)
+    def _solve_qp_node(self, fixed, incumbent_value, working):
+        """The node's certified Frank-Wolfe bound, from its parent's side
+        rows.  An oracle LP whose vertex breaks a side row is re-solved warm
+        with the broken rows appended, so every vertex meets them all; the
+        children get every side row."""
+        side = list(working[1])
+        lp, free, add_broken = self._node_lp(fixed, side)
         q_ff, lin, const = self._node_quadratic(fixed, free)
 
         def f(x):
             return float(x @ q_ff @ x + lin @ x + const)
 
-        def grad(x):
-            return 2.0 * (q_ff @ x) + lin
+        def oracle(c, res):
+            while True:
+                res = solve_lp(c, *lp, warm=res)
+                self.relaxations += 1
+                if res.status != "optimal" or not add_broken(res.x):
+                    return res
 
-        start = solve_lp(lin, a_ub, b_ub, a_eq, b_eq)
-        self.relaxations += 1
+        start = oracle(lin, None)
         if start.status != "optimal":
-            return start.status, None, None
-        x, osc = start.x, start
-        lower = -np.inf
+            return start.status, None, None, ((), tuple(side))
+        x, osc, lower = start.x, start, -np.inf
         best_x, best_ub = x, f(x)
         for _ in range(FW_MAX_ITERS):
-            g = grad(x)
-            # same polytope, new gradient: only primal phase 2 runs
-            osc = solve_lp(g, a_ub, b_ub, a_eq, b_eq, warm=osc)
-            self.relaxations += 1
+            g = 2.0 * (q_ff @ x) + lin
+            # new gradient: primal phase 2 from the last tableau
+            osc = oracle(g, osc)
             if osc.status != "optimal":
-                return osc.status, None, None
+                return osc.status, None, None, ((), tuple(side))
             v = osc.x
             gap = float(g @ (x - v))
             lower = max(lower, f(x) - gap)
@@ -502,7 +526,7 @@ class _BnBSolver:
             if step <= 0:
                 break
             x = x + step * d
-        return "optimal", lower, best_x
+        return "optimal", lower, best_x, ((), tuple(side))
 
     def _prune_slack(self, incumbent_value):
         return max(self.opts.abs_gap,
@@ -598,14 +622,14 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
                 incumbent, inc_value = cand, val
 
     counter = itertools.count()
-    # (bound, seq, fixed phases or 0 for free, inherited epigraph working set)
-    heap = [(-np.inf, next(counter), (0,) * prog.n_users, ())]
+    # (bound, seq, fixed phases or 0 for free, inherited (cuts, side rows))
+    heap = [(-np.inf, next(counter), (0,) * prog.n_users, ((), ()))]
     nodes = 0
     status = "optimal"
     final_bound = None
 
     while heap:
-        bound, _, fixed, active_rows = heapq.heappop(heap)
+        bound, _, fixed, working = heapq.heappop(heap)
         if bound >= inc_value - solver._prune_slack(inc_value):
             final_bound = bound  # remaining nodes cannot beat the incumbent
             break
@@ -627,11 +651,9 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
             continue
 
         if prog.objective_kind == "pvur_star":
-            st, rel_bound, x, active = solver._solve_lp_node(fixed,
-                                                             active_rows)
+            st, rel_bound, x, working = solver._solve_lp_node(fixed, working)
         else:
-            st, rel_bound, x = solver._solve_qp_node(fixed, inc_value)
-            active = ()
+            st, rel_bound, x, working = solver._solve_qp_node(fixed, inc_value, working)
         if st == "infeasible":
             continue
         if st != "optimal" or rel_bound is None:
@@ -665,7 +687,7 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
             child = tuple(child)
             if solver._used(child) > prog.delta_max:
                 continue
-            heapq.heappush(heap, (rel_bound, next(counter), child, active))
+            heapq.heappush(heap, (rel_bound, next(counter), child, working))
 
     if incumbent is None:
         # the root relaxation is feasible, so no subset of rows is infeasible

@@ -290,11 +290,16 @@ def test_unreadable_assignment_is_exit_2(line_paths, tmp_path, capsys, content):
     ("optimize", [], "delta_max = true\n"),
     ("optimize", [], "seed = true\n"),
     ("sweep", [], "delta_max = inf\n"),
+    ("sweep", [], "v_min = true\n"),
+    ("optimize", [], "time_limit = true\n"),
+    ("optimize", [], "v_max = infinity\n"),
+    ("optimize", [], f"v_max = 1{'0' * 400}\n"),
 ], ids=["grid_text", "horizons_text", "config_delta_max_text", "config_repeats_text",
         "config_phase_counts_text", "config_phase_counts_int", "zero_population",
         "zero_repeats", "config_objective_unknown", "config_profiles_number",
         "config_delta_max_fraction", "config_delta_max_bool", "config_seed_bool",
-        "config_delta_max_inf"])
+        "config_delta_max_inf", "config_v_min_bool", "config_time_limit_bool",
+        "config_v_max_text", "config_v_max_huge"])
 def test_unparsable_value_is_exit_2(line_paths, tmp_path, capsys, verb, flag, config):
     feeder_path, profiles_path = line_paths
     conf = tmp_path / "run.conf"

@@ -531,6 +531,174 @@ def test_gap_options_validated():
         BnBOptions(abs_gap=-1.0)
 
 
+# -- node working sets -------------------------------------------------------------
+
+
+def _first_lp_point(prog, metric):
+    """The delta part of the root node's first LP point; that LP holds no
+    side row, so appending side rows does not move it."""
+    solver, points = _BnBSolver(prog, BnBOptions()), []
+    solve_lp = miqp.solve_lp
+
+    def recording_solve_lp(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        points.append(res.x[:3 * prog.n_users])
+        return res
+
+    with mock.patch.object(miqp, "solve_lp", recording_solve_lp):
+        if metric == "pvur_star":
+            solver._solve_lp_node((0,) * prog.n_users, ((), ()))
+        else:
+            solver._solve_qp_node((0,) * prog.n_users, np.inf, ((), ()))
+    return points[0]
+
+
+def _cutting_rows(prog, x, rng, count):
+    """``count`` random side rows that the original configuration meets and
+    the flattened (n, 3) point ``x`` breaks: each rhs lies halfway between."""
+    c0 = np.eye(3)[np.array(prog.c0) - 1].ravel()
+    rows = []
+    for r in range(count):
+        coef = rng.normal(size=3 * prog.n_users)
+        if coef @ x < coef @ c0:
+            coef = -coef
+        rows.append((f"cut{r}", coef.reshape(-1, 3), float(coef @ (x + c0) / 2)))
+    return rows
+
+
+def _node_program(fixture, metric, seed):
+    """The first six steps of ``fixture`` at budget 3, with three side rows
+    that the root's first LP point breaks."""
+    feeder, loads = fixture
+    loads = LoadSeries(loads.user_ids, loads.p[:6], loads.q[:6], loads.resolution_s)
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=3), ObjectiveSpec(metric))
+    x = _first_lp_point(prog, metric)
+    return _append_side_rows(prog, _cutting_rows(prog, x, np.random.default_rng(seed), 3))
+
+
+def _random_fixings(prog, rng, count):
+    """The root, then ``count`` random partial fixings within the budget."""
+    out = [(0,) * prog.n_users]
+    while len(out) <= count:
+        fixed = tuple(int(ph) if rng.random() < 0.3 else 0
+                      for ph in rng.integers(1, 4, prog.n_users))
+        if _BnBSolver(prog, BnBOptions())._used(fixed) <= prog.delta_max:
+            out.append(fixed)
+    return out
+
+
+def _full_epigraph_lp(prog, fixed):
+    """One cold LP over every row of the node: the one-hot, budget and side
+    rows, and both signs of every epigraph deviation."""
+    solver = _BnBSolver(prog, BnBOptions())
+    a_eq, b_eq, a_ub, b_ub, free = solver._node_base_rows(fixed)
+    const, coef = solver._node_dev(fixed, free)
+    t_dim, nv = prog.horizon, 3 * len(free)
+    cuts = np.concatenate([coef, -coef], axis=2).reshape(-1, nv)
+    m_cols = np.repeat(np.eye(t_dim), cuts.shape[0] // t_dim, axis=0)
+    a_ub = np.block([[a_ub, np.zeros((len(a_ub), t_dim))], [cuts, -m_cols]])
+    b_ub = np.concatenate([b_ub, np.concatenate([-const, const], axis=2).ravel()])
+    a_eq = np.hstack([a_eq, np.zeros((len(a_eq), t_dim))])
+    c = np.r_[np.zeros(nv), np.full(t_dim, 1.0 / t_dim)]
+    return miqp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+
+
+@pytest.mark.parametrize("name", ["line", "twenty_user"])
+def test_node_lp_equals_full_polytope_lp(request, name):
+    """A node LP carries only the rows that bind, yet bounds the full
+    polytope: the pvur_star value equals one LP over every epigraph and
+    side row, also when started from the rows its parent hands down, and a
+    node started from its own hand-down needs no further row; every
+    pu_star oracle vertex meets every side row, and the node hands down
+    every side row a vertex broke."""
+    fixture = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    prog = _node_program(fixture, "pvur_star", 1)
+    root = _BnBSolver(prog, BnBOptions())
+    st, _, _, handed = root._solve_lp_node((0,) * prog.n_users, ((), ()))
+    assert st == "optimal" and handed[0] and handed[1]  # tight cuts; a broken side row
+    for fixed in _random_fixings(prog, rng, 6):
+        full = _full_epigraph_lp(prog, fixed)
+        for working in (((), ()), handed):
+            solver = _BnBSolver(prog, BnBOptions())
+            st, value, _, own = solver._solve_lp_node(fixed, working)
+            assert st == full.status
+            if st == "optimal":
+                assert abs(value - full.objective) <= 1e-9
+                again = _BnBSolver(prog, BnBOptions())
+                st, value, _, _ = again._solve_lp_node(fixed, own)
+                assert again.relaxations == 1 and abs(value - full.objective) <= 1e-9
+    inherited = []
+    solve_node = _BnBSolver._solve_lp_node
+
+    def recording_node(self, fixed, working):
+        inherited.append(working)
+        return solve_node(self, fixed, working)
+
+    with mock.patch.object(_BnBSolver, "_solve_lp_node", recording_node):
+        branch_and_bound(prog, BnBOptions(leaf_enum_cap=1))
+    # the line's root LP point is integral, so only twenty_user has children
+    assert inherited[0] == ((), ()) and any(cuts for cuts, _ in inherited[1:]) == (name != "line")
+
+    prog = _node_program(fixture, "pu_star", 2)
+    calls = []
+    solve_lp = miqp.solve_lp
+
+    def recording_solve_lp(c, *args, **kwargs):
+        res = solve_lp(c, *args, **kwargs)
+        calls.append((np.array(c), res))
+        return res
+
+    resolved = 0
+    for fixed in _random_fixings(prog, rng, 6):
+        _, _, _, b_ub, free = _BnBSolver(prog, BnBOptions())._node_base_rows(fixed)
+        base = len(b_ub) - len(prog.side_rhs)
+        side_a = prog.side_coef[:, free].reshape(len(prog.side_rhs), -1)
+        side_b = b_ub[base:]
+        calls.clear()
+        with mock.patch.object(miqp, "solve_lp", recording_solve_lp):
+            _, _, _, (_, side) = _BnBSolver(prog, BnBOptions())._solve_qp_node(
+                fixed, np.inf, ((), ()))
+        broken = set()
+        for i, (c, res) in enumerate(calls):
+            if res.status != "optimal":
+                continue
+            broken |= set(np.flatnonzero(side_a @ res.x > side_b + 1e-9).tolist())
+            if i + 1 == len(calls) or not np.array_equal(c, calls[i + 1][0]):
+                assert np.all(side_a @ res.x <= side_b + 1e-9)  # the oracle's vertex
+            else:
+                resolved += 1
+        assert broken <= set(side)
+    assert resolved  # some vertex broke a side row and was re-solved
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+def test_every_lazy_resolve_is_a_counted_relaxation(twenty_user, metric):
+    """The root's first LP point breaks a side row, so the root re-solves;
+    every solve_lp call is still the root check or a counted relaxation."""
+    prog = _node_program(twenty_user, metric, 3)
+    calls, handed = [], []
+    solve_lp = miqp.solve_lp
+    node = "_solve_lp_node" if metric == "pvur_star" else "_solve_qp_node"
+    solve_node = getattr(_BnBSolver, node)
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def recording_node(self, *args):
+        out = solve_node(self, *args)
+        handed.append(out[3][1])
+        return out
+
+    with mock.patch.object(miqp, "solve_lp", counting_solve_lp), \
+            mock.patch.object(_BnBSolver, node, recording_node):
+        res = branch_and_bound(prog, BnBOptions(leaf_enum_cap=27))
+    first_cut = len(prog.side_rhs) - 3
+    assert set(handed[0]) & set(range(first_cut, len(prog.side_rhs)))
+    assert len(calls) == res.relaxations_solved + 1
+
+
 # -- differential test against the ld3f oracle ------------------------------------
 
 
