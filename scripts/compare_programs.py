@@ -3,8 +3,8 @@
 
 Builds the branch-and-bound program with ``miqp.build_program`` and prints
 one line per (fixture or seed, objective, budget, constraint variant): the
-number of screened side rows, the baseline objective as an exact hex float
-and a sha256 over the program: its user order, budget and phase-count
+number of screened side rows, the objective of a program without binaries
+(0.0 for one with binaries) as an exact hex float and a sha256 over the program: its user order, budget and phase-count
 fields, then every array (``const`` and ``coef`` under their per-objective
 names ``dev_*`` for pvur_star or ``diff_*`` for pu_star, the other pair
 hashed as absent, then ``branch_weight``), then one side row at a time:
@@ -27,7 +27,7 @@ import hashlib
 
 from phasebal import fixtures, miqp
 from phasebal.metrics import ObjectiveSpec
-from phasebal.network import ConstraintConfig
+from phasebal.network import ConstraintConfig, PhaseAssignment
 
 FIELDS = ("users", "c0", "objective_kind", "horizon", "delta_max", "gamma",
           "fixed_phase_counts")
@@ -40,6 +40,11 @@ def arrays(prog):
         yield f"{prefix}_const", prog.const if prefix == live else None
         yield f"{prefix}_coef", prog.coef if prefix == live else None
     yield "branch_weight", prog.branch_weight
+
+
+def baseline(prog) -> float:
+    """The objective of a program without binaries, else 0.0."""
+    return prog.objective_at(PhaseAssignment(())) if prog.n_users == 0 else 0.0
 
 
 def variants(feeder, delta_max: int):
@@ -65,7 +70,7 @@ def program_line(label: str, feeder, loads, metric: str, delta_max: int,
         digest.update(f"{row_label} {float(rhs).hex()}\n".encode())
         digest.update(coef.tobytes())
     return (f"{label} {metric} budget={delta_max} {variant} rows={len(prog.side_labels)} "
-            f"baseline={prog.baseline_objective.hex()} sha256={digest.hexdigest()}")
+            f"baseline={baseline(prog).hex()} sha256={digest.hexdigest()}")
 
 
 def main():

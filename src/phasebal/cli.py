@@ -17,7 +17,7 @@ import sys
 from . import ga, harness, lpfile, miqp
 from .errors import ConvergenceError, InputParseError, PhasebalError, ValidationError
 from .metrics import ObjectiveSpec
-from .network import ConstraintConfig, load_feeder, load_profiles
+from .network import ConstraintConfig, is_whole, load_feeder, load_profiles
 
 _OBJECTIVES = {"pvur": "pvur", "pvur-star": "pvur_star", "iu": "iu",
                "pu": "pu", "pu-star": "pu_star"}
@@ -140,8 +140,8 @@ def _strict(accepts, convert):
     return read
 
 
+_whole = _strict(is_whole, int)
 # type(), not isinstance(): a bool is an int
-_whole = _strict(lambda v: type(v) is int or type(v) is float and v.is_integer(), int)
 _real = _strict(lambda v: type(v) in (int, float) and math.isfinite(v), float)
 _flag = _strict(lambda v: type(v) is bool, bool)
 

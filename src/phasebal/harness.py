@@ -21,15 +21,13 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import ga, metrics, miqp, oracle, powerflow
-from .errors import PhasebalError, ValidationError
+from .errors import MetricError, PhasebalError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
                       as_phase, binary_feasible, original_assignment, switch_count)
 from .problem import Problem, metric_values_exact
 
 SCHEMA_VERSION = 1
-
-REPORT_METRICS = ("pvur", "pvur_star", "iu", "pu", "pu_star")
 
 
 def metric_table(feeder: Feeder, loads: LoadSeries,
@@ -39,7 +37,7 @@ def metric_table(feeder: Feeder, loads: LoadSeries,
     table = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name in REPORT_METRICS:
+        for name in metrics.ALL_METRICS:
             spec = ObjectiveSpec(name)
             table[name] = metrics.aggregate(spec, metric_values_exact(spec, feeder, loads, sols))
     table["loss_percent"] = float(np.mean(powerflow.losses(sols, feeder)))
@@ -163,6 +161,10 @@ def write_trace_csv(result: ga.GAResult, path) -> None:
 
 
 def _distribution(values: np.ndarray) -> dict:
+    """Summary of a per-timestep series over its defined (finite) steps."""
+    values = values[np.isfinite(values)]
+    if len(values) == 0:
+        raise MetricError("metric undefined at every timestep")
     q1, med, q3 = (float(np.percentile(values, p)) for p in (25, 50, 75))
     iqr = q3 - q1
     outliers = values[(values < q1 - 1.5 * iqr) | (values > q3 + 1.5 * iqr)]
@@ -176,24 +178,20 @@ def cmd_validate(feeder: Feeder, assignment: PhaseAssignment,
                  metric_names=("pvur", "pu"),
                  csv_path=None) -> dict:
     """Per-timestep metric distributions for the original configuration and
-    a proposed assignment over a (possibly unseen) horizon."""
+    a proposed assignment over a (possibly unseen) horizon: each series is
+    the objective's ``metrics.per_timestep``, NaN (``nan`` in the CSV) where
+    undefined, and the distributions cover its defined steps."""
     a0 = original_assignment(feeder)
     report = {"schema_version": SCHEMA_VERSION,
               "horizon": validation_loads.horizon, "metrics": {}}
-    specs = [ObjectiveSpec(name) for name in metric_names]
     solved = {tag: powerflow.solve_series(feeder, a, validation_loads).check_collapse()
               for tag, a in (("original", a0), ("solution", assignment))}
     per_t = {}
-    for spec in specs:
-        series = per_t[spec.metric] = {}
-        for tag, sols in solved.items():
-            vals = metric_values_exact(spec, feeder, validation_loads, sols)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                series[tag] = (vals.max(axis=0) if spec.is_voltage_metric
-                               else np.nanmean(vals, axis=0))
-        report["metrics"][spec.metric] = {tag: _distribution(v[np.isfinite(v)])
-                                          for tag, v in series.items()}
+    for spec in map(ObjectiveSpec, metric_names):
+        series = per_t[spec.metric] = {
+            tag: metrics.per_timestep(spec, metric_values_exact(spec, feeder, validation_loads, s))
+            for tag, s in solved.items()}
+        report["metrics"][spec.metric] = {tag: _distribution(v) for tag, v in series.items()}
     if csv_path:
         cols = [(n, tag) for n in metric_names for tag in ("original", "solution")]
         _write_csv(csv_path, ["t"] + [f"{n}_{tag}" for n, tag in cols],

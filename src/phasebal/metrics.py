@@ -1,10 +1,11 @@
-"""Imbalance metrics, spatial aggregation and time averaging.
+"""Imbalance metrics and the one definition of the scalar score.
 
-Voltage metrics (PVUR and its squared-magnitude proxy) are evaluated at a
-set of balance buses and aggregated with the worst bus per timestep; flow
-metrics (I_U, P_U and the quadratic proxy) are evaluated at a set of
-balance branches and averaged over them.  The time axis is always reduced
-by the mean.  All metrics return percent.
+Voltage metrics (PVUR and its squared-magnitude proxy) are evaluated at
+balance buses and reduced to the worst bus per timestep; flow metrics (I_U,
+P_U and the quadratic proxy) at balance branches and reduced to their mean.
+``per_timestep`` is that reduction, NaN where a location is undefined;
+``aggregate`` averages its defined timesteps.  Planning and validation both
+score through these two.  All metrics return percent.
 
 Each formula has one implementation over the last axis (the phases),
 broadcast over leading axes such as (T, locations); a single 3-vector
@@ -67,8 +68,6 @@ def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:
     """Estimated mean active flow per phase at a branch: one third of the
     summed time-mean downstream demand, per-unit."""
     users = downstream_users(feeder, branch)
-    if not users:
-        raise MetricError(f"branch {branch.key} has no downstream users")
     total = 0.0
     for u in feeder.users:  # a fixed order: the set's order depends on the hash seed
         if u.id in users:
@@ -84,7 +83,8 @@ class ObjectiveSpec:
     """Which metric to minimize and where it is measured.
 
     balance_buses defaults to the user buses, balance_branches to the
-    branches leaving the reference bus.
+    reference branches that feed a user; a branch is a (from_bus, to_bus)
+    pair.  Names the feeder lacks raise ``ValidationError``.
     """
 
     metric: str
@@ -98,8 +98,11 @@ class ObjectiveSpec:
         if self.balance_buses is not None:
             object.__setattr__(self, "balance_buses", tuple(self.balance_buses))
         if self.balance_branches is not None:
-            object.__setattr__(self, "balance_branches",
-                               tuple(tuple(k) for k in self.balance_branches))
+            keys = tuple(self.balance_branches)
+            if not all(isinstance(k, (tuple, list)) and len(k) == 2 for k in keys):
+                raise ValidationError(
+                    f"balance branches must be (from_bus, to_bus) pairs: {keys!r}")
+            object.__setattr__(self, "balance_branches", tuple(map(tuple, keys)))
 
     @property
     def is_voltage_metric(self) -> bool:
@@ -120,28 +123,31 @@ class ObjectiveSpec:
             if not self.balance_branches:
                 raise ValidationError("balance branch set is empty")
             return tuple(feeder.branch(*k) for k in self.balance_branches)
-        return feeder.reference_branches()
+        branches = tuple(br for br in feeder.reference_branches() if downstream_users(feeder, br))
+        if not branches:
+            raise MetricError("no branch from the reference bus feeds a user")
+        return branches
+
+
+def per_timestep(spec: ObjectiveSpec, values: np.ndarray) -> np.ndarray:
+    """(T,) worst location (voltage metrics) or location mean (flow metrics)
+    of the (n_locations, T) ``values``; NaN wherever a location is NaN."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
+        raise ValidationError(f"metric values must be (locations, T), got {vals.shape}")
+    return vals.max(axis=0) if spec.is_voltage_metric else vals.mean(axis=0)
 
 
 def aggregate(spec: ObjectiveSpec, values: np.ndarray) -> float:
-    """Reduce per-location, per-timestep metric values to the scalar objective.
-
-    values has shape (n_locations, T).  Voltage metrics take the worst
-    location per timestep, flow metrics the location mean; both then
-    average over time.  NaN marks a timestep skipped at that location
-    (near-zero mean flow); a column with any NaN is dropped from the time
-    mean with a warning.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
-        raise ValidationError(f"aggregate needs (locations, T) values, got {vals.shape}")
-    keep = ~np.any(np.isnan(vals), axis=0)
+    """The scalar objective: the time mean of ``per_timestep`` over its
+    defined timesteps; dropping one warns, dropping all raises."""
+    per_t = per_timestep(spec, values)
+    keep = ~np.isnan(per_t)
     if not np.all(keep):
         warnings.warn(
-            f"skipping {int((~keep).sum())} of {vals.shape[1]} timesteps with "
+            f"skipping {int((~keep).sum())} of {len(per_t)} timesteps with "
             f"undefined flow metric (near-zero phase mean)", stacklevel=2)
-        vals = vals[:, keep]
-        if vals.shape[1] == 0:
+        per_t = per_t[keep]
+        if len(per_t) == 0:
             raise MetricError("metric undefined at every timestep")
-    per_t = vals.max(axis=0) if spec.is_voltage_metric else vals.mean(axis=0)
     return float(per_t.mean())

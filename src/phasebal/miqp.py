@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -96,8 +97,11 @@ class BnBOptions:
     initial_incumbent: PhaseAssignment | None = None
 
     def __post_init__(self):
-        if self.abs_gap < 0 or self.rel_gap < 0:
-            raise ValidationError("gap tolerances must be nonnegative")
+        if not all(math.isfinite(gap) and gap >= 0 for gap in (self.abs_gap, self.rel_gap)):
+            raise ValidationError(f"abs_gap {self.abs_gap!r} and rel_gap {self.rel_gap!r} "
+                                  f"must be finite and nonnegative")
+        if self.leaf_enum_cap < 1:  # a node with no switch left is then always a leaf
+            raise ValidationError(f"leaf_enum_cap must be at least 1, got {self.leaf_enum_cap!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +131,6 @@ class BinaryProgram:
     side_labels: tuple[str, ...]       # (R,)
     side_coef: np.ndarray              # (R, n, 3)
     side_rhs: np.ndarray               # (R,)
-    baseline_objective: float = 0.0     # objective when there are no binaries
 
     @property
     def n_users(self) -> int:
@@ -145,7 +148,7 @@ class BinaryProgram:
     def _objective_columns(self) -> np.ndarray:
         """``coef`` as (3n, T*L*3), one row per (user, phase)."""
         return np.ascontiguousarray(np.moveaxis(self.coef, (3, 4), (0, 1))).reshape(
-            3 * self.n_users, -1)
+            3 * self.n_users, self.const.size)
 
     @functools.cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -177,8 +180,6 @@ class BinaryProgram:
         return np.array([assignment.phases], dtype=int)
 
     def objective_at(self, assignment: PhaseAssignment) -> float:
-        if self.n_users == 0:
-            return self.baseline_objective
         return float(self.objective_batch(self._row(assignment))[0])
 
     def objective_batch(self, phases: np.ndarray) -> np.ndarray:
@@ -294,7 +295,6 @@ def build_program(feeder: Feeder, loads: LoadSeries,
             f"objective {objective.metric!r} is not representable in the "
             f"linear-model variable space (needs ratios of variables); "
             f"supported here: {SUPPORTED_OBJECTIVES}")
-    balance_branches = objective.branches_for(feeder)
     limited = [br for br in feeder.branches if br.power_limit_va is not None]
     sens = lindist.sensitivity(feeder, loads)
     pr = feeder.reconfigurable_users()
@@ -324,8 +324,8 @@ def build_program(feeder: Feeder, loads: LoadSeries,
         coef = np.moveaxis(d_omega, (0, 1), (3, 4))          # (T, K, 3, n, 3)
         coef = (coef - coef.mean(axis=2, keepdims=True)) * 100.0
         weight = None
-        baseline = 0.0 if n else float(np.abs(const).max(axis=(1, 2)).mean())
     else:
+        balance_branches = objective.branches_for(feeder)
         b_idx = [feeder.branch_index(br) for br in balance_branches]
         flow0 = sens.flow0_p[:, b_idx]                       # (T, B, 3)
         d_flow = sens.d_flow_p[:, :, :, b_idx]               # (n, 3, T, B, 3)
@@ -333,13 +333,12 @@ def build_program(feeder: Feeder, loads: LoadSeries,
         coef = np.moveaxis(d_flow - np.roll(d_flow, -1, axis=4), (0, 1), (3, 4))
         weight = np.array([100.0 / metrics.denominator(feeder, loads, br) ** 2
                            for br in balance_branches])
-        baseline = 0.0 if n else float(((const ** 2).sum(axis=2) * weight).mean(axis=1).mean())
     return BinaryProgram(
         users=users, c0=c0, objective_kind=objective.metric, horizon=horizon,
         delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,
         fixed_phase_counts=fixed_phase_counts(feeder), const=const, coef=coef,
         branch_weight=weight, side_labels=side_labels, side_coef=side_coef,
-        side_rhs=side_rhs, baseline_objective=baseline)
+        side_rhs=side_rhs)
 
 
 # -- branch and bound --------------------------------------------------------
@@ -568,13 +567,12 @@ class _BnBSolver:
         return best_val, best_assign
 
 
-def _raise_with_iis(prog: BinaryProgram, solver: "_BnBSolver") -> None:
-    """Shrink the ub rows to an irreducible infeasible subset and raise: a
-    block of rows goes while the rest stays infeasible, else it is halved; a
-    single row that cannot go is needed (later deletions only loosen the
-    rest), and the next block is then the whole remainder."""
-    a_eq, b_eq, a_ub, b_ub, _ = solver._node_base_rows((0,) * prog.n_users)
-    labels, zero = prog.rows[2], np.zeros(a_eq.shape[1])
+def _raise_with_iis(labels, a_eq, b_eq, a_ub, b_ub) -> None:
+    """Shrink the root's ub rows (``labels``) to an irreducible infeasible
+    subset and raise: a block of rows goes while the rest stays infeasible,
+    else it is halved; a single row that cannot go is needed (later deletions
+    only loosen the rest), and the next block is then the whole remainder."""
+    zero = np.zeros(a_eq.shape[1])
     keep, i, size = list(range(len(labels))), 0, len(labels)
     while i < len(keep):
         size = min(size, len(keep) - i)
@@ -605,13 +603,12 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
         if broken:
             raise InfeasibleProgramError(
                 "the baseline configuration breaks these rows", rows=broken)
-        return BnBResult(assignment=PhaseAssignment(()),
-                         objective=prog.baseline_objective,
-                         bound=prog.baseline_objective, gap=0.0, nodes=1,
-                         status="optimal")
+        value = prog.objective_at(PhaseAssignment(()))
+        return BnBResult(assignment=PhaseAssignment(()), objective=value,
+                         bound=value, gap=0.0, nodes=1, status="optimal")
     root_check = solve_lp(np.zeros(a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq)
     if root_check.status == "infeasible":
-        _raise_with_iis(prog, solver)
+        _raise_with_iis(prog.rows[2], a_eq, b_eq, a_ub, b_ub)
     started = time.monotonic()
 
     incumbent, inc_value = None, np.inf
@@ -684,10 +681,7 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
         for ph in (1, 2, 3):
             child = list(fixed)
             child[branch_user] = ph
-            child = tuple(child)
-            if solver._used(child) > prog.delta_max:
-                continue
-            heapq.heappush(heap, (rel_bound, next(counter), child, working))
+            heapq.heappush(heap, (rel_bound, next(counter), tuple(child), working))
 
     if incumbent is None:
         # the root relaxation is feasible, so no subset of rows is infeasible

@@ -112,6 +112,11 @@ def as_phase(p, what: str) -> int:
     return as_phases((p,), what)[0]
 
 
+def is_whole(value) -> bool:
+    """An int or an integral float, not a bool (type(), not isinstance())."""
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
 @dataclass(frozen=True)
 class User:
     id: str
@@ -292,12 +297,15 @@ class Feeder:
     # -- lookups -----------------------------------------------------------
 
     def bus_index(self, bus: str) -> int:
-        return self._bus_index[bus]
+        try:
+            return self._bus_index[bus]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ValidationError(f"unknown bus {bus!r}") from None
 
     def branch(self, from_bus: str, to_bus: str) -> Branch:
         try:
             return self.branches[self._branch_index[(from_bus, to_bus)]]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown branch ({from_bus!r}, {to_bus!r})") from None
 
     def branch_index(self, branch: Branch) -> int:
@@ -460,6 +468,10 @@ class ConstraintConfig:
     enforce_phase_counts: bool = False
 
     def __post_init__(self):
+        for name in ("delta_max", "gamma_low", "gamma_upp"):
+            if not is_whole(getattr(self, name)):
+                raise ValidationError(f"{name} must be a whole number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.delta_max < 0:
             raise ValidationError("delta_max must be >= 0")
         if not (0 <= self.gamma_low <= self.gamma_upp):

@@ -22,8 +22,7 @@ import numpy as np
 from . import lindist, metrics, powerflow
 from .errors import ConvergenceError, MetricError, ValidationError
 from .metrics import ObjectiveSpec
-from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
-                      original_assignment)
+from .network import ConstraintConfig, Feeder, LoadSeries, PhaseAssignment
 
 EVALUATORS = ("exact", "ld3f")
 
@@ -35,21 +34,16 @@ class Problem:
     constraints: ConstraintConfig
     objective: ObjectiveSpec
 
-    def original(self) -> PhaseAssignment:
-        return original_assignment(self.feeder)
 
-
-def _flow_values(metric: str, feeder: Feeder, loads: LoadSeries, branches,
-                 flows: np.ndarray) -> np.ndarray:
-    """(n_branches, T) flow metric values from (T, n_branches, 3) current
-    magnitudes (``iu``) or active flows; NaN marks undefined timesteps."""
-    if metric == "pu_star":
-        denom = np.empty(len(branches))
-        for k, br in enumerate(branches):
-            try:
-                denom[k] = metrics.denominator(feeder, loads, br)
-            except MetricError:
-                denom[k] = np.nan
+def _flow_values(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries, flows_at) -> np.ndarray:
+    """(n_branches, T) values of a flow metric at the balance branches, from
+    ``flows_at(idx)``, their (T, n_branches, 3) current magnitudes (``iu``)
+    or active flows; NaN marks undefined timesteps.  A ``pu_star`` branch
+    without demand raises ``MetricError``."""
+    branches = spec.branches_for(feeder)
+    flows = flows_at([feeder.branch_index(br) for br in branches])
+    if spec.metric == "pu_star":
+        denom = np.array([metrics.denominator(feeder, loads, br) for br in branches])
         return metrics.p_u_star_values(flows, denom).T
     return metrics.unbalance_rate_values(flows).T
 
@@ -62,11 +56,9 @@ def metric_values_exact(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
         mags = np.abs(solutions.u[:, idx])
         return (metrics.pvur_values(mags) if spec.metric == "pvur"
                 else metrics.pvur_star_values(mags ** 2)).T
-    branches = spec.branches_for(feeder)
-    idx = [feeder.branch_index(br) for br in branches]
-    flows = (np.abs(solutions.current[:, idx]) if spec.metric == "iu"
-             else np.real(solutions.s_from[:, idx]))
-    return _flow_values(spec.metric, feeder, loads, branches, flows)
+    return _flow_values(spec, feeder, loads, lambda idx: (
+        np.abs(solutions.current[:, idx]) if spec.metric == "iu"
+        else np.real(solutions.s_from[:, idx])))
 
 
 def metric_values_ld3f(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
@@ -83,9 +75,7 @@ def metric_values_ld3f(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
         if np.any(bad):
             raise MetricError(f"omega not positive at bus {buses[np.argmax(bad)]}")
         return metrics.pvur_values(np.sqrt(w)).T
-    branches = spec.branches_for(feeder)
-    idx = [feeder.branch_index(br) for br in branches]
-    return _flow_values(spec.metric, feeder, loads, branches, state.flow_p[:, idx])
+    return _flow_values(spec, feeder, loads, lambda idx: state.flow_p[:, idx])
 
 
 @dataclass(frozen=True)

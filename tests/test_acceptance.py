@@ -120,7 +120,7 @@ def test_criterion_2_ga_quality(line_pair, ga_twenty_runs, miqp_budget5,
         hits += res.best_fitness <= optimum + 1e-12
 
     prob_c, results = ga_twenty_runs
-    i0 = evaluate_exact(prob_c, prob_c.original()).objective
+    i0 = evaluate_exact(prob_c, original_assignment(prob_c.feeder)).objective
     fitnesses = np.array([r.best_fitness for r in results])
     f20, l20 = twenty_pair
     miqp_score = _exact_score(f20, l20, "pu",

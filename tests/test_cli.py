@@ -146,6 +146,33 @@ def test_optimize_then_validate(line_paths, tmp_path):
     assert csv_path.exists()
 
 
+def test_validate_all_zero_demand_is_exit_2(line, tmp_path, capsys):
+    feeder, loads = line
+    feeder_path, profiles_path = tmp_path / "line.feeder.json", tmp_path / "zero.profiles.csv"
+    save_feeder(feeder, feeder_path)
+    zero = np.zeros_like(loads.p)
+    save_profiles(LoadSeries(loads.user_ids, zero, zero, loads.resolution_s), profiles_path)
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps({u.id: 1 for u in feeder.reconfigurable_users()}))
+    code = main(["validate", "--feeder", str(feeder_path), "--profiles", str(profiles_path),
+                 "--assignment", str(assignment)])
+    assert code == 2
+    assert "undefined at every timestep" in capsys.readouterr().err
+
+
+def test_optimize_trace_flag_writes_the_ga_trace(line_paths, tmp_path):
+    feeder_path, profiles_path = line_paths
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    assert main(["optimize", "--feeder", str(feeder_path), "--profiles", str(profiles_path),
+                 "--method", "ga", "--objective", "pu", "--delta-max", "2",
+                 "--population", "6", "--f-calls", "30", "--trace", str(trace),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    rows = trace.read_text().splitlines()[1:]
+    assert len(rows) == report["solver"]["generations"]
+    assert float(rows[-1].split(",")[1]) == report["objective_value"]
+
+
 def test_sweep_verb(line_paths, tmp_path):
     feeder_path, profiles_path = line_paths
     out = tmp_path / "sweep.json"

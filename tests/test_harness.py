@@ -8,10 +8,13 @@ import pytest
 from phasebal import cli, fixtures, harness, oracle
 from phasebal.errors import MetricError
 from phasebal.ga import GAConfig, run_ga
-from phasebal.metrics import ObjectiveSpec
-from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
-                              original_assignment)
-from phasebal.problem import Problem
+from phasebal.metrics import ALL_METRICS, ObjectiveSpec
+from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
+                              User, original_assignment)
+from phasebal.problem import Problem, evaluate_exact
+
+Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
+Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
 
 
 # -- cmd_optimize ---------------------------------------------------------------
@@ -27,6 +30,35 @@ def test_oracle_report_matches_enumeration(line):
     assert np.isclose(report.objective_value, direct.objective)
     assert report.binary_feasible
     assert report.schema_version == harness.SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("method, metric", [("miqp", "pvur_star"), ("miqp", "pu_star"),
+                                            ("ga", "pvur"), ("oracle", "pvur")])
+def test_optimize_beside_an_unloaded_cable(unloaded_cable, method, metric):
+    feeder, loads = unloaded_cable
+    report = harness.cmd_optimize(
+        feeder, loads, method, ObjectiveSpec(metric), ConstraintConfig(delta_max=2),
+        ga_config=GAConfig(population_size=8, max_fitness_calls=40, rng_seed=1))
+    assert np.isfinite(report.objective_value)
+    for table in (report.metrics_original, report.metrics_solution):
+        assert set(table) == {*ALL_METRICS, "loss_percent"}
+        assert all(np.isfinite(v) for v in table.values())
+
+
+def test_trace_csv_has_one_row_per_generation(line, tmp_path):
+    feeder, loads = line
+    path = tmp_path / "trace.csv"
+    report = harness.cmd_optimize(
+        feeder, loads, "ga", ObjectiveSpec("pu"), ConstraintConfig(delta_max=3),
+        ga_config=GAConfig(population_size=10, max_fitness_calls=100, rng_seed=5),
+        trace_path=path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "generation,best,median,worst"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(report.solver["generations"]))
+    best = [float(r[1]) for r in rows]
+    assert all(b <= a for a, b in zip(best, best[1:]))
+    assert best[-1] == report.objective_value
 
 
 def _redact_timing(text: str) -> str:
@@ -103,6 +135,33 @@ def test_validate_balanced_loads_degenerate_zero(two_bus):
     dist = val["metrics"]["pvur"]["solution"]
     assert dist["max"] < 1e-9
     assert dist["min"] >= 0.0
+
+
+def test_validate_series_is_undefined_where_the_objective_is(tmp_path):
+    # two loaded reference branches; u3, alone behind ("r", "b"), draws
+    # nothing at step 2, so P_U is undefined there on that branch
+    feeder = Feeder(
+        buses=["r", "a", "b"],
+        branches=[Branch("r", "a", Z_R, Z_X), Branch("r", "b", Z_R, Z_X)],
+        reference_bus="r",
+        users=[User("u1", "a", 1), User("u2", "a", 2), User("u3", "b", 1)],
+        base_voltage=230.0, base_power=10_000.0)
+    p = np.array([[2000.0, 1000.0, 1500.0]] * 5)
+    p[:, 0] += np.arange(5) * 100.0
+    p[2, 2] = 0.0
+    loads = LoadSeries(("u1", "u2", "u3"), p, 0.3 * p)
+    a0 = original_assignment(feeder)
+    problem = Problem(feeder, loads, ConstraintConfig(delta_max=1), ObjectiveSpec("pu"))
+    with pytest.warns(UserWarning, match="skipping 1 of 5"):
+        objective = evaluate_exact(problem, a0).objective
+    path = tmp_path / "val.csv"
+    val = harness.cmd_validate(feeder, a0, loads, metric_names=("pu",), csv_path=path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    series = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.isnan(series[2]).all()
+    assert np.isfinite(np.delete(series, 2, axis=0)).all()
+    for tag in ("original", "solution"):
+        assert val["metrics"]["pu"][tag]["mean"] == objective
 
 
 def test_validate_unseen_days_median_improves(line):
@@ -255,6 +314,19 @@ def test_scaling_row_schema_and_repeats(line):
                             "wall_time_s"}
     slowest = report["reported"][0]["wall_time_s"]
     assert slowest == max(r["wall_time_s"] for r in report["rows"])
+
+
+def test_scaling_csv_has_one_row_per_repeat(line, tmp_path):
+    feeder, loads = line
+    path = tmp_path / "scale.csv"
+    report = harness.cmd_scaling([("line", feeder, loads)], horizons=[2],
+                                 methods=["ga", "oracle"], repeats=3,
+                                 constraints=ConstraintConfig(delta_max=2), csv_path=path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "feeder,horizon,method,repeat,wall_time_s"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[2], int(r[3])) for r in rows] == [("ga", 0), ("ga", 1), ("ga", 2), ("oracle", 0)]
+    assert [float(r[4]) for r in rows] == [r["wall_time_s"] for r in report["rows"]]
 
 
 def test_scaling_time_grows_with_horizon(line):

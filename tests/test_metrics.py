@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -233,6 +234,43 @@ def test_objective_spec_defaults(line):
     assert set(spec.buses_for(feeder)) == {"b1", "b2", "b3"}
     flow = ObjectiveSpec("pu")
     assert [br.key for br in flow.branches_for(feeder)] == [("r", "b1")]
+
+
+def test_default_balance_branches_feed_a_user(unloaded_cable):
+    feeder, _ = unloaded_cable
+    assert [br.key for br in feeder.reference_branches()] == [("r", "b1"), ("r", "spare")]
+    assert [br.key for br in ObjectiveSpec("pu").branches_for(feeder)] == [("r", "b1")]
+
+
+def test_no_branch_feeding_a_user_is_a_metric_error(two_bus):
+    feeder, _ = two_bus
+    # every user sits on the reference bus, so no reference branch feeds one
+    feeder = dataclasses.replace(
+        feeder, users=tuple(dataclasses.replace(u, bus="r") for u in feeder.users))
+    with pytest.raises(MetricError, match="feeds a user"):
+        ObjectiveSpec("pu").branches_for(feeder)
+
+
+def test_unloaded_explicit_branch_raises_for_pu_star(unloaded_cable):
+    feeder, loads = unloaded_cable
+    sols = powerflow.solve_series(feeder, original_assignment(feeder), loads)
+    spec = ObjectiveSpec("pu_star", balance_branches=(("r", "b1"), ("r", "spare")))
+    with pytest.raises(MetricError, match="zero downstream demand"):
+        metric_values_exact(spec, feeder, loads, sols)
+
+
+@pytest.mark.parametrize("keys", [(("r",),), (("r", "b1", "b2"),), ("rb1",), (3,)])
+def test_balance_branch_must_be_a_pair(keys):
+    with pytest.raises(ValidationError, match="pair"):
+        ObjectiveSpec("pu", balance_branches=keys)
+
+
+def test_unknown_balance_bus_is_a_validation_error(line):
+    feeder, loads = line
+    spec = ObjectiveSpec("pvur", balance_buses=("zz",))
+    sols = powerflow.solve_series(feeder, original_assignment(feeder), loads)
+    with pytest.raises(ValidationError, match="unknown bus 'zz'"):
+        metric_values_exact(spec, feeder, loads, sols)
 
 
 def test_objective_spec_explicit_sets(line):

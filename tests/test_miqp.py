@@ -44,6 +44,15 @@ def test_exact_metrics_rejected(line):
                           ObjectiveSpec(metric))
 
 
+@pytest.mark.parametrize("field, value", [("leaf_enum_cap", 0), ("leaf_enum_cap", -3),
+                                          ("abs_gap", float("nan")), ("abs_gap", float("inf")),
+                                          ("abs_gap", -1e-9), ("rel_gap", float("nan")),
+                                          ("rel_gap", float("inf")), ("rel_gap", -0.1)])
+def test_bnb_options_reject(field, value):
+    with pytest.raises(ValidationError, match=field):
+        BnBOptions(**{field: value})
+
+
 def test_no_reconfigurable_users_constant_program():
     feeder = Feeder(
         buses=["r", "b1"],
@@ -59,7 +68,7 @@ def test_no_reconfigurable_users_constant_program():
         assert prog.n_users == 0
         direct = evaluate(Problem(feeder, loads, cons, ObjectiveSpec(metric)),
                           PhaseAssignment(()), "ld3f")
-        assert np.isclose(prog.baseline_objective, direct, atol=1e-12)
+        assert np.isclose(prog.objective_at(PhaseAssignment(())), direct, atol=1e-12)
         res = branch_and_bound(prog)
         assert res.status == "optimal"
         assert res.nodes == 1

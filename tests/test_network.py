@@ -308,8 +308,8 @@ def test_feeder_and_loads_freed_after_use():
     """Derived tables live on their objects; nothing outlives them."""
     feeder, loads = fixtures.fixture("line")
     problem = Problem(feeder, loads, ConstraintConfig(delta_max=1), ObjectiveSpec("pu_star"))
-    evaluate_exact(problem, problem.original())
-    evaluate_ld3f(problem, problem.original())
+    evaluate_exact(problem, original_assignment(problem.feeder))
+    evaluate_ld3f(problem, original_assignment(problem.feeder))
     build_program(feeder, loads, problem.constraints, problem.objective)
     refs = (weakref.ref(feeder), weakref.ref(loads))
     del feeder, loads, problem
@@ -411,6 +411,20 @@ def test_constraint_config_validation():
         ConstraintConfig(delta_max=0, gamma_low=5, gamma_upp=2)
     with pytest.raises(ValidationError):
         ConstraintConfig(delta_max=0, v_min=1.2, v_max=1.1)
+
+
+@pytest.mark.parametrize("field, value", [("delta_max", 2.5), ("delta_max", "2"),
+                                          ("delta_max", True), ("gamma_low", 0.5),
+                                          ("gamma_upp", None)])
+def test_constraint_config_integer_fields_take_whole_numbers(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be a whole number"):
+        ConstraintConfig(**{"delta_max": 2, field: value})
+
+
+def test_constraint_config_reads_integral_floats_as_ints():
+    cons = ConstraintConfig(delta_max=2.0, gamma_low=1.0, gamma_upp=4.0)
+    assert (cons.delta_max, cons.gamma_low, cons.gamma_upp) == (2, 1, 4)
+    assert all(type(v) is int for v in (cons.delta_max, cons.gamma_low, cons.gamma_upp))
 
 
 def test_constraint_config_fractions(twenty_user):

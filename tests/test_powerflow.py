@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, injection_series, original_assignment)
 from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_series
-from phasebal.problem import Problem, evaluate_exact
+from phasebal.problem import Problem, check_operational, evaluate_exact
 from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
 from strategies import radial_cases
 
@@ -217,6 +219,24 @@ def test_collapsed_step_is_flagged_and_the_rest_kept(collapsing_line):
     ev = evaluate_exact(problem, a)
     assert ev.objective == np.inf and not ev.operational_ok
     assert "collapsed" in ev.violations[0]
+
+
+@pytest.mark.parametrize("limit, kind", [("power_limit_va", "apparent power"),
+                                         ("ampacity_a", "current")])
+def test_thermal_violation_names_the_branch_and_limit(limit, kind):
+    # 0.1 pu: 1 kVA on the 10 kVA base, 4.3478 A on the 43.478 A base
+    value = {"power_limit_va": 1000.0, "ampacity_a": 10_000.0 / 230.0 / 10.0}[limit]
+    feeder = Feeder(
+        buses=["r", "b1"], branches=[Branch("r", "b1", Z_R, Z_X, **{limit: value})],
+        reference_bus="r", users=[User("u1", "b1", 1)],
+        base_voltage=230.0, base_power=10_000.0)
+    p = np.array([[500.0], [2000.0]])
+    loads = LoadSeries(("u1",), p, np.zeros_like(p))
+    series = solve_series(feeder, original_assignment(feeder), loads)
+    violations = check_operational(feeder, ConstraintConfig(delta_max=0), series)
+    assert len(violations) == 1
+    assert re.fullmatch(rf"t=1: branch \('r', 'b1'\) {kind} 0\.2\d+ pu exceeds 0\.1000 pu",
+                        violations[0])
 
 
 # -- losses ------------------------------------------------------------------
