@@ -6,13 +6,14 @@ Rebuilds the planning days of the ``miqp_plan`` benchmark workload (the
 seed) through ``phasebal.fixtures``, solves each with the options
 ``cmd_optimize`` uses and prints one line per (seed, day, objective): the
 assignment, the objective and bound as exact hex floats, the nodes, the
-relaxations, the status and the simplex pivots of every ``solve_lp`` call
-the search made.  Run it on two checkouts and ``diff`` the outputs to show
-that a change leaves every search result bitwise alone; the first six
-fields hold the plan, objective and bound:
+relaxations (``solve_lp`` calls), the status, the simplex pivots of every
+``solve_lp`` call the search made and, last, the Frank-Wolfe oracle
+vertices taken in closed form.  Run it on two checkouts and ``diff`` the
+outputs to show that a change leaves every search result bitwise alone;
+fields 1-7 hold the plan, objective, bound and nodes, and must match:
 
     PYTHONPATH=src python3 scripts/compare_bnb.py --seeds 7,3,23 > after.txt
-    diff <(cut -d' ' -f1-6 before.txt) <(cut -d' ' -f1-6 after.txt)
+    diff <(cut -d' ' -f1-7 before.txt) <(cut -d' ' -f1-7 after.txt)
 
 ``--fixture twenty_user`` plans that fixture's own profiles instead.
 """
@@ -61,7 +62,7 @@ def result_line(label: str, feeder, loads, metric: str, delta_max: int) -> str:
     phases = "".join(map(str, res.assignment.phases))
     return (f"{label} {metric} {phases} {res.objective.hex()} {res.bound.hex()} "
             f"nodes={res.nodes} relaxations={res.relaxations_solved} {res.status} "
-            f"pivots={sum(pivots)}")
+            f"pivots={sum(pivots)} closed_form={res.closed_form_vertices}")
 
 
 def main():

@@ -25,7 +25,7 @@ from .errors import MetricError, PhasebalError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
                       as_phase, binary_feasible, original_assignment, switch_count)
-from .problem import Problem, metric_values_exact
+from .problem import Problem, evaluate_exact, metric_values_exact
 
 SCHEMA_VERSION = 1
 
@@ -111,7 +111,8 @@ def _plan(problem: Problem, method: str, ga_config: ga.GAConfig,
                       "status": res.status, "relaxations_solved": res.relaxations_solved})
     if method == "oracle":
         res = oracle.enumerate_optimal(problem, evaluator="exact")
-        return _Plan(res.best, res.objective, {"evaluated": res.evaluated},
+        feasible = evaluate_exact(problem, res.best).operational_ok  # the ranking ignores limits
+        return _Plan(res.best, res.objective, {"evaluated": res.evaluated, "feasible": feasible},
                      pf_evaluations=res.evaluated)
     raise ValidationError(f"unknown method {method!r}; pick ga, miqp or oracle")
 

@@ -25,10 +25,13 @@ budget and phase-count rows plus a working set of lazy rows: epigraph
 cuts, and the screened side rows that an LP point of the node or of an
 ancestor broke.  A row joins when the LP point violates it, and the LP
 warm-starts from the previous optimal tableau (``solve_lp(..., warm=...)``)
-with it appended, until the point meets every row; a Frank-Wolfe oracle
-LP otherwise only changes the cost.  Children start from the cuts tight
-at the parent's optimum and all its side rows.  A node's first LP, the
-root check and the deletion filter solve cold.
+with it appended, until the point meets every row.  Children start from
+the cuts tight at the parent's optimum and all its side rows.  A node's
+first LP, the root check and the deletion filter solve cold.  Without
+gamma, a later Frank-Wolfe oracle call takes the greedy vertex of the
+one-hot and budget rows, an integral polytope, when no choice ties and
+it meets every side row: it is then the node LP's unique optimum.
+Otherwise the LP runs warm with the new cost.
 A node whose budget-feasible completions (``network.completion_count``)
 fit the leaf cap is closed exactly: its completions are generated in
 lexicographic order by ``network.completions`` and scored in chunks.
@@ -56,7 +59,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,7 +355,8 @@ class BnBResult:
     gap: float
     nodes: int
     status: str  # optimal | node_limit | time_limit
-    relaxations_solved: int = 0
+    relaxations_solved: int = 0  # solve_lp calls but the root check
+    closed_form_vertices: int = 0  # Frank-Wolfe oracle vertices taken without an LP
 
 
 def _quadratic_parts(prog: BinaryProgram):
@@ -370,7 +374,7 @@ class _BnBSolver:
     def __init__(self, prog: BinaryProgram, opts: BnBOptions):
         self.prog = prog
         self.opts = opts
-        self.relaxations = 0
+        self.relaxations = self.closed_form = 0
         if prog.objective_kind == "pu_star":
             self.q_mat, self.q_lin, self.q_const = _quadratic_parts(prog)
 
@@ -397,22 +401,25 @@ class _BnBSolver:
 
     def _node_lp(self, fixed, side, width=0):
         """A node's LP [a_ub, b_ub, a_eq, b_eq], ``width`` zero columns wider,
-        with only the side rows ``side``; its free users; and
-        ``add_broken(x)``, which appends the side rows ``x`` breaks by over
-        1e-9 (one matvec) to ``side`` and to the LP and says if there were any."""
+        with only the side rows ``side``; its free users; ``broken(x)``, the
+        side rows ``x`` breaks by over 1e-9 (one matvec); and ``add_broken(x)``,
+        which appends them to ``side`` and to the LP and says if there were any."""
         a_eq, b_eq, a_ub, b_ub, free = self._node_base_rows(fixed)
         a_eq, a_ub = (np.hstack([a, np.zeros((len(a), width))]) for a in (a_eq, a_ub))
         base = len(b_ub) - len(self.prog.side_rhs)
         keep = np.r_[0:base, base + np.array(side, dtype=int)]
         lp, side_a, side_b = [a_ub[keep], b_ub[keep], a_eq, b_eq], a_ub[base:], b_ub[base:]
 
+        def broken(x):
+            return np.flatnonzero(side_a @ x > side_b + 1e-9)
+
         def add_broken(x):
-            new = [r for r in np.flatnonzero(side_a @ x > side_b + 1e-9).tolist() if r not in side]
+            new = [r for r in broken(x).tolist() if r not in side]
             if new:
                 side.extend(new)
                 lp[:2] = np.vstack([lp[0], side_a[new]]), np.concatenate([lp[1], side_b[new]])
             return bool(new)
-        return lp, free, add_broken
+        return lp, free, add_broken, broken
 
     # ---- pvur_star: lazy-row epigraph LP ----
 
@@ -432,7 +439,7 @@ class _BnBSolver:
         rows and each timestep's most violated cut and warm-starts; the
         children get the cuts tight at the optimum and every side row."""
         new, side, t_dim = list(working[0]), list(working[1]), self.prog.horizon
-        lp, free, add_broken = self._node_lp(fixed, side, t_dim)
+        lp, free, add_broken, _ = self._node_lp(fixed, side, t_dim)
         nv = 3 * len(free)
         const, coef = self._node_dev(fixed, free)
         c_obj = np.r_[np.zeros(nv), np.full(t_dim, 1.0 / t_dim)]
@@ -482,12 +489,14 @@ class _BnBSolver:
 
     def _solve_qp_node(self, fixed, incumbent_value, working):
         """The node's certified Frank-Wolfe bound, from its parent's side
-        rows.  An oracle LP whose vertex breaks a side row is re-solved warm
-        with the broken rows appended, so every vertex meets them all; the
-        children get every side row."""
+        rows.  The first oracle call is a cold LP.  An oracle LP whose vertex
+        breaks a side row is re-solved warm with the broken rows appended, so
+        every vertex meets them all; the children get every side row."""
         side = list(working[1])
-        lp, free, add_broken = self._node_lp(fixed, side)
+        lp, free, add_broken, broken = self._node_lp(fixed, side)
         q_ff, lin, const = self._node_quadratic(fixed, free)
+        on_c0 = np.array(self.prog.c0)[free, None] - 1 == np.arange(3)  # (free users, 3)
+        left = self.prog.delta_max - self._used(fixed)
 
         def f(x):
             return float(x @ q_ff @ x + lin @ x + const)
@@ -499,6 +508,21 @@ class _BnBSolver:
                 if res.status != "optimal" or not add_broken(res.x):
                     return res
 
+        def greedy(c):
+            """The oracle LP's vertex, or None where it may differ: users move off
+            c0 to their cheapest other phase, largest positive gain first."""
+            cost = c.reshape(-1, 3)
+            cheap = np.sort(np.where(on_c0, np.inf, cost), axis=1)
+            gain = cost[on_c0] - cheap[:, 0]
+            order = np.argsort(-gain, kind="stable")
+            moved = order[:min(left, np.count_nonzero(gain > 0))]
+            if np.any(gain == 0) or np.any(cheap[moved, 0] == cheap[moved, 1]) or (
+                    left < len(gain) and gain[order[left - 1]] == gain[order[left]] > 0):
+                return None
+            v = on_c0.astype(float)
+            v[moved] = cost[moved] == cheap[moved, :1]  # no gain is 0, so c0 is not cheapest
+            return None if len(broken(v.ravel())) else v.ravel()
+
         start = oracle(lin, None)
         if start.status != "optimal":
             return start.status, None, None, ((), tuple(side))
@@ -506,11 +530,14 @@ class _BnBSolver:
         best_x, best_ub = x, f(x)
         for _ in range(FW_MAX_ITERS):
             g = 2.0 * (q_ff @ x) + lin
-            # new gradient: primal phase 2 from the last tableau
-            osc = oracle(g, osc)
-            if osc.status != "optimal":
-                return osc.status, None, None, ((), tuple(side))
-            v = osc.x
+            v = greedy(g) if self.prog.gamma is None else None
+            self.closed_form += v is not None
+            if v is None:
+                # new gradient: primal phase 2 from the last tableau
+                osc = oracle(g, osc)
+                if osc.status != "optimal":
+                    return osc.status, None, None, ((), tuple(side))
+                v = osc.x
             gap = float(g @ (x - v))
             lower = max(lower, f(x) - gap)
             if f(x) < best_ub:
@@ -662,15 +689,12 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
         free = [i for i, ph in enumerate(fixed) if ph == 0]
         branch_user = free[0]
         if x is not None:
-            frac_score = -1.0
-            rounded = list(fixed)
-            for r, i in enumerate(free):
-                d_u = x[3 * r: 3 * r + 3]
-                score = 1.0 - float(d_u.max())
-                if score > frac_score:
-                    frac_score, branch_user = score, i
-                rounded[i] = int(np.argmax(d_u)) + 1
-            cand = PhaseAssignment(tuple(rounded))
+            d_u = x[:3 * len(free)].reshape(-1, 3)
+            score = 1.0 - d_u.max(axis=1)
+            frac_score, branch_user = float(score.max()), free[int(score.argmax())]
+            rounded = np.array(fixed)
+            rounded[free] = d_u.argmax(axis=1) + 1
+            cand = PhaseAssignment(tuple(rounded.tolist()))
             if prog.point_feasible(cand):
                 val = prog.objective_at(cand)
                 if val < inc_value:
@@ -693,5 +717,5 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
     final_bound = min(final_bound, inc_value)
     return BnBResult(assignment=incumbent, objective=inc_value,
                      bound=final_bound, gap=inc_value - final_bound,
-                     nodes=nodes, status=status,
-                     relaxations_solved=solver.relaxations)
+                     nodes=nodes, status=status, relaxations_solved=solver.relaxations,
+                     closed_form_vertices=solver.closed_form)

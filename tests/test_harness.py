@@ -32,6 +32,20 @@ def test_oracle_report_matches_enumeration(line):
     assert report.schema_version == harness.SCHEMA_VERSION
 
 
+def test_oracle_report_flags_a_plan_that_breaks_limits(line, twenty_user):
+    """The exact oracle ranks by objective alone; its report says whether
+    the plan keeps the operational limits.  On twenty_user's first 12 steps
+    every configuration within budget 2 breaks the 0.97-1.03 band."""
+    feeder, loads = twenty_user
+    loads = LoadSeries(loads.user_ids, loads.p[:12], loads.q[:12], loads.resolution_s)
+    report = harness.cmd_optimize(feeder, loads, "oracle", ObjectiveSpec("pu"),
+                                  ConstraintConfig(delta_max=2, v_min=0.97, v_max=1.03))
+    assert report.solver["feasible"] is False
+    report = harness.cmd_optimize(*line, "oracle", ObjectiveSpec("pu"),
+                                  ConstraintConfig(delta_max=3))
+    assert report.solver["feasible"] is True
+
+
 @pytest.mark.parametrize("method, metric", [("miqp", "pvur_star"), ("miqp", "pu_star"),
                                             ("ga", "pvur"), ("oracle", "pvur")])
 def test_optimize_beside_an_unloaded_cable(unloaded_cable, method, metric):

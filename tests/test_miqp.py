@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -706,6 +707,127 @@ def test_every_lazy_resolve_is_a_counted_relaxation(twenty_user, metric):
     first_cut = len(prog.side_rhs) - 3
     assert set(handed[0]) & set(range(first_cut, len(prog.side_rhs)))
     assert len(calls) == res.relaxations_solved + 1
+
+
+# -- closed-form Frank-Wolfe oracle ------------------------------------------------
+
+
+def _captured_greedy(prog, fixed):
+    """The closed-form oracle ``greedy`` of ``fixed``'s node, taken from a
+    run of that node's Frank-Wolfe bound, and the gradients the run asked
+    it about; (None, []) when the run never called it."""
+    seen = {"greedy": None, "costs": []}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "greedy" \
+                and frame.f_code.co_filename == miqp.__file__:
+            seen["greedy"] = frame.f_back.f_locals["greedy"]
+            seen["costs"].append(frame.f_locals["c"].copy())
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _BnBSolver(prog, BnBOptions())._solve_qp_node(fixed, np.inf, ((), ()))
+    finally:
+        sys.setprofile(previous)
+    return seen["greedy"], seen["costs"]
+
+
+@pytest.mark.parametrize("name", ["line", "twenty_user"])
+def test_closed_form_vertex_is_the_lp_vertex(request, name):
+    """Whenever the closed form serves, on a node's real Frank-Wolfe
+    gradients and on random costs, its vertex is the one cold LP's over
+    every row of the node, and it meets every side row."""
+    prog = _node_program(request.getfixturevalue(name), "pu_star", 4)
+    assert prog.gamma is None
+    rng = np.random.default_rng(6)
+    served = declined = 0
+    for fixed in _random_fixings(prog, rng, 6):
+        greedy, costs = _captured_greedy(prog, fixed)
+        if greedy is None:
+            continue  # an infeasible node stops at its first LP
+        a_eq, b_eq, a_ub, b_ub, _ = _BnBSolver(prog, BnBOptions())._node_base_rows(fixed)
+        for c in costs + list(rng.normal(size=(20, len(costs[0])))):
+            v = greedy(c)
+            if v is None:
+                declined += 1
+                continue
+            served += 1
+            lp = miqp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+            assert lp.status == "optimal"
+            assert np.max(np.abs(lp.x - v)) <= 1e-9
+            assert np.all(a_ub @ v <= b_ub + 1e-9)
+    assert served and declined
+
+
+def test_closed_form_oracle_declines(line):
+    """The closed form gives way to the LP when gamma is enforced, on each
+    exact tie (a moved user's two cheapest other phases, a zero gain, equal
+    gains either side of a binding budget) and when its vertex breaks a
+    side row."""
+    feeder, loads = line
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=2), ObjectiveSpec("pu_star"))
+    n, root = prog.n_users, (0,) * prog.n_users
+    assert n == 3 and not len(prog.side_rhs)
+    others = [[ph for ph in range(3) if ph != c - 1] for c in prog.c0]  # 0-based
+
+    def costs(gains, tied=()):
+        """Costs by which user u gains ``gains[u]`` moving off c0 to its
+        first other phase; the second ties it for the users ``tied``."""
+        c = np.zeros((n, 3))
+        for u, gain in enumerate(gains):
+            c[u, others[u]] = -gain, -gain + (u not in tied)
+        return c.ravel()
+
+    def vertex(moved):
+        """The users ``moved`` on their first other phase, the rest on c0."""
+        v = np.zeros((n, 3))
+        for u in range(n):
+            v[u, others[u][0] if u in moved else prog.c0[u] - 1] = 1.0
+        return v.ravel()
+
+    greedy, _ = _captured_greedy(prog, root)
+    assert np.array_equal(greedy(costs([3.0, 2.0, -1.0])), vertex({0, 1}))
+    assert np.array_equal(greedy(costs([2.0, 2.0, -1.0])), vertex({0, 1}))
+    assert np.array_equal(greedy(costs([3.0, 2.0, 1.0])), vertex({0, 1}))  # budget binds
+    assert np.array_equal(greedy(costs([3.0, -1.0, -2.0], tied=(1,))), vertex({0}))
+    assert greedy(costs([3.0, 2.0, -1.0], tied=(0,))) is None
+    assert greedy(costs([3.0, 2.0, 0.0])) is None
+    assert greedy(costs([3.0, 2.0, 2.0])) is None
+
+    forbid = _append_side_rows(prog, [("not_greedy", vertex({0, 1}).reshape(n, 3), n - 1.0)])
+    greedy, _ = _captured_greedy(forbid, root)
+    assert greedy(costs([3.0, 2.0, -1.0])) is None
+    assert np.array_equal(greedy(costs([3.0, -1.0, -2.0])), vertex({0}))
+
+    counted = build_program(feeder, loads, ConstraintConfig(
+        delta_max=2, enforce_phase_counts=True, gamma_upp=len(feeder.users)),
+        ObjectiveSpec("pu_star"))
+    for program, closed_form in ((prog, True), (counted, False)):
+        solver = _BnBSolver(program, BnBOptions())
+        assert solver._solve_qp_node(root, np.inf, ((), ()))[0] == "optimal"
+        assert bool(solver.closed_form) == closed_form
+    assert _captured_greedy(counted, root) == (None, [])
+
+
+def test_closed_form_oracle_halves_the_lps(twenty_user):
+    """At budget 5 on twenty_user the pu_star search keeps its 70 nodes and
+    its optimum, with at most half the 2,127 relaxations it solved when
+    every Frank-Wolfe oracle call was an LP."""
+    feeder, loads = twenty_user
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=5), ObjectiveSpec("pu_star"))
+    calls = []
+    solve_lp = miqp.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    with mock.patch.object(miqp, "solve_lp", counting_solve_lp):
+        res = branch_and_bound(prog, BnBOptions(leaf_enum_cap=16384))
+    assert len(calls) <= 1063 and len(calls) == res.relaxations_solved + 1
+    assert (res.status, res.nodes) == ("optimal", 70) and res.closed_form_vertices
+    assert res.objective == pytest.approx(2.6413841827139843, rel=1e-12)
 
 
 # -- differential test against the ld3f oracle ------------------------------------
