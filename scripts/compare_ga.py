@@ -7,11 +7,19 @@ seed, switch budget 5, objective ``pu``, population 100, 1,000 fitness
 calls, GA seed = the seed's GA seed base + day) and runs ``ga.run_ga`` on
 each at every thread count.  It prints one line per (seed, day, threads):
 the best plan, its fitness as an exact hex float, the call counts, the
-feasibility flag and a sha256 over every ``GAResult`` field (the trace as
-``float.hex``).  Run it on two checkouts and ``diff`` the outputs to show
-that a change leaves every GA result bitwise alone:
+feasibility flag, ``trace10`` (a sha256 over the trace rounded to 10
+significant digits) and a sha256 over every ``GAResult`` field (the trace
+as ``float.hex``).  Run it on two checkouts and ``diff`` the outputs to
+show that a change leaves every GA result bitwise alone:
 
     PYTHONPATH=src python3 scripts/compare_ga.py --seeds 7,3 > after.txt
+
+A change that moves only the last bits of the power flow moves
+``best_fitness`` and ``sha256``, but must keep every other field equal:
+the plan, ``trace10``, ``fitness_calls``, ``pf_evaluations`` and
+``feasible``.  Ten digits leave a margin: a change of the power-flow
+kernel moved trace values by up to 2e-13 (relative), and at 12 digits 5
+of 1,440 of those values crossed a rounding boundary.
 """
 
 import argparse
@@ -45,7 +53,10 @@ def result_line(label: str, res: ga.GAResult) -> str:
         f"feasible={res.feasible}",
     )
     digest = hashlib.sha256("\n".join(fields).encode()).hexdigest()
-    return f"{label} {' '.join(fields[:2])} {' '.join(fields[3:])} sha256={digest}"
+    rounded = ";".join(",".join(f"{float(v):.9e}" for v in row) for row in res.trace)
+    trace10 = hashlib.sha256(rounded.encode()).hexdigest()
+    return (f"{label} {' '.join(fields[:2])} {' '.join(fields[3:])} "
+            f"trace10={trace10} sha256={digest}")
 
 
 def main() -> None:

@@ -14,15 +14,19 @@ written out, once converged or flagged as collapsed, so it takes the
 iterations of an independent solve.  K assignments (the GA's chunks)
 stack into K * T rows, candidate k's at ``series[k * T:(k + 1) * T]``.
 A step's result must not depend on the block's width or other rows, or
-a series would differ from its single-step solves.
-BLAS products and LU solves pick kernels and summation orders by shape,
-so the iteration contracts with ``np.einsum`` (a fixed-order loop) against
-a dense inverse of the reduced Y-bus, built once per feeder
-(``Feeder.pf_tables``).  No ``lu_solve`` runs in the loop, so worker
-threads share no pivot array.  Complex products are written out of place,
-``np.multiply(x, np.conj(y))``: in the operator form numpy reuses the
-``np.conj`` temporary as the output once it reaches 256 KiB, and that
-in-place product rounds differently.
+a series would differ from its single-step solves.  A whole-block BLAS
+``@`` picks its kernel and summation order by the block's shape, so each
+row is multiplied on its own (``_row_products``): one (1, n) @ (n, n)
+product of the same shape at any width, against the contiguous
+transposes of the reduced Y-bus and of its dense inverse, built once per
+feeder (``Feeder.pf_tables``).  A row's bits depend on the machine's
+BLAS kernel (OpenBLAS ``DYNAMIC_ARCH`` picks one per CPU) and, from n of
+about 64, where OpenBLAS splits a product over its threads, on their
+number, but not on the block.  No ``lu_solve`` runs in the loop, so
+worker threads share no pivot array.  Complex products are written out
+of place, ``np.multiply(x, np.conj(y))``: in the operator form numpy
+reuses the ``np.conj`` temporary as the output once it reaches 256 KiB,
+and that in-place product rounds differently.
 """
 
 from __future__ import annotations
@@ -93,13 +97,21 @@ class PFSeries(Sequence):
         return self
 
 
+def _row_products(x: np.ndarray, m_t: np.ndarray) -> np.ndarray:
+    """``x @ m_t`` as one (1, n) @ (n, n) product per row of ``x``, so a
+    row's bits do not depend on the other rows or their number."""
+    return np.matmul(x[:, None, :], m_t)[:, 0]
+
+
 def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int) -> PFSeries:
     """Solve each timestep of the (T, n_buses, 3) injections as one block row."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
     pf = feeder.pf_tables
     horizon, n_buses = s_bus_w.shape[:2]
-    # loads consume, so the net injection is negative; einsum wants contiguous rows
+    # loads consume, so the net injection is negative.  The column gather
+    # returns column-major blocks; in C order each row, and each row of the
+    # temporaries made from it, is unit-stride, as BLAS takes it uncopied
     sa = np.ascontiguousarray(-(s_bus_w.reshape(horizon, -1) / feeder.base_power)[:, pf.other])
     u = np.tile(REFERENCE_PHASORS, (horizon, n_buses))
     ua = np.ascontiguousarray(u[:, pf.other])
@@ -107,8 +119,8 @@ def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int)
     collapsed = np.zeros(horizon, dtype=bool)
     mismatch, idx = np.full(horizon, np.inf), np.arange(horizon)
     for it in range(1, max_iter + 1):
-        ua = np.einsum("ij,tj->ti", pf.z_nn, np.conj(sa / ua) - pf.slack_rhs)
-        s_calc = np.multiply(ua, np.conj(np.einsum("ij,tj->ti", pf.y_nn, ua) + pf.slack_rhs))
+        ua = _row_products(np.conj(sa / ua) - pf.slack_rhs, pf.z_nn_t)
+        s_calc = np.multiply(ua, np.conj(_row_products(ua, pf.y_nn_t) + pf.slack_rhs))
         iterations[idx], mismatch[idx] = it, np.max(np.abs(s_calc - sa), axis=1)
         done = mismatch[idx] <= tol
         # a collapsed iterate is caught before the next iteration starts from it

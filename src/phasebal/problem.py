@@ -96,9 +96,7 @@ def check_operational(feeder: Feeder, constraints: ConstraintConfig,
     lo, hi = mags.min(axis=2), mags.max(axis=2)
     bus_bad = (lo < constraints.v_min) | (hi > constraints.v_max)
     bus_bad[:, feeder.bus_index(feeder.reference_bus)] = False
-    limits = np.array([[np.inf if lim is None else lim / base for lim, base in
-                        ((br.power_limit_va, feeder.base_power), (br.ampacity_a, feeder.i_base))]
-                       for br in feeder.branches])
+    limits = feeder.pf_tables.limits
     peak = np.stack([np.abs(solutions.s_from).max(axis=2),
                      np.abs(solutions.current).max(axis=2)], axis=2)  # (T, branch, kind)
     over = peak > limits

@@ -130,7 +130,7 @@ def test_export_parse_round_trip_is_exact(case, budget, metric, v_min, low, widt
                             v_min=v_min, enforce_phase_counts=True)
     try:
         prog = build_program(feeder, loads, cons, ObjectiveSpec(metric))
-    except MetricError:  # a balance branch without downstream users
+    except MetricError:  # pu_star with no reference branch that feeds a user
         reject()
     assume(prog.side_labels)
     with tempfile.TemporaryDirectory() as tmp:

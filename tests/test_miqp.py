@@ -5,18 +5,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_impls as ref
 from phasebal import fixtures, lindist, miqp, oracle
-from phasebal.errors import InfeasibleProgramError, ValidationError
+from phasebal.errors import InfeasibleProgramError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec, aggregate
 from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BnBOptions, _BnBSolver, _gather_sum,
                            _quadratic_parts, branch_and_bound, build_program)
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, completion_count, completions,
-                              downstream_users, feasible_mask)
+                              feasible_mask)
 from phasebal.problem import (Problem, evaluate, evaluate_exact,
                               metric_values_ld3f)
 from strategies import radial_cases
@@ -243,13 +243,15 @@ def test_node_base_rows_equal_row_by_row_reference(case, gamma, v_min, n_extra, 
 
 
 def _random_case_spec(feeder, metric):
-    """The objective on a random radial case; pu_star balances only the
-    reference branches that feed some user (an unloaded one has no denominator)."""
-    if metric == "pvur_star":
-        return ObjectiveSpec(metric)
-    loaded = [br.key for br in feeder.reference_branches() if downstream_users(feeder, br)]
-    assume(loaded)
-    return ObjectiveSpec(metric, balance_branches=loaded)
+    """The objective on a random radial case; a pu_star case whose
+    reference branches feed no user has nothing to balance and is rejected."""
+    spec = ObjectiveSpec(metric)
+    if metric == "pu_star":
+        try:
+            spec.branches_for(feeder)
+        except MetricError:
+            reject()
+    return spec
 
 
 @pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])

@@ -11,7 +11,7 @@ from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, injection_series, original_assignment)
-from phasebal.powerflow import REFERENCE_PHASORS, losses, solve_series
+from phasebal.powerflow import REFERENCE_PHASORS, _row_products, losses, solve_series
 from phasebal.problem import Problem, check_operational, evaluate_exact
 from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
 from strategies import radial_cases
@@ -239,6 +239,24 @@ def test_thermal_violation_names_the_branch_and_limit(limit, kind):
                         violations[0])
 
 
+def test_limit_table_matches_the_per_branch_formula():
+    """Each branch's (apparent power, current) limit per-unit, inf where
+    the limit is None, bitwise as the per-branch division gives it."""
+    kw = [dict(power_limit_va=12_345.6, ampacity_a=None),
+          dict(power_limit_va=None, ampacity_a=71.3),
+          dict(power_limit_va=None, ampacity_a=None),
+          dict(power_limit_va=9_876.5, ampacity_a=43.21)]
+    buses = ["r", "b1", "b2", "b3", "b4"]
+    feeder = Feeder(buses, [Branch(f, t, Z_R, Z_X, **k) for f, t, k in zip(buses, buses[1:], kw)],
+                    "r", [User("u1", "b4", 1)], 230.0, 10_000.0)
+    want = np.array([[np.inf if lim is None else lim / base for lim, base in
+                      ((br.power_limit_va, feeder.base_power), (br.ampacity_a, feeder.i_base))]
+                     for br in feeder.branches])
+    got = feeder.pf_tables.limits
+    assert np.isinf(got).sum() == 4
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # -- losses ------------------------------------------------------------------
 
 
@@ -391,6 +409,23 @@ def test_long_block_matches_one_step_solves():
         for field in ("u", "s_from", "s_to", "current", "iterations", "converged",
                       "max_mismatch", "collapsed"):
             assert np.array_equal(getattr(series, field)[t], getattr(one, field)[0]), (t, field)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 36, 37, 111, 256, 301])
+def test_row_products_equal_one_row_products(n):
+    """Each row of a block product equals that row's product alone,
+    bitwise, at any width, row offset (alignment) or row stride: a BLAS or
+    numpy dispatch that merged the rows into one product would not."""
+    rng = np.random.default_rng(n)
+    m_t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = rng.normal(size=(800, n)) + 1j * rng.normal(size=(800, n))
+    alone = np.concatenate([_row_products(x[i:i + 1].copy(), m_t) for i in range(len(x))])
+    for width in (1, 2, 3, 7, 96, 97, 720):
+        for start in (0, 1, 5):
+            block = _row_products(np.array(x[start:start + width]), m_t)
+            assert block.tobytes() == alone[start:start + width].tobytes(), (width, start)
+    for rows in (slice(1, None, 3), slice(None, 720, 2)):
+        assert _row_products(x[rows], m_t).tobytes() == alone[rows].tobytes(), rows
 
 
 # -- stacked candidate blocks ------------------------------------------------
