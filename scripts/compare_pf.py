@@ -3,10 +3,11 @@
 
 Solves each case with ``powerflow.solve_series`` and prints one line per
 (case, assignment): the step count, the total iterations, the converged
-and collapsed counts and a sha256 over all eight ``PFSeries`` fields
-(each array's dtype, shape and bytes).  The assignments are the original
-one and five seeded random ones.  Each case also prints a sha256 of the
-``phasebal pf`` JSON report (``harness.cmd_pf``) over its horizon.  On
+and collapsed counts, a ``state_sha256`` over the seven state fields
+(every ``PFSeries`` field but ``max_mismatch``) and a ``sha256`` over all
+eight (each array's dtype, shape and bytes).  The assignments are the
+original one and five seeded random ones.  Each case also prints a sha256
+of the ``phasebal pf`` JSON report (``harness.cmd_pf``) over its horizon.  On
 ``twenty_user`` it also prints one GA run (its trace as ``float.hex``) and
 one ``cmd_validate`` report of the GA's plan.  Each case also prints a
 sha256 over its feeder's derived tables: the branch keys in order, the
@@ -18,6 +19,11 @@ branches drawn toward a random reference.  Run it on two checkouts and
 and every feeder table bitwise alone:
 
     PYTHONPATH=src python3 scripts/compare_pf.py > after.txt
+
+A change that touches only the reported residual ``max_mismatch`` must
+keep every ``state_sha256``, count and feeder digest equal; only the
+all-field ``sha256`` and the ``pf`` report digest, which prints the
+residual, may move.
 
 The default cases are the bundled fixtures.  ``--seeds 7,3`` solves the
 ``twenty_user`` feeder over a 720-step horizon of each seed's profiles
@@ -38,6 +44,7 @@ from phasebal.problem import Problem
 
 FIELDS = ("u", "s_from", "s_to", "current", "converged", "iterations",
           "max_mismatch", "collapsed")
+STATE_FIELDS = tuple(name for name in FIELDS if name != "max_mismatch")
 RANDOM_ASSIGNMENTS = 5
 LONG_HORIZON = 720
 RANDOM_TREES = 200
@@ -55,17 +62,22 @@ def assignments(feeder, seed: int = 0):
         for _ in range(RANDOM_ASSIGNMENTS)]
 
 
-def series_line(label: str, feeder, loads, a: PhaseAssignment) -> str:
-    sols = powerflow.solve_series(feeder, a, loads)
+def fields_digest(sols, names) -> str:
     digest = hashlib.sha256()
-    for name in FIELDS:
+    for name in names:
         arr = getattr(sols, name)
         digest.update(f"{name} {arr.dtype} {arr.shape}\n".encode())
         digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def series_line(label: str, feeder, loads, a: PhaseAssignment) -> str:
+    sols = powerflow.solve_series(feeder, a, loads)
     phases = "".join(map(str, a.phases))
     return (f"{label} {phases} steps={len(sols)} iterations={int(sols.iterations.sum())} "
             f"converged={int(sols.converged.sum())} collapsed={int(sols.collapsed.sum())} "
-            f"sha256={digest.hexdigest()}")
+            f"state_sha256={fields_digest(sols, STATE_FIELDS)} "
+            f"sha256={fields_digest(sols, FIELDS)}")
 
 
 def pf_report_line(label: str, feeder, loads) -> str:

@@ -538,10 +538,10 @@ class _BnBSolver:
                 if osc.status != "optimal":
                     return osc.status, None, None, ((), tuple(side))
                 v = osc.x
-            gap = float(g @ (x - v))
-            lower = max(lower, f(x) - gap)
-            if f(x) < best_ub:
-                best_ub, best_x = f(x), x
+            gap, fx = float(g @ (x - v)), f(x)
+            lower = max(lower, fx - gap)
+            if fx < best_ub:
+                best_ub, best_x = fx, x
             if gap <= 1e-10 * max(1.0, abs(best_ub)):
                 break
             if lower >= incumbent_value - self._prune_slack(incumbent_value):

@@ -157,9 +157,9 @@ class PFTables:
     phase) axis, index 3 * bus_index + phase, assembled from the branch
     admittances ``y_branch``; ``other`` lists the non-reference entries of
     that axis, ``y_nn`` is the Y-bus reduced to them, ``z_nn`` its inverse
-    and ``slack_rhs`` their coupling to the reference phasors; ``y_nn_t``
-    and ``z_nn_t`` are contiguous transposes, the right operands of the
-    iteration's row products.  ``limits`` holds each branch's (apparent
+    and ``slack_rhs`` their coupling to the reference phasors; ``z_nn_t``
+    is the contiguous transpose of ``z_nn``, the right operand of the
+    iteration's row product.  ``limits`` holds each branch's (apparent
     power, current) limit per-unit, ``inf`` where none is given.  Branch
     arrays follow ``feeder.branches`` order.
     """
@@ -178,7 +178,7 @@ class PFTables:
         self.other = np.setdiff1d(np.arange(n), ref)
         self.y_nn = y[np.ix_(self.other, self.other)]
         self.z_nn = np.linalg.inv(self.y_nn)
-        self.y_nn_t, self.z_nn_t = (np.ascontiguousarray(m.T) for m in (self.y_nn, self.z_nn))
+        self.z_nn_t = np.ascontiguousarray(self.z_nn.T)
         self.slack_rhs = y[np.ix_(self.other, ref)] @ REFERENCE_PHASORS
         self.limits = np.array([[np.inf if lim is None else lim / base for lim, base in
                                  ((br.power_limit_va, feeder.base_power),

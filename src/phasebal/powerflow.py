@@ -2,10 +2,13 @@
 
 Voltages are per-unit, line-to-neutral, with the reference bus pinned to
 the balanced set (1 at 0 deg, 1 at -120 deg, 1 at +120 deg).  Each
-iteration converts the load powers into current injections at the present
-voltages and solves the reduced nodal admittance system for the
-non-reference voltages; convergence is declared when the infinity norm of
-the per-(bus, phase) power mismatch drops below the tolerance.
+iteration turns the net injections s into currents conj(w), w = s / u,
+at the present voltages and solves the reduced nodal admittance system by
+one reduced Z-bus product, u' = Z (conj(w) - slack).  As Y u' + slack =
+conj(w), the new iterate's power mismatch u' conj(Y u' + slack) - s is
+w (u' - u) and needs no Y-bus product (the Z-bus fixed point's identity;
+Bazrafshan and Gatsis, IEEE Trans. Power Syst. 2018).  A step converges
+once its infinity norm is at most the tolerance.
 
 A series is the only entry point; one timestep is a one-step window
 (``LoadSeries.slice_window``).  All timesteps of a series are solved as
@@ -13,20 +16,19 @@ one time-major block, one row per active step; a step leaves it, and is
 written out, once converged or flagged as collapsed, so it takes the
 iterations of an independent solve.  K assignments (the GA's chunks)
 stack into K * T rows, candidate k's at ``series[k * T:(k + 1) * T]``.
-A step's result must not depend on the block's width or other rows, or
-a series would differ from its single-step solves.  A whole-block BLAS
-``@`` picks its kernel and summation order by the block's shape, so each
-row is multiplied on its own (``_row_products``): one (1, n) @ (n, n)
-product of the same shape at any width, against the contiguous
-transposes of the reduced Y-bus and of its dense inverse, built once per
-feeder (``Feeder.pf_tables``).  A row's bits depend on the machine's
-BLAS kernel (OpenBLAS ``DYNAMIC_ARCH`` picks one per CPU) and, from n of
-about 64, where OpenBLAS splits a product over its threads, on their
-number, but not on the block.  No ``lu_solve`` runs in the loop, so
-worker threads share no pivot array.  Complex products are written out
-of place, ``np.multiply(x, np.conj(y))``: in the operator form numpy
-reuses the ``np.conj`` temporary as the output once it reaches 256 KiB,
-and that in-place product rounds differently.
+A step's result must not depend on the block's width or other rows.  A
+whole-block BLAS ``@`` picks its kernel and summation order by the
+block's shape, so each row is multiplied on its own (``_row_products``):
+one (1, n) @ (n, n) product of the same shape at any width, against the
+contiguous transpose of Z built once per feeder (``Feeder.pf_tables``);
+every other term is elementwise within its row.  A row's bits depend on
+the BLAS kernel (OpenBLAS ``DYNAMIC_ARCH`` picks one per CPU) and, from
+n of about 64, where OpenBLAS splits a product over its threads, on
+their number, but not on the block.  No ``lu_solve`` runs in the loop,
+so worker threads share no pivot array.  Complex products are written
+out of place, ``np.multiply``: in the operator form numpy reuses a
+temporary operand as the output once it reaches 256 KiB, and that
+in-place product rounds differently.
 """
 
 from __future__ import annotations
@@ -49,10 +51,8 @@ _COLLAPSE_PU = 0.05
 
 @dataclass(frozen=True, eq=False)
 class PFSolution:
-    """Converged (or flagged) state for one timestep, everything per-unit.
-
-    Branch arrays follow ``feeder.branches`` order.
-    """
+    """Converged (or flagged) state for one timestep, everything per-unit;
+    branch arrays follow ``feeder.branches`` order."""
 
     u: np.ndarray                 # (n_buses, 3) complex voltages
     s_from: np.ndarray            # (n_branches, 3) power leaving the from bus
@@ -119,9 +119,9 @@ def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int)
     collapsed = np.zeros(horizon, dtype=bool)
     mismatch, idx = np.full(horizon, np.inf), np.arange(horizon)
     for it in range(1, max_iter + 1):
-        ua = _row_products(np.conj(sa / ua) - pf.slack_rhs, pf.z_nn_t)
-        s_calc = np.multiply(ua, np.conj(_row_products(ua, pf.y_nn_t) + pf.slack_rhs))
-        iterations[idx], mismatch[idx] = it, np.max(np.abs(s_calc - sa), axis=1)
+        w = sa / ua
+        ua, u_old = _row_products(np.conj(w) - pf.slack_rhs, pf.z_nn_t), ua
+        iterations[idx], mismatch[idx] = it, np.max(np.abs(np.multiply(w, ua - u_old)), axis=1)
         done = mismatch[idx] <= tol
         # a collapsed iterate is caught before the next iteration starts from it
         down = ~done & (np.abs(ua) < _COLLAPSE_PU).any(axis=1) & (it < max_iter)

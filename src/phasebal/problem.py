@@ -90,29 +90,32 @@ def check_operational(feeder: Feeder, constraints: ConstraintConfig,
     """Voltage band, thermal limits and convergence over a solved series.
 
     Violations are listed by timestep, then bus, then branch; a
-    non-converged timestep reports only that.
+    non-converged timestep reports only that.  Per-phase masks pick the
+    steps to report; ranges and peaks are reduced for those steps alone.
     """
     mags = np.abs(solutions.u)
-    lo, hi = mags.min(axis=2), mags.max(axis=2)
-    bus_bad = (lo < constraints.v_min) | (hi > constraints.v_max)
+    bus_bad = (mags < constraints.v_min) | (mags > constraints.v_max)
     bus_bad[:, feeder.bus_index(feeder.reference_bus)] = False
     limits = feeder.pf_tables.limits
-    peak = np.stack([np.abs(solutions.s_from).max(axis=2),
-                     np.abs(solutions.current).max(axis=2)], axis=2)  # (T, branch, kind)
-    over = peak > limits
+    flows = (np.abs(solutions.s_from), np.abs(solutions.current))
+    over = [flow > lim[:, None] for flow, lim in zip(flows, limits.T)]  # per kind: (T, branch, 3)
+    steps = ~solutions.converged
+    for bad in (bus_bad, *over):
+        if bad.any():
+            steps |= bad.any(axis=(1, 2))
     violations = []
-    for t in np.flatnonzero(~solutions.converged | bus_bad.any(axis=1) | over.any(axis=(1, 2))):
+    for t in np.flatnonzero(steps):
         if not solutions.converged[t]:
             violations.append(f"t={t}: power flow did not converge")
             continue
-        for b in np.flatnonzero(bus_bad[t]):
+        for b in np.flatnonzero(bus_bad[t].any(axis=1)):
             violations.append(
-                f"t={t}: bus {feeder.buses[b]} voltage [{lo[t, b]:.4f}, {hi[t, b]:.4f}] "
-                f"outside [{constraints.v_min}, {constraints.v_max}] pu")
-        for k, kind in zip(*np.nonzero(over[t])):
+                f"t={t}: bus {feeder.buses[b]} voltage [{mags[t, b].min():.4f}, "
+                f"{mags[t, b].max():.4f}] outside [{constraints.v_min}, {constraints.v_max}] pu")
+        for k, kind in zip(*np.nonzero(np.stack([bad[t].any(axis=1) for bad in over], axis=1))):
             violations.append(
                 f"t={t}: branch {feeder.branches[k].key} {('apparent power', 'current')[kind]} "
-                f"{peak[t, k, kind]:.4f} pu exceeds {limits[k, kind]:.4f} pu")
+                f"{flows[kind][t, k].max():.4f} pu exceeds {limits[k, kind]:.4f} pu")
     return tuple(violations)
 
 
@@ -125,14 +128,11 @@ def evaluate_exact(problem: Problem, assignment: PhaseAssignment,
     try:
         sols = series.check_collapse()
     except ConvergenceError as exc:
-        return Evaluation(objective=np.inf, operational_ok=False,
-                          violations=(str(exc),))
+        return Evaluation(objective=np.inf, operational_ok=False, violations=(str(exc),))
     violations = check_operational(problem.feeder, problem.constraints, sols)
-    value = metrics.aggregate(
-        problem.objective,
-        metric_values_exact(problem.objective, problem.feeder, problem.loads, sols))
-    return Evaluation(objective=value, operational_ok=not violations,
-                      violations=violations)
+    value = metrics.aggregate(problem.objective, metric_values_exact(
+        problem.objective, problem.feeder, problem.loads, sols))
+    return Evaluation(objective=value, operational_ok=not violations, violations=violations)
 
 
 def evaluate_ld3f(problem: Problem, assignment: PhaseAssignment) -> float:

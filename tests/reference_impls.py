@@ -10,7 +10,9 @@ sensitivity oracle sweeps the linear model once per (user, phase), one
 branch at a time through per-branch dicts.  The injection oracle adds one
 user at a time.  The simplex pivot oracle is each pivot step in its plain
 form: masked ratio assignment, ``np.flatnonzero`` choices and an
-``np.outer`` update, with the Bland switch passed in.
+``np.outer`` update, with the Bland switch passed in.  The operational
+check oracle reduces each bus's phases to their range and each branch's
+to its peak before it compares them with the band and the limits.
 """
 
 import math
@@ -101,6 +103,36 @@ def i2r_losses_percent(feeder, u):
         i_ph = np.linalg.inv(z) @ (ui - uj)
         p_in += float(np.real(np.sum(ui * np.conj(i_ph))))
     return 100.0 * loss_w / p_in
+
+
+def check_operational_per_step(feeder, constraints, solutions):
+    """Operational violations with every bus's phases reduced to their
+    (min, max) and every branch's to its peak before any comparison; the
+    per-branch limits are recomputed from the branches."""
+    mags = np.abs(solutions.u)
+    lo, hi = mags.min(axis=2), mags.max(axis=2)
+    bus_bad = (lo < constraints.v_min) | (hi > constraints.v_max)
+    bus_bad[:, feeder.bus_index(feeder.reference_bus)] = False
+    limits = np.array([[np.inf if lim is None else lim / base for lim, base in
+                        ((br.power_limit_va, feeder.base_power), (br.ampacity_a, feeder.i_base))]
+                       for br in feeder.branches])
+    peak = np.stack([np.abs(solutions.s_from).max(axis=2),
+                     np.abs(solutions.current).max(axis=2)], axis=2)  # (T, branch, kind)
+    over = peak > limits
+    violations = []
+    for t in np.flatnonzero(~solutions.converged | bus_bad.any(axis=1) | over.any(axis=(1, 2))):
+        if not solutions.converged[t]:
+            violations.append(f"t={t}: power flow did not converge")
+            continue
+        for b in np.flatnonzero(bus_bad[t]):
+            violations.append(
+                f"t={t}: bus {feeder.buses[b]} voltage [{lo[t, b]:.4f}, {hi[t, b]:.4f}] "
+                f"outside [{constraints.v_min}, {constraints.v_max}] pu")
+        for k, kind in zip(*np.nonzero(over[t])):
+            violations.append(
+                f"t={t}: branch {feeder.branches[k].key} {('apparent power', 'current')[kind]} "
+                f"{peak[t, k, kind]:.4f} pu exceeds {limits[k, kind]:.4f} pu")
+    return tuple(violations)
 
 
 def _spread_pct(values, mean):

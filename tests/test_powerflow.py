@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -11,9 +12,11 @@ from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, injection_series, original_assignment)
-from phasebal.powerflow import REFERENCE_PHASORS, _row_products, losses, solve_series
+from phasebal.powerflow import (DEFAULT_TOL, REFERENCE_PHASORS, _row_products, losses,
+                                solve_series)
 from phasebal.problem import Problem, check_operational, evaluate_exact
-from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
+from reference_impls import (check_operational_per_step, i2r_losses_percent, newton_pf,
+                             ybus_by_hand)
 from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
@@ -32,6 +35,14 @@ def solve_step(feeder, assignment, loads, t, **kwargs):
     """Timestep t solved alone, as a one-step window; a collapse raises."""
     window = loads.slice_window(t, t + 1)
     return solve_series(feeder, assignment, window, **kwargs).check_collapse()[0]
+
+
+def seeded_batch(feeder, k=3, seed=0):
+    """The original assignment and k seeded random ones."""
+    rng = np.random.default_rng(seed)
+    n = len(feeder.reconfigurable_users())
+    return [original_assignment(feeder)] + [
+        PhaseAssignment(tuple(int(p) for p in rng.integers(1, 4, n))) for _ in range(k)]
 
 
 # -- Y-bus -------------------------------------------------------------------
@@ -239,6 +250,46 @@ def test_thermal_violation_names_the_branch_and_limit(limit, kind):
                         violations[0])
 
 
+def limited(feeder):
+    """The feeder with low thermal limits: 30 A on even branches, 6 kVA on
+    every third, both, one or neither per branch."""
+    return Feeder(feeder.buses,
+                  [dataclasses.replace(br, ampacity_a=30.0 if k % 2 == 0 else None,
+                                       power_limit_va=6000.0 if k % 3 == 0 else None)
+                   for k, br in enumerate(feeder.branches)],
+                  feeder.reference_bus, feeder.users, feeder.base_voltage, feeder.base_power)
+
+
+@pytest.mark.parametrize("case", ["none", "tight_band", "reference_outside", "thermal",
+                                  "unconverged"])
+def test_check_operational_matches_the_per_step_formula(twenty_user, case):
+    """The one-pass masks report the same messages, in the same order, as
+    the per-step range and peak formula, on stacked series of the original
+    and three seeded assignments."""
+    feeder, loads = twenty_user
+    band = {"tight_band": (0.97, 1.0), "reference_outside": (0.5, 0.995),
+            "unconverged": (0.97, 1.0)}.get(case, (0.9, 1.1))
+    constraints = ConstraintConfig(delta_max=5, v_min=band[0], v_max=band[1])
+    if case in ("thermal", "unconverged"):
+        feeder = limited(feeder)
+    batch = seeded_batch(feeder)
+    # at 6 iterations 41 of the 96 steps converge and 55 do not
+    series = solve_series(feeder, batch, loads, max_iter=6 if case == "unconverged" else 100)
+    got = check_operational(feeder, constraints, series)
+    assert got == check_operational_per_step(feeder, constraints, series)
+    kinds = {m.split(": ", 1)[1].split(" ")[0] for m in got}
+    if case == "none":
+        assert got == ()
+    elif case == "thermal":
+        assert any("apparent power" in m for m in got) and any(" current " in m for m in got)
+        assert kinds == {"branch"}
+    elif case == "unconverged":
+        assert {"power", "bus", "branch"} <= kinds and not series.converged.all()
+    else:
+        assert kinds == {"bus"}
+    assert not any(f"bus {feeder.reference_bus} " in m for m in got)
+
+
 def test_limit_table_matches_the_per_branch_formula():
     """Each branch's (apparent power, current) limit per-unit, inf where
     the limit is None, bitwise as the per-branch division gives it."""
@@ -394,6 +445,29 @@ def test_block_with_every_exit_matches_one_column_solves(name, collapse, stall):
         for field in ("u", "s_from", "s_to", "current", "iterations", "converged",
                       "max_mismatch", "collapsed"):
             assert np.array_equal(getattr(series, field)[k], getattr(one, field)[0]), (k, field)
+
+
+@pytest.mark.parametrize("name", ["two_bus", "line", "twenty_user", "twenty_user_720"])
+def test_reported_mismatch_is_the_ybus_residual(name):
+    """Each step's ``max_mismatch`` is the power mismatch of its stored
+    voltages, max |u conj(Y u) + s_load| over the non-reference entries
+    with the Y-bus built by hand, and a converged step's is within tol."""
+    if name == "twenty_user_720":
+        feeder = fixtures.twenty_user_feeder()
+        loads = fixtures.twenty_user_profiles(horizon=720, seed=7)
+        batch = [original_assignment(feeder)]
+    else:
+        feeder, loads = fixtures.fixture(name)
+        batch = seeded_batch(feeder)
+    y = ybus_by_hand(feeder)
+    other = np.repeat([b != feeder.reference_bus for b in feeder.buses], 3)
+    for a in batch:
+        series = solve_series(feeder, a, loads)
+        u = series.u.reshape(len(series), -1)
+        s_load = injection_series(feeder, a, loads).reshape(len(series), -1) / feeder.base_power
+        residual = np.abs(u * np.conj(u @ y.T) + s_load)[:, other].max(axis=1)
+        assert np.abs(series.max_mismatch - residual).max() <= 1e-12, a.phases
+        assert (residual[series.converged] <= DEFAULT_TOL).all(), a.phases
 
 
 def test_long_block_matches_one_step_solves():
