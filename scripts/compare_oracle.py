@@ -14,6 +14,13 @@ leaves every ld3f ranking bitwise alone, ties in the same order:
 ``--seeds 7,3`` ranks the ``twenty_user`` feeder under the hourly
 planning profiles of those seeds (the ``ld3f_oracle`` benchmark inputs)
 instead of the bundled fixtures.
+
+The default objectives are the four metrics the linear model can score
+(``pvur``, ``pu``, ``pvur_star``, ``pu_star``; ``iu`` needs currents).  A
+change to the metric path (``metrics``, ``problem.metric_values_ld3f``,
+``ObjectiveSpec.sites``) must keep all four rankings bitwise.  A checkout
+whose default lists fewer objectives is compared with
+``--objectives pvur,pu,pvur_star,pu_star``.
 """
 
 import argparse
@@ -42,7 +49,7 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--fixtures", default="line,twenty_user")
     parser.add_argument("--seeds", help="comma-separated profile seeds for twenty_user")
-    parser.add_argument("--objectives", default="pvur_star,pu_star")
+    parser.add_argument("--objectives", default="pvur,pu,pvur_star,pu_star")
     parser.add_argument("--budgets", default="2,3", help="comma-separated switch budgets")
     args = parser.parse_args()
 

@@ -16,11 +16,10 @@ import sys
 
 from . import ga, harness, lpfile, miqp
 from .errors import ConvergenceError, InputParseError, PhasebalError, ValidationError
-from .metrics import ObjectiveSpec
+from .metrics import ALL_METRICS, ObjectiveSpec
 from .network import ConstraintConfig, is_whole, load_feeder, load_profiles
 
-_OBJECTIVES = {"pvur": "pvur", "pvur-star": "pvur_star", "iu": "iu",
-               "pu": "pu", "pu-star": "pu_star"}
+_OBJECTIVES = {m.replace("_", "-"): ObjectiveSpec(m) for m in ALL_METRICS}  # flag -> spec
 
 
 def load_config(path) -> dict:
@@ -199,10 +198,6 @@ def _constraints(opts) -> ConstraintConfig:
         enforce_phase_counts=opts["enforce_phase_counts"])
 
 
-def _objective(opts) -> ObjectiveSpec:
-    return ObjectiveSpec(opts["objective"])
-
-
 def _emit(opts, payload: str) -> None:
     path = opts.get("out")
     if path:
@@ -216,30 +211,29 @@ def _emit(opts, payload: str) -> None:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     opts = _resolve(args)
-    if args.verb == "optimize":
+    if args.verb != "scale":
         feeder, loads = _load_inputs(opts)
+    if args.verb == "optimize":
         ga_cfg = None
         if opts["method"] == "ga":
             ga_cfg = ga.GAConfig(
                 population_size=opts["population"], max_fitness_calls=opts["f_calls"],
                 rng_seed=opts["seed"], threads=opts["threads"])
         report = harness.cmd_optimize(
-            feeder, loads, opts["method"], _objective(opts), _constraints(opts),
+            feeder, loads, opts["method"], opts["objective"], _constraints(opts),
             seed=opts["seed"], threads=opts["threads"],
             ga_config=ga_cfg, time_limit_s=opts.get("time_limit"),
             trace_path=opts.get("trace"))
         _emit(opts, report.to_json())
     elif args.verb == "validate":
-        feeder, loads = _load_inputs(opts)
         assignment = harness.assignment_from_payload(
             feeder, _read_assignment(args.assignment))
         report = harness.cmd_validate(feeder, assignment, loads,
                                       csv_path=opts.get("csv"))
         _emit(opts, json.dumps(report, sort_keys=True, indent=1))
     elif args.verb == "sweep":
-        feeder, loads = _load_inputs(opts)
         report = harness.cmd_sweep_switches(
-            feeder, loads, _objective(opts), opts["grid"], method=opts["method"],
+            feeder, loads, opts["objective"], opts["grid"], method=opts["method"],
             seed=opts["seed"], constraints=_constraints(opts),
             time_limit_s=opts.get("time_limit", 20.0),
             csv_path=opts.get("csv"))
@@ -255,19 +249,17 @@ def run(argv=None) -> int:
         report = harness.cmd_scaling(trio, opts["horizons"],
                                      str(opts["methods"]).split(","),
                                      repeats=opts["repeats"],
-                                     objective=_objective(opts),
+                                     objective=opts["objective"],
                                      constraints=_constraints(opts),
                                      csv_path=opts.get("csv"))
         _emit(opts, json.dumps(report, sort_keys=True, indent=1))
     elif args.verb == "export-lp":
-        feeder, loads = _load_inputs(opts)
         prog = miqp.build_program(feeder, loads, _constraints(opts),
-                                  _objective(opts))
+                                  opts["objective"])
         path = opts.get("out") or "program.lp"
         lpfile.export_lp(prog, path)
         print(f"wrote {path}")
     elif args.verb == "pf":
-        feeder, loads = _load_inputs(opts)
         report = harness.cmd_pf(feeder, loads, t=getattr(args, "t", None))
         _emit(opts, json.dumps(report, sort_keys=True, indent=1))
     return 0

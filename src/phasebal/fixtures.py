@@ -134,20 +134,11 @@ def twenty_user_feeder() -> Feeder:
     lat_r, lat_x = _zmat(0.13 + 0.07j, 0.018 + 0.012j)
     trunk = dict(ampacity_a=160.0, power_limit_va=30_000.0)
     lat = dict(ampacity_a=80.0, power_limit_va=15_000.0)
-    branches = [
-        Branch("r", "t1", trunk_r, trunk_x, **trunk),
-        Branch("t1", "t2", trunk_r, trunk_x, **trunk),
-        Branch("t2", "t3", trunk_r, trunk_x, **trunk),
-        Branch("t1", "a1", lat_r, lat_x, **lat),
-        Branch("a1", "a2", lat_r, lat_x, **lat),
-        Branch("a2", "a3", lat_r, lat_x, **lat),
-        Branch("t2", "b1", lat_r, lat_x, **lat),
-        Branch("b1", "b2", lat_r, lat_x, **lat),
-        Branch("b2", "b3", lat_r, lat_x, **lat),
-        Branch("t3", "c1", lat_r, lat_x, **lat),
-        Branch("c1", "c2", lat_r, lat_x, **lat),
-        Branch("c2", "c3", lat_r, lat_x, **lat),
-    ]
+    branches = [Branch(a, b, trunk_r, trunk_x, **trunk)
+                for a, b in (("r", "t1"), ("t1", "t2"), ("t2", "t3"))]
+    for lateral, root in (("a", "t1"), ("b", "t2"), ("c", "t3")):  # root-x1-x2-x3
+        chain = [root] + [f"{lateral}{i}" for i in (1, 2, 3)]
+        branches += [Branch(a, b, lat_r, lat_x, **lat) for a, b in zip(chain, chain[1:])]
     users = [User(uid, bus, phase) for uid, bus, phase, _ in _TWENTY_USERS]
     buses = ["r", "t1", "t2", "t3", "a1", "a2", "a3",
              "b1", "b2", "b3", "c1", "c2", "c3"]

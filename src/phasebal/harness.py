@@ -37,9 +37,9 @@ def metric_table(feeder: Feeder, loads: LoadSeries,
     table = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name in metrics.ALL_METRICS:
-            spec = ObjectiveSpec(name)
-            table[name] = metrics.aggregate(spec, metric_values_exact(spec, feeder, loads, sols))
+        for spec in map(ObjectiveSpec, metrics.ALL_METRICS):
+            table[spec.metric] = metrics.aggregate(
+                spec, metric_values_exact(spec, spec.sites(feeder, loads), sols))
     table["loss_percent"] = float(np.mean(powerflow.losses(sols, feeder)))
     return table
 
@@ -189,8 +189,9 @@ def cmd_validate(feeder: Feeder, assignment: PhaseAssignment,
               for tag, a in (("original", a0), ("solution", assignment))}
     per_t = {}
     for spec in map(ObjectiveSpec, metric_names):
+        sites = spec.sites(feeder, validation_loads)
         series = per_t[spec.metric] = {
-            tag: metrics.per_timestep(spec, metric_values_exact(spec, feeder, validation_loads, s))
+            tag: metrics.per_timestep(spec, metric_values_exact(spec, sites, s))
             for tag, s in solved.items()}
         report["metrics"][spec.metric] = {tag: _distribution(v) for tag, v in series.items()}
     if csv_path:

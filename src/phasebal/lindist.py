@@ -28,15 +28,8 @@ in the injections, so the map from a one-hot phase choice matrix to
 superposing increments reproduces a direct evaluation to floating-point
 accuracy.
 
-The sweep reads index tables and the stacked A and B of every branch,
-which each ``Feeder`` builds once, at construction
-(``Feeder.sweep_tables``).  It runs in three passes: one gather of every
-branch's to-bus load plus one in-place add per (branch, child) pair for
-the flows, one stacked product per quantity for the drops A p and B q,
-and one subtraction step per branch, root first, for omega.  The stacked
-product keeps each branch a (T, 3) @ (3, 3) product, so every drop is
-bitwise the product of that branch alone; a (1, 3) @ (3, 3) product per
-(timestep, branch) runs another kernel and can differ in the last bit.
+The sweep (``_sweep``, three passes) reads the index tables and stacked
+A and B that each ``Feeder`` builds once (``Feeder.sweep_tables``).
 """
 
 from __future__ import annotations

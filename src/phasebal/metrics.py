@@ -9,13 +9,15 @@ score through these two.  All metrics return percent.
 
 Each formula has one implementation over the last axis (the phases),
 broadcast over leading axes such as (T, locations); a single 3-vector
-gives a 0-d result.
+gives a 0-d result; it calls the ufunc reductions, bitwise numpy's
+``mean``/``max``.  ``ObjectiveSpec.sites`` resolves the locations.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,27 +33,31 @@ ALL_METRICS = VOLTAGE_METRICS + FLOW_METRICS
 ZERO_MEAN_PU = 1e-6
 
 
+def _phase_mean(x: np.ndarray) -> np.ndarray:  # bitwise x.mean(axis=-1, keepdims=True)
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def pvur_values(u_mags) -> np.ndarray:
     """Phase voltage unbalance rate: worst relative deviation from the mean."""
     m = np.asarray(u_mags, dtype=float)
     if np.any(m <= 0.0):
         raise MetricError(f"pvur needs positive magnitudes, got minimum {m.min():g}")
-    return np.max(np.abs(1.0 - m / m.mean(axis=-1, keepdims=True)), axis=-1) * 100.0
+    return np.maximum.reduce(np.abs(1.0 - m / _phase_mean(m)), axis=-1) * 100.0
 
 
 def pvur_star_values(omega) -> np.ndarray:
     """Proxy on squared magnitudes; unit-mean normalization dropped."""
     w = np.asarray(omega, dtype=float)
-    return np.max(np.abs(w - w.mean(axis=-1, keepdims=True)), axis=-1) * 100.0
+    return np.maximum.reduce(np.abs(w - _phase_mean(w)), axis=-1) * 100.0
 
 
 def unbalance_rate_values(values) -> np.ndarray:
     """Unbalance rate of current magnitudes (I_U) or signed active flows
     (P_U); NaN where the phase mean is (near) zero."""
     v = np.asarray(values, dtype=float)
-    mean = v.mean(axis=-1, keepdims=True)
+    mean = _phase_mean(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.max(np.abs(1.0 - v / mean), axis=-1) * 100.0
+        rate = np.maximum.reduce(np.abs(1.0 - v / mean), axis=-1) * 100.0
     return np.where(np.abs(mean[..., 0]) < ZERO_MEAN_PU, np.nan, rate)
 
 
@@ -59,9 +65,9 @@ def p_u_star_values(p_flows, denom) -> np.ndarray:
     """Quadratic cyclic-difference proxy, normalized by the estimated
     per-phase mean flow ``denom``; NaN where ``denom`` is not positive."""
     p, d = np.asarray(p_flows, dtype=float), np.asarray(denom, dtype=float)
-    diffs = p - np.roll(p, -1, axis=-1)  # pairs (1,2), (2,3), (3,1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(d > 0.0, np.sum(diffs ** 2, axis=-1) / d ** 2 * 100.0, np.nan)
+    diffs = p - p[..., [1, 2, 0]]  # pairs (1,2), (2,3), (3,1)
+    d2 = np.where(d > 0.0, d ** 2, np.nan)  # x / NaN is NaN and raises no warning
+    return np.add.reduce(diffs ** 2, axis=-1) / d2 * 100.0
 
 
 def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:
@@ -128,6 +134,27 @@ class ObjectiveSpec:
             raise MetricError("no branch from the reference bus feeds a user")
         return branches
 
+    def sites(self, feeder: Feeder, loads: LoadSeries) -> Sites:
+        """Where the metric is measured, with pu_star's denominators: the
+        one caller of ``buses_for``, ``branches_for`` and ``denominator``."""
+        if self.is_voltage_metric:
+            buses = self.buses_for(feeder)
+            return Sites(np.array([feeder.bus_index(b) for b in buses], dtype=int), buses)
+        branches = self.branches_for(feeder)
+        denom = (np.array([denominator(feeder, loads, br) for br in branches])
+                 if self.metric == "pu_star" else None)
+        return Sites(np.array([feeder.branch_index(br) for br in branches], dtype=int),
+                     tuple(br.key for br in branches), denom)
+
+
+class Sites(NamedTuple):
+    """``index`` into ``feeder.buses`` (voltage metrics) or
+    ``feeder.branches``, ``names`` for messages, pu_star's ``denom``."""
+
+    index: np.ndarray
+    names: tuple
+    denom: np.ndarray | None = None
+
 
 def per_timestep(spec: ObjectiveSpec, values: np.ndarray) -> np.ndarray:
     """(T,) worst location (voltage metrics) or location mean (flow metrics)
@@ -135,19 +162,20 @@ def per_timestep(spec: ObjectiveSpec, values: np.ndarray) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
         raise ValidationError(f"metric values must be (locations, T), got {vals.shape}")
-    return vals.max(axis=0) if spec.is_voltage_metric else vals.mean(axis=0)
+    return (np.maximum.reduce(vals, axis=0) if spec.is_voltage_metric
+            else np.add.reduce(vals, axis=0) / len(vals))
 
 
 def aggregate(spec: ObjectiveSpec, values: np.ndarray) -> float:
     """The scalar objective: the time mean of ``per_timestep`` over its
     defined timesteps; dropping one warns, dropping all raises."""
     per_t = per_timestep(spec, values)
-    keep = ~np.isnan(per_t)
-    if not np.all(keep):
+    undefined = np.isnan(per_t)
+    if undefined.any():
         warnings.warn(
-            f"skipping {int((~keep).sum())} of {len(per_t)} timesteps with "
+            f"skipping {int(undefined.sum())} of {len(per_t)} timesteps with "
             f"undefined flow metric (near-zero phase mean)", stacklevel=2)
-        per_t = per_t[keep]
+        per_t = per_t[~undefined]
         if len(per_t) == 0:
             raise MetricError("metric undefined at every timestep")
-    return float(per_t.mean())
+    return float(np.add.reduce(per_t) / len(per_t))

@@ -41,15 +41,8 @@ per user and adds them in user order; the switch budget and phase counts
 are ``network.feasible_mask``'s integer counts.  That is the dense one-hot
 contraction's order less its exact zeros, so objective values are bitwise
 the dense formula's, and no row's value depends on the batch around it.
-
-A leaf prunes its rows before masking and scoring them.  Per timestep,
-the bound keeps only the column where an anchor completion scores worst,
-so it never exceeds the objective (``_finish_bound``).  The first pass is
-anchored once per leaf on its zero-switch completion, whose column sums
-``completions`` carries along its prefixes; the second, per chunk, on the
-last survivor.  A row goes only when its bound exceeds the leaf's best so
-far or the incumbent, so the leaf's first minimum is unchanged whenever
-it beats the incumbent; otherwise the caller ignores the leaf anyway.
+A leaf drops the rows whose lower bound (``_finish_bound``) exceeds its
+best so far or the incumbent before it scores them (``_enumerate_leaf``).
 """
 
 from __future__ import annotations
@@ -63,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lindist, metrics
+from . import lindist
 from .errors import InfeasibleProgramError, ValidationError
 from .metrics import ObjectiveSpec
 from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
@@ -318,24 +311,20 @@ def build_program(feeder: Feeder, loads: LoadSeries,
                           feeder.branch_index(br), lim, -lim))
     side_labels, side_coef, side_rhs = _screened_rows(bands, n)
 
+    sites = objective.sites(feeder, loads)
     if objective.metric == "pvur_star":
-        buses = objective.buses_for(feeder)
-        k_idx = [feeder.bus_index(b) for b in buses]
-        omega0 = sens.omega0[:, k_idx, :]                    # (T, K, 3)
-        d_omega = sens.d_omega[:, :, :, k_idx, :]            # (n, 3, T, K, 3)
+        omega0 = sens.omega0[:, sites.index, :]              # (T, K, 3)
+        d_omega = sens.d_omega[:, :, :, sites.index, :]      # (n, 3, T, K, 3)
         const = (omega0 - omega0.mean(axis=2, keepdims=True)) * 100.0
         coef = np.moveaxis(d_omega, (0, 1), (3, 4))          # (T, K, 3, n, 3)
         coef = (coef - coef.mean(axis=2, keepdims=True)) * 100.0
         weight = None
     else:
-        balance_branches = objective.branches_for(feeder)
-        b_idx = [feeder.branch_index(br) for br in balance_branches]
-        flow0 = sens.flow0_p[:, b_idx]                       # (T, B, 3)
-        d_flow = sens.d_flow_p[:, :, :, b_idx]               # (n, 3, T, B, 3)
+        flow0 = sens.flow0_p[:, sites.index]                 # (T, B, 3)
+        d_flow = sens.d_flow_p[:, :, :, sites.index]         # (n, 3, T, B, 3)
         const = flow0 - np.roll(flow0, -1, axis=2)
         coef = np.moveaxis(d_flow - np.roll(d_flow, -1, axis=4), (0, 1), (3, 4))
-        weight = np.array([100.0 / metrics.denominator(feeder, loads, br) ** 2
-                           for br in balance_branches])
+        weight = np.array([100.0 / d ** 2 for d in sites.denom.tolist()])
     return BinaryProgram(
         users=users, c0=c0, objective_kind=objective.metric, horizon=horizon,
         delta_max=constraints.delta_max, gamma=constraints.phase_count_bounds,

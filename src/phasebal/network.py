@@ -14,7 +14,7 @@ and base_power is the per-phase VA base.
 
 Derived tables live on the object they derive from, never in a
 module-level cache: a Feeder holds its sweep tables and power-flow
-operators, a LoadSeries its users' mean demand.
+operators, a LoadSeries its users' mean demand and demand rows.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class Feeder:
                 f"non-radial: buses {sorted(bus_set - visited)} unreachable from the reference")
         object.__setattr__(self, "branches", tuple(order))
         bus_index = {b: i for i, b in enumerate(self.buses)}
-        branch_index = {br.key: k for k, br in enumerate(order)}
+        branch_index = {key: k for k, br in enumerate(order) for key in (br.key, br.key[::-1])}
         # flows and user sets accumulate leaves first, up the walk
         below = {b: set() for b in self.buses}
         place = []  # each user's place among the users of its bus
@@ -286,6 +286,7 @@ class Feeder:
             [3 * bus_index[u.bus] - 1 + (0 if u.reconfigurable else u.original_phase)
              for u in self.users], dtype=int))
         object.__setattr__(self, "_reconfigurable_at", np.array(at, dtype=int))
+        object.__setattr__(self, "_user_ids", tuple(u.id for u in self.users))
         object.__setattr__(self, "_user_layers", tuple(
             np.flatnonzero(np.equal(place, j)) for j in range(max(place, default=-1) + 1)))
 
@@ -311,6 +312,7 @@ class Feeder:
             raise ValidationError(f"unknown bus {bus!r}") from None
 
     def branch(self, from_bus: str, to_bus: str) -> Branch:
+        """The branch between two buses, named either way round, oriented."""
         try:
             return self.branches[self._branch_index[(from_bus, to_bus)]]
         except (KeyError, TypeError):
@@ -405,6 +407,7 @@ class LoadSeries:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "user_ids", tuple(self.user_ids))
         object.__setattr__(self, "_col", {u: i for i, u in enumerate(self.user_ids)})
+        object.__setattr__(self, "_rows", {})
 
     @property
     def horizon(self) -> int:
@@ -420,6 +423,14 @@ class LoadSeries:
     def user_demand(self) -> np.ndarray:
         """Complex demand p + jq in W / var, one contiguous (T,) row per column."""
         return np.ascontiguousarray((self.p + 1j * self.q).T)
+
+    def demand_of(self, user_ids: tuple[str, ...]) -> np.ndarray:
+        """``user_demand`` rows of ``user_ids`` in order, gathered once per tuple."""
+        if user_ids not in self._rows:
+            rows = self.user_demand[[self.column(u) for u in user_ids]]
+            rows.setflags(write=False)
+            self._rows[user_ids] = rows
+        return self._rows[user_ids]
 
     @functools.cached_property
     def mean_p(self) -> np.ndarray:
@@ -454,7 +465,7 @@ def injection_series(feeder: Feeder, assignments: PhaseAssignment | Sequence[Pha
     slots = feeder._user_slot + width * np.arange(len(batch))[:, None]
     phases = np.array([a.phases for a in batch], dtype=int).reshape(len(batch), n)
     slots[:, feeder._reconfigurable_at] += phases
-    demand = loads.user_demand[[loads.column(u.id) for u in feeder.users]]
+    demand = loads.demand_of(feeder._user_ids)
     out = np.zeros((len(batch) * width, loads.horizon), dtype=complex)
     for layer in feeder._user_layers:
         out[slots[:, layer]] += demand[layer]

@@ -45,9 +45,7 @@ def enumerate_optimal(problem: Problem, evaluator: str = "exact",
     if len(rows) == 0:
         raise InfeasibleProgramError(
             "no configuration within the switch budget meets the phase-count bounds")
-    scored = []
-    for a in map(PhaseAssignment, rows):
-        scored.append((evaluate(problem, a, evaluator), a))
+    scored = [(evaluate(problem, a, evaluator), a) for a in map(PhaseAssignment, rows)]
     scored.sort(key=lambda pair: pair[0])  # stable: lexicographic ties keep order
     best_obj, best = scored[0]
     return OracleResult(best=best, objective=best_obj, ranking=tuple(scored),

@@ -22,9 +22,11 @@ block's shape, so each row is multiplied on its own (``_row_products``):
 one (1, n) @ (n, n) product of the same shape at any width, against the
 contiguous transpose of Z built once per feeder (``Feeder.pf_tables``);
 every other term is elementwise within its row.  A row's bits depend on
-the BLAS kernel (OpenBLAS ``DYNAMIC_ARCH`` picks one per CPU) and, from
-n of about 64, where OpenBLAS splits a product over its threads, on
-their number, but not on the block.  No ``lu_solve`` runs in the loop,
+the BLAS kernel (OpenBLAS ``DYNAMIC_ARCH`` picks one per CPU), not on the
+block.  From n of about 64 (3 per non-reference bus: about 22 buses)
+OpenBLAS splits each row product over its threads, so the bits also
+depend on ``OPENBLAS_NUM_THREADS`` and every row pays a thread hand-off;
+every bundled fixture has n <= 36.  No ``lu_solve`` runs in the loop,
 so worker threads share no pivot array.  Complex products are written
 out of place, ``np.multiply``: in the operator form numpy reuses a
 temporary operand as the output once it reaches 256 KiB, and that

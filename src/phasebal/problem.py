@@ -11,10 +11,13 @@ buses in ``feeder.buses`` and branches in ``feeder.branches`` order: a
 block-solved ``powerflow.PFSeries`` or an ``Ld3fState``.  The operational
 checks and the metric values read them in one vectorized pass through the
 formulas of ``metrics``; only violation messages are built per timestep.
+The objective is resolved once per Problem: ``Problem.sites`` is cached on
+first use, so scoring a configuration is array work alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,48 +37,43 @@ class Problem:
     constraints: ConstraintConfig
     objective: ObjectiveSpec
 
-
-def _flow_values(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries, flows_at) -> np.ndarray:
-    """(n_branches, T) values of a flow metric at the balance branches, from
-    ``flows_at(idx)``, their (T, n_branches, 3) current magnitudes (``iu``)
-    or active flows; NaN marks undefined timesteps.  A ``pu_star`` branch
-    without demand raises ``MetricError``."""
-    branches = spec.branches_for(feeder)
-    flows = flows_at([feeder.branch_index(br) for br in branches])
-    if spec.metric == "pu_star":
-        denom = np.array([metrics.denominator(feeder, loads, br) for br in branches])
-        return metrics.p_u_star_values(flows, denom).T
-    return metrics.unbalance_rate_values(flows).T
+    @functools.cached_property
+    def sites(self) -> metrics.Sites:
+        return self.objective.sites(self.feeder, self.loads)
 
 
-def metric_values_exact(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
+def _flow_values(spec: ObjectiveSpec, sites: metrics.Sites, flows: np.ndarray) -> np.ndarray:
+    """(n_branches, T) values from (T, n_branches, 3) flows; NaN if undefined."""
+    return (metrics.p_u_star_values(flows, sites.denom) if spec.metric == "pu_star"
+            else metrics.unbalance_rate_values(flows)).T
+
+
+def metric_values_exact(spec: ObjectiveSpec, sites: metrics.Sites,
                         solutions: powerflow.PFSeries) -> np.ndarray:
     """Per-location, per-timestep values of ``spec.metric`` from exact PF."""
     if spec.is_voltage_metric:
-        idx = [feeder.bus_index(bus) for bus in spec.buses_for(feeder)]
-        mags = np.abs(solutions.u[:, idx])
+        mags = np.abs(solutions.u[:, sites.index])
         return (metrics.pvur_values(mags) if spec.metric == "pvur"
                 else metrics.pvur_star_values(mags ** 2)).T
-    return _flow_values(spec, feeder, loads, lambda idx: (
-        np.abs(solutions.current[:, idx]) if spec.metric == "iu"
-        else np.real(solutions.s_from[:, idx])))
+    return _flow_values(spec, sites, (
+        np.abs(solutions.current[:, sites.index]) if spec.metric == "iu"
+        else np.real(solutions.s_from[:, sites.index])))
 
 
-def metric_values_ld3f(spec: ObjectiveSpec, feeder: Feeder, loads: LoadSeries,
+def metric_values_ld3f(spec: ObjectiveSpec, sites: metrics.Sites,
                        state: lindist.Ld3fState) -> np.ndarray:
     if spec.metric == "iu":
         raise ValidationError("the linear model carries no currents; "
                               "i_u needs the exact evaluator")
     if spec.is_voltage_metric:
-        buses = spec.buses_for(feeder)
-        w = state.omega[:, [feeder.bus_index(bus) for bus in buses]]
+        w = state.omega[:, sites.index]
         if spec.metric == "pvur_star":
             return metrics.pvur_star_values(w).T
         bad = np.any(w <= 0.0, axis=(0, 2))
         if np.any(bad):
-            raise MetricError(f"omega not positive at bus {buses[np.argmax(bad)]}")
+            raise MetricError(f"omega not positive at bus {sites.names[np.argmax(bad)]}")
         return metrics.pvur_values(np.sqrt(w)).T
-    return _flow_values(spec, feeder, loads, lambda idx: state.flow_p[:, idx])
+    return _flow_values(spec, sites, state.flow_p[:, sites.index])
 
 
 @dataclass(frozen=True)
@@ -130,17 +128,16 @@ def evaluate_exact(problem: Problem, assignment: PhaseAssignment,
     except ConvergenceError as exc:
         return Evaluation(objective=np.inf, operational_ok=False, violations=(str(exc),))
     violations = check_operational(problem.feeder, problem.constraints, sols)
-    value = metrics.aggregate(problem.objective, metric_values_exact(
-        problem.objective, problem.feeder, problem.loads, sols))
+    value = metrics.aggregate(problem.objective,
+                              metric_values_exact(problem.objective, problem.sites, sols))
     return Evaluation(objective=value, operational_ok=not violations, violations=violations)
 
 
 def evaluate_ld3f(problem: Problem, assignment: PhaseAssignment) -> float:
     """Objective under the lossless linear model (no operational checks)."""
     state = lindist.evaluate_series(problem.feeder, assignment, problem.loads)
-    return metrics.aggregate(
-        problem.objective,
-        metric_values_ld3f(problem.objective, problem.feeder, problem.loads, state))
+    return metrics.aggregate(problem.objective,
+                             metric_values_ld3f(problem.objective, problem.sites, state))
 
 
 def evaluate(problem: Problem, assignment: PhaseAssignment,

@@ -252,15 +252,13 @@ def _cold_solve(c, a_ub, b_ub, a_eq, b_eq, max_iter: int) -> LpResult:
     art_rows = np.flatnonzero(needs_art)
     n_art = len(art_rows)
     art = np.zeros((m, n_art))
-    for k, r in enumerate(art_rows):
-        art[r, k] = 1.0
+    art[art_rows, np.arange(n_art)] = 1.0
 
     tab = np.hstack([a, slack, art, b[:, None]])
     total = n + m_ub + n_art
     basis = np.empty(m, dtype=int)
     basis[:m_ub] = n + np.arange(m_ub)
-    for k, r in enumerate(art_rows):
-        basis[r] = n + m_ub + k
+    basis[art_rows] = n + m_ub + np.arange(n_art)
 
     allowed = np.ones(total, dtype=bool)
     iterations = 0

@@ -6,8 +6,12 @@ with a finite-difference Jacobian, the loss oracle recomputes I^2 R
 branch by branch from first principles, and the metric oracle evaluates
 every (location, timestep) one at a time in plain Python, with a
 flow denominator found by walking each user's path to the reference.  The
-sensitivity oracle sweeps the linear model once per (user, phase), one
-branch at a time through per-branch dicts.  The injection oracle adds one
+per-call metric formulas share only the location lookups and
+``metrics.denominator`` with the package: they resolve the locations on
+every call and reduce through numpy's wrappers, and the package's values
+must equal theirs bit for bit.  The sensitivity oracle sweeps the linear
+model once per (user, phase), one branch at a time through per-branch
+dicts.  The injection oracle adds one
 user at a time.  The simplex pivot oracle is each pivot step in its plain
 form: masked ratio assignment, ``np.flatnonzero`` choices and an
 ``np.outer`` update, with the Bland switch passed in.  The operational
@@ -16,11 +20,13 @@ to its peak before it compares them with the band and the limits.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from phasebal.dropmatrices import ab_matrices
-from phasebal.errors import ValidationError
+from phasebal.errors import MetricError, ValidationError
+from phasebal.metrics import ZERO_MEAN_PU, denominator
 from phasebal.network import injection_series
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
@@ -209,6 +215,78 @@ def metric_values_loop(spec, feeder, loads, solutions=None, state=None):
             value = _metric_at(spec.metric, phases, denom)
             vals[k, t] = np.nan if value is None else value
     return vals
+
+
+# -- the per-call metric formulas ----------------------------------------------
+# Each call looks its locations up on the feeder, computes pu_star's
+# denominators afresh and reduces through numpy's ``mean``/``max``/``sum``
+# wrappers, with ``np.roll`` for the cyclic pairs and a masked pu_star
+# division.  The package resolves the locations once per Problem and calls
+# the ufunc reductions directly; its values must equal these bit for bit.
+
+
+def _pvur_per_call(m):
+    if np.any(m <= 0.0):
+        raise MetricError(f"pvur needs positive magnitudes, got minimum {m.min():g}")
+    return np.max(np.abs(1.0 - m / m.mean(axis=-1, keepdims=True)), axis=-1) * 100.0
+
+
+def _pvur_star_per_call(w):
+    return np.max(np.abs(w - w.mean(axis=-1, keepdims=True)), axis=-1) * 100.0
+
+
+def _flow_values_per_call(spec, feeder, loads, flows_at):
+    branches = spec.branches_for(feeder)
+    v = flows_at([feeder.branch_index(br) for br in branches])
+    if spec.metric == "pu_star":
+        d = np.array([denominator(feeder, loads, br) for br in branches])
+        diffs = v - np.roll(v, -1, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(d > 0.0, np.sum(diffs ** 2, axis=-1) / d ** 2 * 100.0, np.nan).T
+    mean = v.mean(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.max(np.abs(1.0 - v / mean), axis=-1) * 100.0
+    return np.where(np.abs(mean[..., 0]) < ZERO_MEAN_PU, np.nan, rate).T
+
+
+def metric_values_exact_per_call(spec, feeder, loads, solutions):
+    if spec.is_voltage_metric:
+        mags = np.abs(solutions.u[:, [feeder.bus_index(b) for b in spec.buses_for(feeder)]])
+        return (_pvur_per_call(mags) if spec.metric == "pvur"
+                else _pvur_star_per_call(mags ** 2)).T
+    return _flow_values_per_call(spec, feeder, loads, lambda idx: (
+        np.abs(solutions.current[:, idx]) if spec.metric == "iu"
+        else np.real(solutions.s_from[:, idx])))
+
+
+def metric_values_ld3f_per_call(spec, feeder, loads, state):
+    if spec.metric == "iu":
+        raise ValidationError("the linear model carries no currents")
+    if spec.is_voltage_metric:
+        buses = spec.buses_for(feeder)
+        w = state.omega[:, [feeder.bus_index(b) for b in buses]]
+        if spec.metric == "pvur_star":
+            return _pvur_star_per_call(w).T
+        bad = np.any(w <= 0.0, axis=(0, 2))
+        if np.any(bad):
+            raise MetricError(f"omega not positive at bus {buses[np.argmax(bad)]}")
+        return _pvur_per_call(np.sqrt(w)).T
+    return _flow_values_per_call(spec, feeder, loads, lambda idx: state.flow_p[:, idx])
+
+
+def aggregate_per_call(spec, values):
+    """Time mean of the worst location (voltage) or location mean (flow)
+    over the defined timesteps; warns when it drops one."""
+    per_t = values.max(axis=0) if spec.is_voltage_metric else values.mean(axis=0)
+    keep = ~np.isnan(per_t)
+    if not np.all(keep):
+        warnings.warn(
+            f"skipping {int((~keep).sum())} of {len(per_t)} timesteps with "
+            f"undefined flow metric (near-zero phase mean)", stacklevel=2)
+        per_t = per_t[keep]
+        if len(per_t) == 0:
+            raise MetricError("metric undefined at every timestep")
+    return float(per_t.mean())
 
 
 def _one_hot(phases):

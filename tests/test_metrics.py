@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from phasebal.metrics import (ALL_METRICS, ObjectiveSpec, aggregate, denominator
                               unbalance_rate_values)
 from phasebal.network import LoadSeries, original_assignment
 from phasebal.problem import metric_values_exact, metric_values_ld3f
-from reference_impls import metric_values_loop
+from reference_impls import (aggregate_per_call, metric_values_exact_per_call,
+                             metric_values_ld3f_per_call, metric_values_loop)
 
 finite_pos = st.floats(0.2, 5.0, allow_nan=False)
 
@@ -256,7 +258,7 @@ def test_unloaded_explicit_branch_raises_for_pu_star(unloaded_cable):
     sols = powerflow.solve_series(feeder, original_assignment(feeder), loads)
     spec = ObjectiveSpec("pu_star", balance_branches=(("r", "b1"), ("r", "spare")))
     with pytest.raises(MetricError, match="zero downstream demand"):
-        metric_values_exact(spec, feeder, loads, sols)
+        metric_values_exact(spec, spec.sites(feeder, loads), sols)
 
 
 @pytest.mark.parametrize("keys", [(("r",),), (("r", "b1", "b2"),), ("rb1",), (3,)])
@@ -270,7 +272,7 @@ def test_unknown_balance_bus_is_a_validation_error(line):
     spec = ObjectiveSpec("pvur", balance_buses=("zz",))
     sols = powerflow.solve_series(feeder, original_assignment(feeder), loads)
     with pytest.raises(ValidationError, match="unknown bus 'zz'"):
-        metric_values_exact(spec, feeder, loads, sols)
+        metric_values_exact(spec, spec.sites(feeder, loads), sols)
 
 
 def test_objective_spec_explicit_sets(line):
@@ -279,6 +281,22 @@ def test_objective_spec_explicit_sets(line):
     assert spec.buses_for(feeder) == ("b3",)
     flow = ObjectiveSpec("pu_star", balance_branches=(("b1", "b2"),))
     assert [br.key for br in flow.branches_for(feeder)] == [("b1", "b2")]
+
+
+def test_balance_branch_named_against_its_orientation(line):
+    feeder, loads = line
+    sols = powerflow.solve_series(feeder, original_assignment(feeder), loads)
+    assert feeder.branch("b2", "b1") is feeder.branch("b1", "b2")
+    assert feeder.branch("b2", "b1").key == ("b1", "b2")
+    for metric in ("iu", "pu", "pu_star"):
+        oriented, named = (ObjectiveSpec(metric, balance_branches=(key,))
+                           for key in (("b1", "b2"), ("b2", "b1")))
+        np.testing.assert_array_equal(
+            metric_values_exact(named, named.sites(feeder, loads), sols),
+            metric_values_exact(oriented, oriented.sites(feeder, loads), sols))
+    for key in (("b1", "b3"), ("r", "b2"), ("b1", "b1")):
+        with pytest.raises(ValidationError, match="unknown branch"):
+            ObjectiveSpec("pu", balance_branches=(key,)).sites(feeder, loads)
 
 
 # -- vectorized evaluation against the per-(location, t) loop ---------------------
@@ -307,7 +325,8 @@ def test_metric_values_match_loop(name, metric):
     sols = powerflow.solve_series(feeder, a, loads)
     state = lindist.evaluate_series(feeder, a, loads)
     for spec in specs:
-        vals = metric_values_exact(spec, feeder, loads, sols)
+        sites = spec.sites(feeder, loads)
+        vals = metric_values_exact(spec, sites, sols)
         np.testing.assert_allclose(
             vals, metric_values_loop(spec, feeder, loads, solutions=sols),
             rtol=1e-12, atol=1e-12)
@@ -317,6 +336,60 @@ def test_metric_values_match_loop(name, metric):
         if metric == "iu":
             continue
         np.testing.assert_allclose(
-            metric_values_ld3f(spec, feeder, loads, state),
+            metric_values_ld3f(spec, sites, state),
             metric_values_loop(spec, feeder, loads, state=state),
             rtol=1e-12, atol=1e-12)
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _scored(metric_values, aggregate_fn, spec):
+    """(values, aggregate hex, warning messages), or the exception type."""
+    try:
+        vals = metric_values()
+    except (MetricError, ValidationError) as exc:
+        return type(exc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = aggregate_fn(spec, vals)
+    return vals, value.hex(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", ["line", "twenty_user"])
+def test_metric_values_match_the_per_call_formulas(name):
+    """Resolved once per spec, the metric values and aggregates equal the
+    per-call formulas bit for bit: every exact metric and every ld3f one,
+    default and explicit balance sets, with and without zero-demand steps
+    (NaN flow metrics and the aggregate's warning)."""
+    feeder, base = fixtures.fixture(name)
+    c0 = original_assignment(feeder)
+    assignments = (c0, dataclasses.replace(c0, phases=tuple(p % 3 + 1 for p in c0.phases)))
+    specs = [ObjectiveSpec(m) for m in ALL_METRICS]
+    specs += [ObjectiveSpec(m, balance_buses=feeder.buses[1:]) for m in ("pvur", "pvur_star")]
+    specs += [ObjectiveSpec(m, balance_branches=[br.key for br in feeder.branches])
+              for m in ("iu", "pu", "pu_star")]
+    warned = 0
+    for loads in (base, _with_idle_steps(base)):
+        for a in assignments:
+            sols = powerflow.solve_series(feeder, a, loads)
+            state = lindist.evaluate_series(feeder, a, loads)
+            for spec in specs:
+                sites = spec.sites(feeder, loads)
+                pairs = [(lambda: metric_values_exact(spec, sites, sols),
+                          lambda: metric_values_exact_per_call(spec, feeder, loads, sols))]
+                pairs.append((lambda: metric_values_ld3f(spec, sites, state),
+                              lambda: metric_values_ld3f_per_call(spec, feeder, loads, state)))
+                for ours, reference in pairs:
+                    got = _scored(ours, aggregate, spec)
+                    want = _scored(reference, aggregate_per_call, spec)
+                    if isinstance(want, type):
+                        assert got is want and spec.metric == "iu"
+                        continue
+                    assert _same_bits(got[0], want[0]), spec
+                    assert got[1:] == want[1:], spec
+                    warned += bool(got[2])
+    assert warned  # the zero-demand steps reached the NaN path

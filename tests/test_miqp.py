@@ -378,7 +378,7 @@ def test_epigraph_tight_at_optimum(line):
     # mean computed by the metric pipeline
     prob = Problem(feeder, loads, cons, ObjectiveSpec("pvur_star"))
     state = lindist.evaluate_series(feeder, res.assignment, loads)
-    vals = metric_values_ld3f(prob.objective, feeder, loads, state)
+    vals = metric_values_ld3f(prob.objective, prob.sites, state)
     assert abs(aggregate(prob.objective, vals) - res.objective) <= 1e-9
 
 

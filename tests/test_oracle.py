@@ -1,22 +1,24 @@
 import csv
 import itertools
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebal import fixtures
+from phasebal import fixtures, metrics, oracle
 from phasebal.errors import CapExceededError, InfeasibleProgramError, MetricError
 from phasebal.lindist import Ld3fState
-from phasebal.metrics import ObjectiveSpec, aggregate
+from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
                               completion_count, completions, injection_series,
                               original_assignment)
 from phasebal.oracle import enumerate_optimal
-from phasebal.problem import Problem, evaluate, metric_values_ld3f
-from reference_impls import sweep_by_branch
+from phasebal.problem import Problem, evaluate
+from reference_impls import aggregate_per_call, metric_values_ld3f_per_call, sweep_by_branch
 from strategies import radial_cases
 
 
@@ -138,7 +140,8 @@ def test_ranking_csv(tmp_path, line):
 
 def _reference_ranking(prob):
     """(objective, phases) of every configuration within the budget, in
-    lexicographic order, each swept branch by branch, then stably sorted."""
+    lexicographic order, each swept branch by branch and scored by the
+    per-call metric formulas, then stably sorted."""
     feeder, loads = prob.feeder, prob.loads
     c0 = original_assignment(feeder).phases
     scored = []
@@ -147,8 +150,8 @@ def _reference_ranking(prob):
             continue
         s = injection_series(feeder, PhaseAssignment(phases), loads) / feeder.base_power
         state = Ld3fState(*sweep_by_branch(feeder, s.real, s.imag))
-        values = metric_values_ld3f(prob.objective, feeder, loads, state)
-        scored.append((aggregate(prob.objective, values), phases))
+        values = metric_values_ld3f_per_call(prob.objective, feeder, loads, state)
+        scored.append((aggregate_per_call(prob.objective, values), phases))
     scored.sort(key=lambda pair: pair[0])
     return scored
 
@@ -170,3 +173,49 @@ def test_ld3f_ranking_bitwise_equals_branch_by_branch_sweeps(case, budget, metri
     assert res.evaluated == len(expected)
     assert [(obj.hex(), a.phases) for obj, a in res.ranking] == \
         [(obj.hex(), phases) for obj, phases in expected]
+
+
+def test_objective_is_resolved_once_per_problem(monkeypatch):
+    """The ld3f oracle resolves pu_star's balance branches and denominators
+    once for its Problem and still scores each configuration by one
+    ``evaluate`` call."""
+    feeder, loads = fixtures.fixture("twenty_user")
+    calls = {"denominator": 0, "branches_for": 0, "evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "denominator", counted("denominator", metrics.denominator))
+    monkeypatch.setattr(ObjectiveSpec, "branches_for",
+                        counted("branches_for", ObjectiveSpec.branches_for))
+    monkeypatch.setattr(oracle, "evaluate", counted("evaluate", oracle.evaluate))
+    prob = Problem(feeder, loads, ConstraintConfig(delta_max=1), ObjectiveSpec("pu_star"))
+    res = enumerate_optimal(prob, evaluator="ld3f")
+    assert res.evaluated == 41
+    n_branches = len(prob.sites.index)
+    assert n_branches >= 1
+    assert calls == {"denominator": n_branches, "branches_for": 1, "evaluate": 41}
+
+
+def test_per_problem_caches_are_safe_across_threads(line):
+    """Worker threads that score at once on a fresh Problem, whose sites and
+    whose loads' demand rows are not yet cached, all get the one-thread
+    value."""
+    feeder, loads = line
+    configs = [PhaseAssignment(p) for p in itertools.product((1, 2, 3), repeat=3)]
+    spec, cons = ObjectiveSpec("pu_star"), ConstraintConfig(delta_max=3)
+    want = [evaluate(Problem(feeder, loads, cons, spec), a, "ld3f").hex() for a in configs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            fresh = LoadSeries(loads.user_ids, loads.p, loads.q, loads.resolution_s)
+            prob = Problem(feeder, fresh, cons, spec)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda a: evaluate(prob, a, "ld3f").hex(), configs))
+            assert got == want
+    finally:
+        sys.setswitchinterval(old)
