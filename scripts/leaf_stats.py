@@ -5,8 +5,12 @@ Solves the ``miqp_plan`` planning days of the given seeds
 (``compare_bnb.planning_days``) for each objective and prints, summed over
 every leaf the searches close:
 
-* ``completions``: rows generated by ``network.completions``, which also
-  carries their first-pass bound sums;
+* ``prefixes``: prefixes ``network.completions`` builds, counted as the
+  rows its prefix filter sees after each free position is extended (a leaf
+  with no finite incumbent gets a filter that keeps every row, so that its
+  prefixes are counted too);
+* ``completions``: rows ``network.completions`` returns, the ones that
+  survive the prefix bound, with their first-pass bound sums;
 * ``after_pass1`` and ``after_pass2``: rows left after the first bound pass
   (anchored on each leaf's zero-switch completion) and after the second
   (anchored on each chunk's last survivor);
@@ -26,6 +30,7 @@ import time
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 from compare_bnb import planning_days, result_line
 from phasebal import fixtures, miqp
 
@@ -59,10 +64,24 @@ def leaf_stats(seeds, objectives, delta_max):
             leaf[0]["leaves"] += 1
             leaf.clear()
 
+    original_completions = miqp.completions
+
+    def counted_completions(c0, fixed, budget, columns=None, prune=None):
+        """A leaf's call, which returns (rows, first-pass sums), with its
+        prefix filter wrapped to count the rows it sees."""
+        if not leaf:
+            return original_completions(c0, fixed, budget, columns, prune)
+
+        def seen(pos, sums, left):
+            leaf[0]["prefixes"] += len(sums)
+            return np.ones(len(sums), bool) if prune is None else prune(pos, sums, left)
+        result = original_completions(c0, fixed, budget, columns, seen)
+        leaf[0]["completions"] += len(result[0])
+        return result
+
     patches = [
         mock.patch.object(miqp._BnBSolver, "_enumerate_leaf", timed_leaf),
-        # a leaf's call returns (rows, first-pass sums)
-        count_rows(miqp, "completions", "completions", lambda result, *args: result[0]),
+        mock.patch.object(miqp, "completions", counted_completions),
         # the second pass runs on what the first one left
         count_rows(miqp.BinaryProgram, "_leaf_bound", "after_pass1",
                    lambda result, prog, phases, anchor: phases),
@@ -93,7 +112,7 @@ def main():
 
     stats = leaf_stats(list(map(int, args.seeds.split(","))),
                        args.objectives.split(","), args.delta_max)
-    columns = ("leaves", "completions", "after_pass1", "after_pass2", "scored")
+    columns = ("leaves", "prefixes", "completions", "after_pass1", "after_pass2", "scored")
     print(f"{'objective':10s}" + "".join(f"{c:>13s}" for c in columns) + f"{'leaf_s':>9s}")
     for metric, c in stats.items():
         print(f"{metric:10s}" + "".join(f"{c[k]:13d}" for k in columns)

@@ -33,8 +33,11 @@ one-hot and budget rows, an integral polytope, when no choice ties and
 it meets every side row: it is then the node LP's unique optimum.
 Otherwise the LP runs warm with the new cost.
 A node whose budget-feasible completions (``network.completion_count``)
-fit the leaf cap is closed exactly: its completions are generated in
-lexicographic order by ``network.completions`` and scored in chunks.
+fit the leaf cap is closed exactly: ``network.completions`` generates its
+completions in lexicographic order and, given a finite incumbent, drops
+each prefix as it builds it once the prefix's interval bound over the
+suffix still to place (``_prefix_bound``) exceeds that incumbent; the
+completions left are scored in chunks.
 Leaves are scored from (M, n) phase arrays in blocks of rows: the affine
 part of the objective and of every side row gathers one coefficient row
 per user and adds them in user order; the switch budget and phase counts
@@ -64,8 +67,9 @@ from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
 from .simplex import solve_lp
 
 SUPPORTED_OBJECTIVES = ("pvur_star", "pu_star")
-LEAF_CHUNK = 2048  # completions scored per objective_batch call
+LEAF_CHUNK = 256  # completions scored per objective_batch call
 SCORE_BLOCK = 256  # rows gathered at once by objective_batch and feasible_mask
+PREFIX_BLOCK = 2048  # prefixes bounded at once, which caps the bound's temporaries
 FW_MAX_ITERS = 80  # Frank-Wolfe iterations per pu_star node
 
 
@@ -98,6 +102,10 @@ class BnBOptions:
                                   f"must be finite and nonnegative")
         if self.leaf_enum_cap < 1:  # a node with no switch left is then always a leaf
             raise ValidationError(f"leaf_enum_cap must be at least 1, got {self.leaf_enum_cap!r}")
+        if self.node_limit < 1:
+            raise ValidationError(f"node_limit must be at least 1, got {self.node_limit!r}")
+        if self.time_limit_s is not None and not self.time_limit_s > 0:  # NaN fails too
+            raise ValidationError(f"time_limit_s must be positive, got {self.time_limit_s!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +239,72 @@ class BinaryProgram:
         them before the same mean over t, and rounding is monotone on
         nonnegative numbers, so it is bitwise <= the objective for any keep."""
         x += self.const.reshape(-1)[keep]
-        if self.objective_kind == "pvur_star":
-            np.abs(x, out=x)
-        else:
-            np.square(x, out=x)
+        return self._distance_bound(np.abs(x, out=x), keep)
+
+    def _distance_bound(self, dist: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The mean over t of each row's term for its distances ``dist``
+        (M, T) >= 0 from 0 on the ``keep`` columns (overwritten): the
+        distance itself for pvur_star, ``w_b d^2 / B`` for pu_star.  Each
+        step is monotone, so smaller distances never give a larger mean."""
+        if self.objective_kind == "pu_star":
+            np.square(dist, out=dist)
             branches = len(self.branch_weight)
-            x *= self.branch_weight[keep // 3 % branches]
-            x /= branches
-        return x.mean(axis=1)
+            dist *= self.branch_weight[keep // 3 % branches]
+            dist /= branches
+        return dist.mean(axis=1)
+
+    def _prefix_bound(self, fixed, keep: np.ndarray, budget: int):
+        """``bound(pos, sums, left)``, bitwise <= the ``_finish_bound`` on
+        ``keep`` of every completion of ``fixed`` within ``budget`` whose
+        prefix through the free position ``pos`` has the user-ordered sums
+        ``sums`` (M, T) and ``left`` (M,) switches to spend, as
+        ``network.completions`` hands them to its ``prune``.
+
+        Every later user adds its base entry, its fixed phase or, if free,
+        its ``c0`` phase; at most ``left`` free ones switch instead.  The
+        ``left`` most negative (positive) switch deltas of the later free
+        users, each column sorted on its own, bound the rest of the sum
+        below (above): a table over (position, left, column) built with one
+        sort per sign.  The distance from 0 to const + sums + [lo, hi] is
+        shrunk by a bound on the rounding of the sums on either side, at the
+        scale of the column entries, so it never exceeds a completion's
+        rounded |x|; a tied completion is never bounded above its value.
+        """
+        n, t_dim = self.n_users, len(keep)
+        fixed = np.asarray(fixed, dtype=int)
+        base = np.where(fixed == 0, np.asarray(self.c0, dtype=int), fixed) - 1
+        entries = self._objective_columns[:, keep].reshape(n, 3, t_dim)
+        own = entries[np.arange(n), base]                              # (n, T)
+        delta = entries - own[:, None]
+        delta[fixed != 0] = 0.0  # a fixed user does not switch
+        later = (np.arange(n)[None, :] >= np.arange(n + 1)[:, None])[:, :, None]
+        reach = max(0, min(budget, n))
+        const = self.const.reshape(-1)[keep]
+        rest = const + np.where(later, own, 0.0).sum(axis=1)          # (n+1, T)
+        scale = np.abs(const) + np.abs(entries).max(axis=1).sum(axis=0)
+        slack = 8 * (n + 4) * np.finfo(float).eps * scale  # > 2x both sides' worst rounding
+        # (lo - slack, -hi - slack)[p, r] for the users from p on
+        ends = []
+        for sign, pick in ((1, delta.min(axis=1)), (-1, -delta.max(axis=1))):
+            steps = np.sort(np.where(later, pick, 0.0), axis=1)        # (n+1, n, T)
+            end = np.zeros((n + 1, reach + 1, t_dim))
+            end[:, 1:] = np.cumsum(steps[:, :reach], axis=1)
+            end += (sign * rest - slack)[:, None]
+            ends.append(end)
+        low, high = ends
+
+        def bound(pos, sums, left):
+            at, out = np.minimum(left, reach), np.empty(len(sums))
+            for start in range(0, len(sums), PREFIX_BLOCK):
+                rows = slice(start, start + PREFIX_BLOCK)
+                dist = low[pos + 1].take(at[rows], axis=0)
+                dist += sums[rows]
+                above = high[pos + 1].take(at[rows], axis=0)
+                above -= sums[rows]
+                np.maximum(dist, above, out=dist)
+                out[rows] = self._distance_bound(np.maximum(dist, 0.0, out=dist), keep)
+            return out
+        return bound
 
     def feasible_mask(self, phases: np.ndarray) -> np.ndarray:
         """Which of the (M, n) configurations ``phases`` keep the switch
@@ -553,19 +619,29 @@ class _BnBSolver:
         """Exact minimum over every feasible completion of ``fixed``, when
         it is below ``inc_value``.
 
-        Completions come in lexicographic order and are scored in chunks of
-        ``LEAF_CHUNK`` consecutive ones; points that ``prog.feasible_mask``
-        rejects are masked out before scoring, and the first minimum wins.
-        Before that, two bound passes drop the rows whose lower bound
-        exceeds the leaf's best so far or ``inc_value``: one on the columns
-        of the leaf's zero-switch completion, summed by ``completions``
-        along its prefixes, then one per chunk on its last survivor's.  Ties
-        survive, so the first minimum is the same when below ``inc_value``.
+        Bounds use the columns of the leaf's zero-switch completion.  Given
+        a finite ``inc_value``, ``completions`` drops each prefix whose
+        ``_prefix_bound`` exceeds it while it builds them, so only rows whose
+        ``_finish_bound`` may not exceed it come back, in lexicographic order
+        with their sums.  These are scored in chunks of ``LEAF_CHUNK``
+        consecutive ones; points that ``prog.feasible_mask`` rejects are
+        masked out before scoring, and the first minimum wins.  Before that,
+        two bound passes drop the rows whose lower bound exceeds the leaf's
+        best so far or ``inc_value``: ``_finish_bound`` on the carried sums,
+        then one per chunk on its last survivor's columns.  Ties survive
+        every pass, so the first minimum is the same when below ``inc_value``.
         """
         prog = self.prog
         keep = prog._kept_columns(np.where(np.array(fixed) == 0, prog.c0, fixed))
-        cands, sums = completions(prog.c0, fixed, prog.delta_max - self._used(fixed),
-                                  prog._objective_columns[:, keep])
+        budget = prog.delta_max - self._used(fixed)
+        prune = None
+        if inc_value < np.inf:
+            bound = prog._prefix_bound(fixed, keep, budget)
+
+            def prune(pos, sums, left):
+                return bound(pos, sums, left) <= inc_value
+        cands, sums = completions(prog.c0, fixed, budget, prog._objective_columns[:, keep],
+                                  prune)
         bounds = prog._finish_bound(sums, keep)
         best_val, best_assign = np.inf, None
         for start in range(0, len(cands), LEAF_CHUNK):
@@ -608,7 +684,8 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
 
     Returns the incumbent with a proof gap within the configured
     tolerances, or the best point found when a node/time limit stops the
-    search first (the status field says which).
+    search first (the status field says which).  The limits are checked
+    only after the root node, so a stopped search has a finite bound.
     """
     opts = opts or BnBOptions()
     solver = _BnBSolver(prog, opts)
@@ -649,7 +726,7 @@ def branch_and_bound(prog: BinaryProgram, opts: BnBOptions | None = None) -> BnB
         if nodes >= opts.node_limit:
             status, final_bound = "node_limit", bound
             break
-        if opts.time_limit_s is not None \
+        if opts.time_limit_s is not None and nodes \
                 and time.monotonic() - started > opts.time_limit_s:
             status, final_bound = "time_limit", bound
             break

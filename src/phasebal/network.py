@@ -529,16 +529,21 @@ def completion_count(n_free: int, budget: int) -> int:
     return sum(math.comb(n_free, k) * 2 ** k for k in range(min(budget, n_free) + 1))
 
 
-def completions(c0, fixed, budget: int, columns=None):
+def completions(c0, fixed, budget: int, columns=None, prune=None):
     """Every completion of the partial configuration ``fixed`` (0 = free)
     that moves at most ``budget`` of its free users off their phase in
     ``c0``, as an (M, n) int8 array in lexicographic order.
 
-    Prefixes are extended one position at a time; each prefix with budget
-    left has at least one completion, so no intermediate array outgrows
-    the result.  Given ``columns`` (3n, L), one row per (user, phase), it
-    returns ``(rows, sums)``: each prefix carries its users' columns added
-    in user order from +0, so ``sums`` is bitwise ``miqp._gather_sum``'s.
+    Prefixes are extended one position at a time; without ``prune`` each
+    prefix with budget left has at least one completion, so no intermediate
+    array outgrows the result.  Given ``columns`` (3n, L), one row per
+    (user, phase), it returns ``(rows, sums)``: each prefix carries its
+    users' columns added in user order from +0, so ``sums`` is bitwise
+    ``miqp._gather_sum``'s.  Given ``prune(pos, sums, left)``, called after
+    each free position ``pos`` is extended with the prefixes' sums over
+    positions 0..pos and their budgets left, only the prefixes its boolean
+    mask keeps are extended further (the rest are dropped at the end); the
+    rows that remain keep their order and their sums.
     """
     c0 = np.asarray(c0, dtype=np.int8)
     rows = np.array([fixed], dtype=np.int8)
@@ -556,8 +561,11 @@ def completions(c0, fixed, budget: int, columns=None):
         rows[:, pos] = phases.take(choice)
         left = left.take(parent) - cost.take(choice)
         sums += cols.take(3 * pos + choice, axis=0)
-    if budget < 0:  # the rows empty at the first free user, if there is one
-        rows, sums = rows[:0], sums[:0]
+        if prune is not None:  # a dropped prefix gets no budget, so no extension
+            left = np.where(prune(pos, sums, left), left, -1)
+    if budget < 0 or prune is not None:  # the rows left without budget
+        kept = left >= 0
+        rows, sums = rows[kept], sums[kept]
     return rows if columns is None else (rows, sums)
 
 

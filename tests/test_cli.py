@@ -82,6 +82,20 @@ def test_metric_error_is_exit_2(line, tmp_path, capsys):
     assert "zero downstream demand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit, message", [("-1", "time_limit_s must be positive"),
+                                            ("0", "time_limit_s must be positive"),
+                                            ("nan", "bad value for time_limit")])
+def test_bad_time_limit_is_exit_2(line_paths, tmp_path, capsys, limit, message):
+    feeder_path, profiles_path = line_paths
+    out = tmp_path / "report.json"
+    code = main(["optimize", "--feeder", str(feeder_path),
+                 "--profiles", str(profiles_path), "--method", "miqp",
+                 "--objective", "pu-star", "--time-limit", limit, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_without_feasible_configuration_is_exit_2(line_paths, tmp_path, capsys):
     feeder_path, profiles_path = line_paths
     code = main(["optimize", "--feeder", str(feeder_path),

@@ -12,8 +12,8 @@ import reference_impls as ref
 from phasebal import fixtures, lindist, miqp, oracle
 from phasebal.errors import InfeasibleProgramError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec, aggregate
-from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BnBOptions, _BnBSolver, _gather_sum,
-                           _quadratic_parts, branch_and_bound, build_program)
+from phasebal.miqp import (LEAF_CHUNK, SCORE_BLOCK, BinaryProgram, BnBOptions, _BnBSolver,
+                           _gather_sum, _quadratic_parts, branch_and_bound, build_program)
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
                               PhaseAssignment, User, completion_count, completions,
                               feasible_mask)
@@ -48,10 +48,27 @@ def test_exact_metrics_rejected(line):
 @pytest.mark.parametrize("field, value", [("leaf_enum_cap", 0), ("leaf_enum_cap", -3),
                                           ("abs_gap", float("nan")), ("abs_gap", float("inf")),
                                           ("abs_gap", -1e-9), ("rel_gap", float("nan")),
-                                          ("rel_gap", float("inf")), ("rel_gap", -0.1)])
+                                          ("rel_gap", float("inf")), ("rel_gap", -0.1),
+                                          ("node_limit", 0), ("node_limit", -5),
+                                          ("time_limit_s", 0.0), ("time_limit_s", -1.0),
+                                          ("time_limit_s", float("nan")),
+                                          ("time_limit_s", -float("inf"))])
 def test_bnb_options_reject(field, value):
     with pytest.raises(ValidationError, match=field):
         BnBOptions(**{field: value})
+
+
+def test_tiny_time_limit_still_processes_the_root(twenty_user):
+    """A limit that has run out before the search starts stops it only after
+    the root, so the bound and gap it reports are finite."""
+    feeder, loads = twenty_user
+    prog = build_program(feeder, loads, ConstraintConfig(delta_max=2),
+                         ObjectiveSpec("pu_star"))
+    assert completion_count(prog.n_users, 2) > BnBOptions().leaf_enum_cap  # no root leaf
+    res = branch_and_bound(prog, BnBOptions(time_limit_s=1e-12))
+    assert res.nodes >= 1
+    assert np.isfinite(res.bound) and np.isfinite(res.gap)
+    assert res.bound <= res.objective
 
 
 def test_no_reconfigurable_users_constant_program():
@@ -312,6 +329,104 @@ def test_leaf_with_incumbent_matches_plain_leaf(metric, case, budget, chunk, sid
         assert (value, assignment) == (plain_value, plain)
     else:
         assert assignment is None or value >= plain_value
+
+
+def _program(metric, c0, const, coef, delta_max, weight=None):
+    """A program with the given objective columns and no side row."""
+    n = len(c0)
+    return BinaryProgram(
+        users=tuple(f"u{i}" for i in range(n)), c0=c0, objective_kind=metric,
+        horizon=len(const), delta_max=delta_max, gamma=None, fixed_phase_counts=(0, 0, 0),
+        const=const, coef=coef, branch_weight=weight, side_labels=(),
+        side_coef=np.zeros((0, n, 3)), side_rhs=np.zeros(0))
+
+
+def _random_program(data, metric):
+    """A program over 0-6 users with random objective columns, spread over
+    twelve decades so that another order of additions rounds differently."""
+    n, t_dim, locs = (data.draw(st.integers(0, 6)), data.draw(st.integers(1, 3)),
+                      data.draw(st.integers(1, 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    const = rng.normal(size=(t_dim, locs, 3)) * 10.0 ** rng.integers(-6, 7)
+    coef = rng.normal(size=(t_dim, locs, 3, n, 3)) \
+        * 10.0 ** rng.integers(-6, 7, size=(1, 1, 1, n, 1))
+    weight = rng.uniform(0.5, 2.0, locs) if metric == "pu_star" else None
+    return _program(metric, tuple(rng.integers(1, 4, n).tolist()), const, coef, n, weight)
+
+
+def _random_leaf(data, prog):
+    """A partial configuration (0 = free), a switch budget and one kept
+    column per timestep, with all the leaf's completions, their carried sums
+    and their ``_finish_bound``."""
+    n, width = prog.n_users, prog.const.size // prog.horizon
+    fixed = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    budget = data.draw(st.integers(-1, n + 1))
+    keep = np.arange(prog.horizon) * width + np.array(
+        data.draw(st.lists(st.integers(0, width - 1), min_size=prog.horizon,
+                           max_size=prog.horizon)))
+    rows, sums = completions(prog.c0, fixed, budget, prog._objective_columns[:, keep])
+    return fixed, budget, keep, rows, sums, prog._finish_bound(sums.copy(), keep)
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_prefix_bound_never_exceeds_finish_bound(metric, data):
+    """Every prefix's bound is bitwise <= the ``_finish_bound`` of every
+    completion of it, and the same in blocks of any size; the prefix sums
+    are built as ``completions`` carries them, from +0 in user order."""
+    prog = _random_program(data, metric)
+    fixed, budget, keep, rows, _, finish = _random_leaf(data, prog)
+    bound = prog._prefix_bound(fixed, keep, budget)
+    columns, c0 = prog._objective_columns[:, keep], np.array(prog.c0)
+    free = np.flatnonzero(np.array(fixed, dtype=int) == 0)
+    for pos in free.tolist():
+        upto = free[free <= pos]
+        left = budget - np.count_nonzero(rows[:, upto] != c0[upto], axis=1)
+        prefix = _gather_sum(columns[:3 * (pos + 1)], rows[:, :pos + 1])
+        values = bound(pos, prefix, left)
+        assert np.all(values <= finish)
+        with mock.patch.object(miqp, "PREFIX_BLOCK", data.draw(st.integers(1, 7))):
+            assert bound(pos, prefix, left).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("metric", ["pvur_star", "pu_star"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_completions_with_prefix_filter_drop_only_bounded_rows(metric, data):
+    """``completions`` with the prefix bound as its filter returns the
+    unfiltered rows in order, less only rows whose ``_finish_bound``
+    exceeds the limit, and their sums bitwise."""
+    prog = _random_program(data, metric)
+    fixed, budget, keep, rows, sums, finish = _random_leaf(data, prog)
+    limit = data.draw(st.sampled_from([np.inf, -1.0] + sorted(finish.tolist())))
+    limit = np.nextafter(limit, data.draw(st.sampled_from([limit, np.inf, -np.inf])))
+    bound = prog._prefix_bound(fixed, keep, budget)
+    got, got_sums = completions(prog.c0, fixed, budget, prog._objective_columns[:, keep],
+                                lambda pos, s, left: bound(pos, s, left) <= limit)
+    index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    picked = np.array([index[row] for row in map(tuple, got.tolist())], dtype=int)
+    assert np.all(np.diff(picked) > 0)
+    assert np.all(finish[np.setdiff1d(np.arange(len(rows)), picked)] > limit)
+    for a, b in ((got, rows[picked]), (got_sums, sums[picked])):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def test_prefix_bound_keeps_a_tie_at_zero():
+    """The first completion scores exactly 0, as 0.1 + 0.2 - fl(0.1 + 0.2);
+    the prefix bound adds the same numbers in another order, so only a
+    slack at the scale of the entries keeps that tie below an incumbent of
+    the smallest positive float."""
+    coef = np.zeros((1, 1, 3, 2, 3))
+    coef[0, 0, 0] = [[0.1, 1.0, 1.0], [0.2, 1.0, 1.0]]
+    const = np.array([[[-(0.1 + 0.2), 0.0, 0.0]]])
+    prog = _program("pvur_star", (1, 1), const, coef, delta_max=1)
+    assert prog.objective_at(PhaseAssignment((1, 1))) == 0.0
+    assert 0.1 + (0.2 + const[0, 0, 0]) != 0.0  # the other order does not cancel
+    solver = _BnBSolver(prog, BnBOptions())
+    for fixed in ((0, 1), (0, 0)):
+        value, assignment = solver._enumerate_leaf(fixed, np.nextafter(0.0, 1.0))
+        assert (value, assignment) == (0.0, PhaseAssignment((1, 1)))
 
 
 # -- branch and bound ------------------------------------------------------------
