@@ -296,13 +296,13 @@ class BinaryProgram:
         def bound(pos, sums, left):
             at, out = np.minimum(left, reach), np.empty(len(sums))
             for start in range(0, len(sums), PREFIX_BLOCK):
-                rows = slice(start, start + PREFIX_BLOCK)
-                dist = low[pos + 1].take(at[rows], axis=0)
-                dist += sums[rows]
-                above = high[pos + 1].take(at[rows], axis=0)
-                above -= sums[rows]
+                block = slice(start, start + PREFIX_BLOCK)
+                dist = low[pos + 1].take(at[block], axis=0)
+                dist += sums[block]
+                above = high[pos + 1].take(at[block], axis=0)
+                above -= sums[block]
                 np.maximum(dist, above, out=dist)
-                out[rows] = self._distance_bound(np.maximum(dist, 0.0, out=dist), keep)
+                out[block] = self._distance_bound(np.maximum(dist, 0.0, out=dist), keep)
             return out
         return bound
 
