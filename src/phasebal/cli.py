@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="GA fitness-call budget")
     p_opt.add_argument("--population", type=int, help="GA population size")
     p_opt.add_argument("--time-limit", type=float, dest="time_limit",
-                       help="MIQP time limit in seconds")
+                       help="time limit in seconds; bounds only the MIQP search")
     p_opt.add_argument("--trace", help="CSV path for the GA fitness trace")
 
     p_val = sub.add_parser("validate", parents=[common],

@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ValidationError
 from .network import (PhaseAssignment, binary_feasible, feasible_mask, fixed_phase_counts,
                       original_assignment)
-from .powerflow import solve_series
-from .problem import Problem, evaluate_exact
+from .problem import Problem, batch_states, evaluate_exact
 
 CHUNK_ROWS = 96  # candidates x timesteps per block; larger blocks raise peak memory
 
@@ -85,12 +84,9 @@ class FitnessEvaluator:
     def _exact(self, chunk: list[tuple]) -> list[float]:
         """Penalized exact-PF fitness of feasible candidates, solved as one
         stacked block; pure so that chunks can run on worker threads."""
-        batch = [PhaseAssignment(c) for c in chunk]
-        prob, horizon = self.problem, self.problem.loads.horizon
-        series = solve_series(prob.feeder, batch, prob.loads)
-        values = []
-        for k, a in enumerate(batch):
-            ev = evaluate_exact(prob, a, series[k * horizon:(k + 1) * horizon])
+        batch, values = [PhaseAssignment(c) for c in chunk], []
+        for a, series in zip(batch, batch_states(self.problem, batch, "exact")):
+            ev = evaluate_exact(self.problem, a, series)
             value = ev.objective
             if not ev.operational_ok or not np.isfinite(value):
                 value = (value if np.isfinite(value) else 0.0) + self.m * self.i0

@@ -28,6 +28,7 @@ from .network import (ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
 from .problem import Problem, evaluate_exact, metric_values_exact
 
 SCHEMA_VERSION = 1
+BNB = miqp.BnBOptions(leaf_enum_cap=16384)  # a command's copy validates its time limit
 
 
 def metric_table(feeder: Feeder, loads: LoadSeries,
@@ -92,8 +93,8 @@ class _Plan:
     pf_evaluations: int | None = None
 
 
-def _plan(problem: Problem, method: str, ga_config: ga.GAConfig,
-          time_limit_s: float | None, initial: PhaseAssignment | None = None) -> _Plan:
+def _plan(problem: Problem, method: str, ga_config: ga.GAConfig, bnb: miqp.BnBOptions,
+          initial: PhaseAssignment | None = None) -> _Plan:
     """Run one optimizer on ``problem``: the one method dispatch.  The
     branch-and-bound starts from ``initial`` when it is feasible."""
     if method == "ga":
@@ -104,8 +105,7 @@ def _plan(problem: Problem, method: str, ga_config: ga.GAConfig,
     if method == "miqp":
         prog = miqp.build_program(problem.feeder, problem.loads, problem.constraints,
                                   problem.objective)
-        res = miqp.branch_and_bound(prog, miqp.BnBOptions(
-            leaf_enum_cap=16384, time_limit_s=time_limit_s, initial_incumbent=initial))
+        res = miqp.branch_and_bound(prog, replace(bnb, initial_incumbent=initial))
         return _Plan(res.assignment, res.objective,
                      {"bound": res.bound, "gap": res.gap, "nodes": res.nodes,
                       "status": res.status, "relaxations_solved": res.relaxations_solved})
@@ -124,11 +124,13 @@ def cmd_optimize(feeder: Feeder, loads: LoadSeries, method: str,
                  time_limit_s: float | None = None,
                  trace_path=None) -> RunReport:
     """Run one optimizer and score the result on every exact metric.  A
-    GA report's seed and threads are those of the configuration that ran."""
+    GA report's seed and threads are those of the configuration that ran.
+    ``time_limit_s`` bounds only the MIQP search."""
+    bnb = replace(BNB, time_limit_s=time_limit_s)  # checked whatever the method
     prob = Problem(feeder, loads, constraints, objective)
     cfg = ga_config or ga.GAConfig(rng_seed=seed, threads=threads)
     started = time.monotonic()
-    plan = _plan(prob, method, cfg, time_limit_s)
+    plan = _plan(prob, method, cfg, bnb)
     wall = time.monotonic() - started
     if trace_path and plan.ga_result:
         write_trace_csv(plan.ga_result, trace_path)
@@ -228,6 +230,7 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
     budget keeps that plan when its own scores higher: the values never rise
     with the budget.  Only the GA, which is not exact, ever needs the carry.
     """
+    bnb = replace(BNB, time_limit_s=time_limit_s)  # a bad limit fails before any budget
     grid = sorted(set(int(g) for g in grid))
     cfg, a0 = ga.GAConfig(rng_seed=seed), original_assignment(feeder)
     values, used, failures, best = [], [], {}, None
@@ -236,7 +239,7 @@ def cmd_sweep_switches(feeder: Feeder, loads: LoadSeries,
                 else ConstraintConfig(delta_max=budget))
         try:
             plan = _plan(Problem(feeder, loads, cons, objective), method, cfg,
-                         time_limit_s, initial=None if best is None else best.best)
+                         bnb, initial=None if best is None else best.best)
         except PhasebalError as exc:  # record, keep sweeping
             failures[budget] = f"{type(exc).__name__}: {exc}"
             values.append(None)
@@ -280,7 +283,7 @@ def cmd_scaling(feeder_loads: list, horizons, methods, repeats: int = 5,
                 times = []
                 for rep in range(repeats if method == "ga" else 1):
                     started = time.monotonic()
-                    _plan(prob, method, ga.GAConfig(rng_seed=rep), None)
+                    _plan(prob, method, ga.GAConfig(rng_seed=rep), BNB)
                     dt = time.monotonic() - started
                     times.append(dt)
                     rows.append({"feeder": label, "horizon": horizon,

@@ -82,9 +82,13 @@ def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
     return Ld3fState(omega=omega, flow_p=flow[0], flow_q=flow[1])
 
 
-def evaluate_series(feeder: Feeder, assignment: PhaseAssignment,
+def evaluate_series(feeder: Feeder, assignments: PhaseAssignment | list[PhaseAssignment],
                     loads: LoadSeries) -> Ld3fState:
-    s = injection_series(feeder, assignment, loads) / feeder.base_power
+    """State of one assignment, (T, location, 3) arrays, or of a list of K
+    from one sweep, (K, T, location, 3), row k bitwise assignment k's own."""
+    s = injection_series(feeder, assignments, loads) / feeder.base_power
+    if not isinstance(assignments, PhaseAssignment):
+        s = s.reshape(len(assignments), loads.horizon, *s.shape[1:])
     return _sweep(feeder, s.real, s.imag)
 
 

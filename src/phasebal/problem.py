@@ -8,7 +8,8 @@ either route.
 
 Both routes hand over whole (T, location, phase) arrays in one layout,
 buses in ``feeder.buses`` and branches in ``feeder.branches`` order: a
-block-solved ``powerflow.PFSeries`` or an ``Ld3fState``.  The operational
+block-solved ``powerflow.PFSeries`` or an ``Ld3fState``, one per assignment
+of a batch from ``batch_states``' one solve or sweep.  The operational
 checks and the metric values read them in one vectorized pass through the
 formulas of ``metrics``; only violation messages are built per timestep.
 The objective is resolved once per Problem: ``Problem.sites`` is cached on
@@ -133,17 +134,31 @@ def evaluate_exact(problem: Problem, assignment: PhaseAssignment,
     return Evaluation(objective=value, operational_ok=not violations, violations=violations)
 
 
-def evaluate_ld3f(problem: Problem, assignment: PhaseAssignment) -> float:
-    """Objective under the lossless linear model (no operational checks)."""
-    state = lindist.evaluate_series(problem.feeder, assignment, problem.loads)
+def evaluate_ld3f(problem: Problem, assignment: PhaseAssignment,
+                  state: lindist.Ld3fState | None = None) -> float:
+    """Objective under the lossless linear model (no operational checks);
+    ``state`` is its sweep if already done, as in a batch."""
+    if state is None:
+        state = lindist.evaluate_series(problem.feeder, assignment, problem.loads)
     return metrics.aggregate(problem.objective,
                              metric_values_ld3f(problem.objective, problem.sites, state))
 
 
-def evaluate(problem: Problem, assignment: PhaseAssignment,
-             evaluator: str = "exact") -> float:
-    if evaluator == "exact":
-        return evaluate_exact(problem, assignment).objective
+def batch_states(problem: Problem, batch: list[PhaseAssignment], evaluator: str) -> list:
+    """Each assignment's ``evaluate`` state, from one stacked power flow or one sweep."""
     if evaluator == "ld3f":
-        return evaluate_ld3f(problem, assignment)
+        s = lindist.evaluate_series(problem.feeder, batch, problem.loads)
+        return [lindist.Ld3fState(*rows) for rows in zip(s.omega, s.flow_p, s.flow_q)]
+    series, t = powerflow.solve_series(problem.feeder, batch, problem.loads), problem.loads.horizon
+    return [series[k * t:(k + 1) * t] for k in range(len(batch))]
+
+
+def evaluate(problem: Problem, assignment: PhaseAssignment, evaluator: str = "exact",
+             state: powerflow.PFSeries | lindist.Ld3fState | None = None) -> float:
+    """Objective under ``evaluator``; ``state`` is the assignment's own
+    ``PFSeries`` (exact) or ``Ld3fState`` (ld3f) if already computed."""
+    if evaluator == "exact":
+        return evaluate_exact(problem, assignment, state).objective
+    if evaluator == "ld3f":
+        return evaluate_ld3f(problem, assignment, state)
     raise ValidationError(f"unknown evaluator {evaluator!r}; pick from {EVALUATORS}")

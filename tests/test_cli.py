@@ -96,6 +96,23 @@ def test_bad_time_limit_is_exit_2(line_paths, tmp_path, capsys, limit, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, method, limit", [("optimize", "ga", "-1"),
+                                                ("optimize", "oracle", "-1"),
+                                                ("optimize", "oracle", "0"),
+                                                ("sweep", "miqp", "0"),
+                                                ("sweep", "ga", "-1")])
+def test_bad_time_limit_is_exit_2_for_every_method(line_paths, tmp_path, capsys,
+                                                   verb, method, limit):
+    feeder_path, profiles_path = line_paths
+    out = tmp_path / "report.json"
+    code = main([verb, "--feeder", str(feeder_path), "--profiles", str(profiles_path),
+                 "--method", method, "--objective", "pu-star", "--time-limit", limit,
+                 "--out", str(out)])
+    assert code == 2
+    assert "time_limit_s must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_without_feasible_configuration_is_exit_2(line_paths, tmp_path, capsys):
     feeder_path, profiles_path = line_paths
     code = main(["optimize", "--feeder", str(feeder_path),

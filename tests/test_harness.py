@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasebal import cli, fixtures, harness, oracle
-from phasebal.errors import MetricError
+from phasebal.errors import MetricError, ValidationError
 from phasebal.ga import GAConfig, run_ga
 from phasebal.metrics import ALL_METRICS, ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries, PhaseAssignment,
@@ -269,6 +269,15 @@ def test_sweep_records_package_errors(line, monkeypatch):
                                         grid=(0, 1))
     assert report.values == [None, None]
     assert report.failures == {0: "MetricError: undefined", 1: "MetricError: undefined"}
+
+
+@pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+def test_sweep_rejects_a_bad_time_limit_before_its_first_budget(line, monkeypatch, limit):
+    feeder, loads = line
+    monkeypatch.setattr(harness, "_plan", _raise(AssertionError("a budget was planned")))
+    with pytest.raises(ValidationError, match="time_limit_s must be positive"):
+        harness.cmd_sweep_switches(feeder, loads, ObjectiveSpec("pu_star"), grid=(0, 1),
+                                   time_limit_s=limit)
 
 
 def test_sweep_lets_programming_errors_through(line, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phasebal import fixtures, powerflow
 from phasebal.dropmatrices import GAMMA_IM, GAMMA_RE, ab_matrices
+from phasebal.errors import ValidationError
 from phasebal.lindist import AffineSensitivity, _sweep, evaluate_series, sensitivity
 from phasebal.network import (Branch, Feeder, LoadSeries, PhaseAssignment, User,
                               downstream_users, original_assignment)
@@ -248,6 +249,27 @@ def test_batched_sweep_rows_equal_single_sweeps(case, lead):
                                        (one.omega, one.flow_p, one.flow_q), ref):
             assert got[idx].shape == single.shape == expect.shape
             assert got[idx].tobytes() == single.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["line", "twenty_user"]), st.integers(1, 7), st.data())
+def test_batched_evaluate_series_rows_equal_their_own_call(name, size, data):
+    feeder, loads = fixtures.fixture(name)
+    n = len(feeder.reconfigurable_users())
+    phases = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)
+    batch = [PhaseAssignment(p) for p in data.draw(st.lists(phases, min_size=size,
+                                                            max_size=size))]
+    state = evaluate_series(feeder, batch, loads)
+    for k, a in enumerate(batch):
+        one = evaluate_series(feeder, a, loads)
+        for got, own in zip((state.omega, state.flow_p, state.flow_q),
+                            (one.omega, one.flow_p, one.flow_q)):
+            assert got.shape == (size,) + own.shape
+            assert np.array_equal(got[k], own)
+    short = data.draw(st.integers(0, size - 1))
+    batch[short] = PhaseAssignment(batch[short].phases[:-1])
+    with pytest.raises(ValidationError, match="reconfigurable users"):
+        evaluate_series(feeder, batch, loads)
 
 
 # -- fidelity against exact PF (all fixtures) ---------------------------------

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebal import fixtures, metrics, oracle
-from phasebal.errors import CapExceededError, InfeasibleProgramError, MetricError
+from phasebal.errors import (CapExceededError, InfeasibleProgramError, MetricError,
+                             ValidationError)
 from phasebal.lindist import Ld3fState
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
-                              completion_count, completions, injection_series,
-                              original_assignment)
+                              binary_feasible, completion_count, completions,
+                              injection_series, original_assignment)
 from phasebal.oracle import enumerate_optimal
 from phasebal.problem import Problem, evaluate
 from reference_impls import aggregate_per_call, metric_values_ld3f_per_call, sweep_by_branch
@@ -173,6 +174,68 @@ def test_ld3f_ranking_bitwise_equals_branch_by_branch_sweeps(case, budget, metri
     assert res.evaluated == len(expected)
     assert [(obj.hex(), a.phases) for obj, a in res.ranking] == \
         [(obj.hex(), phases) for obj, phases in expected]
+
+
+def _per_configuration_ranking(prob, evaluator):
+    """(objective hex, phases) of every feasible configuration, each scored
+    by one ``evaluate`` call that solves or sweeps it alone, then stably
+    sorted."""
+    c0 = original_assignment(prob.feeder).phases
+    configs = [a for a in map(PhaseAssignment, completions(c0, (0,) * len(c0),
+                                                           prob.constraints.delta_max))
+               if binary_feasible(prob.feeder, a, prob.constraints)]
+    scored = sorted(((evaluate(prob, a, evaluator), a.phases) for a in configs),
+                    key=lambda pair: pair[0])
+    return [(obj.hex(), phases) for obj, phases in scored]
+
+
+@pytest.mark.parametrize("evaluator, metric", [("ld3f", "pu_star"), ("ld3f", "pvur"),
+                                               ("exact", "pu"), ("exact", "iu")])
+@pytest.mark.parametrize("case, chunk, count", [
+    # 41 configurations: not a multiple of the default chunks (16 ld3f, 4 exact)
+    ("budget", None, 41),
+    ("budget", 5, 41),
+    ("budget", 1, 41),
+    # the phase-count bounds mask out 555 of the 801 budget-feasible rows
+    ("counts", None, 246),
+    ("counts", 7, 246),
+])
+def test_chunked_ranking_equals_per_configuration_evaluate(
+        twenty_user, monkeypatch, evaluator, metric, case, chunk, count):
+    extra = ({} if case == "budget"
+             else {"gamma_low": 6, "gamma_upp": 7, "enforce_phase_counts": True})
+    prob = make_problem(twenty_user, metric, delta_max=1 if case == "budget" else 2, **extra)
+    if chunk is not None:  # configurations per chunk, at the fixture's T=24
+        monkeypatch.setitem(oracle.CHUNK_ROWS, evaluator, chunk * prob.loads.horizon)
+    res = enumerate_optimal(prob, evaluator=evaluator)
+    assert res.evaluated == count
+    assert [(obj.hex(), a.phases) for obj, a in res.ranking] == \
+        _per_configuration_ranking(prob, evaluator)
+
+
+@pytest.mark.parametrize("evaluator", ["ld3f", "exact"])
+def test_zero_demand_step_warns_once_per_configuration(line, monkeypatch, evaluator):
+    feeder, loads = line
+    p, q = loads.p.copy(), loads.q.copy()
+    p[3], q[3] = 0.0, 0.0
+    prob = make_problem((feeder, LoadSeries(loads.user_ids, p, q, loads.resolution_s)),
+                        "pu", delta_max=3)
+    monkeypatch.setitem(oracle.CHUNK_ROWS, evaluator, 5 * loads.horizon)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = enumerate_optimal(prob, evaluator=evaluator)
+    skipped = [w for w in caught if "skipping 1 of 24 timesteps" in str(w.message)]
+    assert res.evaluated == 27
+    assert len(skipped) == res.evaluated == len(caught)
+
+
+def test_unknown_evaluator_fails_before_any_row(line, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows generated for an unknown evaluator")
+
+    monkeypatch.setattr(oracle, "completions", no_rows)
+    with pytest.raises(ValidationError, match="unknown evaluator 'dc'"):
+        enumerate_optimal(make_problem(line), evaluator="dc")
 
 
 def test_objective_is_resolved_once_per_problem(monkeypatch):
