@@ -104,7 +104,7 @@ class FitnessEvaluator:
         (and its accounting) does not depend on scheduling.
         """
         self.fitness_calls += len(population)
-        keys = [tuple(int(p) for p in c) for c in population]
+        keys = [tuple(map(int, c)) for c in population]
         unique = [c for c in dict.fromkeys(keys) if c not in self.cache]
         if unique:
             ok = feasible_mask(unique, *self._mask_args)

@@ -28,8 +28,8 @@ in the injections, so the map from a one-hot phase choice matrix to
 superposing increments reproduces a direct evaluation to floating-point
 accuracy.
 
-The sweep (``_sweep``, three passes) reads the index tables and stacked
-A and B that each ``Feeder`` builds once (``Feeder.sweep_tables``).
+``_sweep`` makes three passes over branch-major work arrays, returns views
+of them, and reads the tables that ``Feeder.sweep_tables`` builds once.
 """
 
 from __future__ import annotations
@@ -54,13 +54,15 @@ def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
     """Accumulate downstream flows, then sweep omega out from the reference.
 
     p_bus, q_bus: (..., T, n_buses, 3) per-unit load (consumption positive).
-    Three passes over the feeder's ``SweepTables``:
+    Three passes over the feeder's ``SweepTables`` on branch-major work
+    arrays, flows (branch, p/q, ..., T, 3) and omega (bus, ..., T, 3), so
+    that each per-branch update is one contiguous block; the returned
+    fields are ``np.moveaxis`` views of them:
 
-    1. upward: (p, q) stacked on a new leading axis, every branch's flow
-       gathered at its to-bus, then one in-place add per (branch, child)
-       pair, leaves first and siblings in order;
-    2. drops: A p and B q of every branch as one stacked product each, the
-       flows viewed as (..., n_branches, T, 3) so that each branch is one
+    1. upward: every branch's (p, q) gathered at its to-bus, then one
+       in-place add per (branch, child) pair, leaves first, siblings in order;
+    2. drops: A p and B q as one stacked product each, A.T and B.T broadcast
+       over the leading axes, so that each (branch, leading index) is one
        (T, 3) @ (3, 3) product, the same kernel call as a single branch's
        ``p @ A.T``.  A (1, 3) @ (3, 3) product per (t, branch) is not: it
        can differ in the last bit;
@@ -70,16 +72,17 @@ def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
     same order, so a batched row is bitwise the sweep of that row alone.
     """
     tables = feeder.sweep_tables()
-    flow = np.stack((p_bus[..., tables.to_bus, :], q_bus[..., tables.to_bus, :]))
+    flow = np.moveaxis(np.stack((p_bus, q_bus)), -2, 0)[tables.to_bus]
     for k, child in tables.children:
-        flow[..., k, :] += flow[..., child, :]
-    drop_p = np.matmul(flow[0].swapaxes(-2, -3), tables.a_t).swapaxes(-2, -3)
-    drop_q = np.matmul(flow[1].swapaxes(-2, -3), tables.b_t).swapaxes(-2, -3)
-    omega = np.empty(p_bus.shape)
-    omega[..., feeder.bus_index(feeder.reference_bus), :] = 1.0
+        flow[k] += flow[child]
+    shape = (len(tables.a_t),) + (1,) * (p_bus.ndim - 3) + (3, 3)
+    drop_p = np.matmul(flow[:, 0], tables.a_t.reshape(shape))
+    drop_q = np.matmul(flow[:, 1], tables.b_t.reshape(shape))
+    omega = np.empty((p_bus.shape[-2],) + p_bus.shape[:-2] + (3,))
+    omega[feeder.bus_index(feeder.reference_bus)] = 1.0
     for k, i, j in tables.downward:
-        omega[..., j, :] = omega[..., i, :] - drop_p[..., k, :] - drop_q[..., k, :]
-    return Ld3fState(omega=omega, flow_p=flow[0], flow_q=flow[1])
+        omega[j] = omega[i] - drop_p[k] - drop_q[k]
+    return Ld3fState(np.moveaxis(omega, 0, -2), *np.moveaxis(flow, 0, -2))
 
 
 def evaluate_series(feeder: Feeder, assignments: PhaseAssignment | list[PhaseAssignment],
@@ -118,8 +121,7 @@ def sensitivity(feeder: Feeder, loads: LoadSeries) -> AffineSensitivity:
     pr = feeder.reconfigurable_users()
     shape = (loads.horizon, len(feeder.buses), 3)
     # baseline: every non-reconfigurable user at its original phase
-    p_bus = np.zeros(shape)
-    q_bus = np.zeros(shape)
+    p_bus, q_bus = np.zeros(shape), np.zeros(shape)
     for u in feeder.users:
         if u.reconfigurable:
             continue
@@ -128,8 +130,7 @@ def sensitivity(feeder: Feeder, loads: LoadSeries) -> AffineSensitivity:
         p_bus[:, b, u.original_phase - 1] += loads.p[:, col] / feeder.base_power
         q_bus[:, b, u.original_phase - 1] += loads.q[:, col] / feeder.base_power
     base = _sweep(feeder, p_bus, q_bus)
-    p_one = np.zeros((len(pr), 3) + shape)
-    q_one = np.zeros_like(p_one)
+    p_one, q_one = np.zeros((len(pr), 3) + shape), np.zeros((len(pr), 3) + shape)
     ph = np.arange(3)
     for i, u in enumerate(pr):
         col = loads.column(u.id)

@@ -9,8 +9,12 @@ score through these two.  All metrics return percent.
 
 Each formula has one implementation over the last axis (the phases),
 broadcast over leading axes such as (T, locations); a single 3-vector
-gives a 0-d result; it calls the ufunc reductions, bitwise numpy's
-``mean``/``max``.  ``ObjectiveSpec.sites`` resolves the locations.
+gives a 0-d result, any other last-axis length a ``ValidationError``.
+``_phase_sum`` and ``_phase_max`` reduce the phases in three terms, bit
+for bit numpy's left-to-right ufunc reductions from +0.0 but for the sign
+of an all-zero sum, and a NaN's sign and payload, which no metric shows
+(abs, squares and the NaN mask drop the sign; only ``np.isnan`` reads a
+NaN).  ``ObjectiveSpec.sites`` resolves the locations.
 """
 
 from __future__ import annotations
@@ -33,41 +37,56 @@ ALL_METRICS = VOLTAGE_METRICS + FLOW_METRICS
 ZERO_MEAN_PU = 1e-6
 
 
-def _phase_mean(x: np.ndarray) -> np.ndarray:  # bitwise x.mean(axis=-1, keepdims=True)
-    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+def _phases(x) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise ValidationError(f"phase values need a last axis of 3, got shape {a.shape}")
+    return a
+
+
+def _phase_sum(x: np.ndarray) -> np.ndarray:  # np.add.reduce(x, axis=-1); see above
+    return x[..., 0] + x[..., 1] + x[..., 2]
+
+
+def _phase_max(x: np.ndarray) -> np.ndarray:  # np.maximum.reduce(x, axis=-1); see above
+    return np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2])
+
+
+def _phase_mean(x: np.ndarray) -> np.ndarray:  # x.mean(axis=-1, keepdims=True); see above
+    return _phase_sum(x)[..., None] / 3
 
 
 def pvur_values(u_mags) -> np.ndarray:
     """Phase voltage unbalance rate: worst relative deviation from the mean."""
-    m = np.asarray(u_mags, dtype=float)
+    m = _phases(u_mags)
     if np.any(m <= 0.0):
         raise MetricError(f"pvur needs positive magnitudes, got minimum {m.min():g}")
-    return np.maximum.reduce(np.abs(1.0 - m / _phase_mean(m)), axis=-1) * 100.0
+    return _phase_max(np.abs(1.0 - m / _phase_mean(m))) * 100.0
 
 
 def pvur_star_values(omega) -> np.ndarray:
     """Proxy on squared magnitudes; unit-mean normalization dropped."""
-    w = np.asarray(omega, dtype=float)
-    return np.maximum.reduce(np.abs(w - _phase_mean(w)), axis=-1) * 100.0
+    w = _phases(omega)
+    return _phase_max(np.abs(w - _phase_mean(w))) * 100.0
 
 
 def unbalance_rate_values(values) -> np.ndarray:
     """Unbalance rate of current magnitudes (I_U) or signed active flows
     (P_U); NaN where the phase mean is (near) zero."""
-    v = np.asarray(values, dtype=float)
+    v = _phases(values)
     mean = _phase_mean(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.maximum.reduce(np.abs(1.0 - v / mean), axis=-1) * 100.0
+        rate = _phase_max(np.abs(1.0 - v / mean)) * 100.0
     return np.where(np.abs(mean[..., 0]) < ZERO_MEAN_PU, np.nan, rate)
 
 
 def p_u_star_values(p_flows, denom) -> np.ndarray:
     """Quadratic cyclic-difference proxy, normalized by the estimated
     per-phase mean flow ``denom``; NaN where ``denom`` is not positive."""
-    p, d = np.asarray(p_flows, dtype=float), np.asarray(denom, dtype=float)
-    diffs = p - p[..., [1, 2, 0]]  # pairs (1,2), (2,3), (3,1)
+    p, d = _phases(p_flows), np.asarray(denom, dtype=float)
+    p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2]  # pairs (1,2), (2,3), (3,1)
     d2 = np.where(d > 0.0, d ** 2, np.nan)  # x / NaN is NaN and raises no warning
-    return np.add.reduce(diffs ** 2, axis=-1) / d2 * 100.0
+    return ((p1 - p2) ** 2 + (p2 - p3) ** 2 + (p3 - p1) ** 2) / d2 * 100.0
 
 
 def denominator(feeder: Feeder, loads: LoadSeries, branch) -> float:

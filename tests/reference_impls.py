@@ -9,7 +9,8 @@ flow denominator found by walking each user's path to the reference.  The
 per-call metric formulas share only the location lookups and
 ``metrics.denominator`` with the package: they resolve the locations on
 every call and reduce through numpy's wrappers, and the package's values
-must equal theirs bit for bit.  The sensitivity oracle sweeps the linear
+must equal theirs bit for bit, as they must equal the ``*_reduce``
+formulas' on any phase array.  The sensitivity oracle sweeps the linear
 model once per (user, phase), one branch at a time through per-branch
 dicts.  The injection oracle adds one
 user at a time.  The simplex pivot oracle is each pivot step in its plain
@@ -287,6 +288,42 @@ def aggregate_per_call(spec, values):
         if len(per_t) == 0:
             raise MetricError("metric undefined at every timestep")
     return float(per_t.mean())
+
+
+# The four per-call metric formulas as ufunc reductions over the phase axis,
+# the form ``metrics`` had before its three-term phase kernels; the package's
+# values must equal these bit for bit on any input.
+
+
+def _phase_mean_reduce(x):
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def pvur_values_reduce(u_mags):
+    m = np.asarray(u_mags, dtype=float)
+    if np.any(m <= 0.0):
+        raise MetricError(f"pvur needs positive magnitudes, got minimum {m.min():g}")
+    return np.maximum.reduce(np.abs(1.0 - m / _phase_mean_reduce(m)), axis=-1) * 100.0
+
+
+def pvur_star_values_reduce(omega):
+    w = np.asarray(omega, dtype=float)
+    return np.maximum.reduce(np.abs(w - _phase_mean_reduce(w)), axis=-1) * 100.0
+
+
+def unbalance_rate_values_reduce(values):
+    v = np.asarray(values, dtype=float)
+    mean = _phase_mean_reduce(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.maximum.reduce(np.abs(1.0 - v / mean), axis=-1) * 100.0
+    return np.where(np.abs(mean[..., 0]) < ZERO_MEAN_PU, np.nan, rate)
+
+
+def p_u_star_values_reduce(p_flows, denom):
+    p, d = np.asarray(p_flows, dtype=float), np.asarray(denom, dtype=float)
+    diffs = p - p[..., [1, 2, 0]]
+    d2 = np.where(d > 0.0, d ** 2, np.nan)
+    return np.add.reduce(diffs ** 2, axis=-1) / d2 * 100.0
 
 
 def _one_hot(phases):

@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import phasebal
 from phasebal import fixtures, lindist, powerflow
 from phasebal.errors import MetricError, ValidationError
-from phasebal.metrics import (ALL_METRICS, ObjectiveSpec, aggregate, denominator,
-                              p_u_star_values, pvur_star_values, pvur_values,
+from phasebal.metrics import (ALL_METRICS, ObjectiveSpec, _phase_max, _phase_sum, aggregate,
+                              denominator, p_u_star_values, pvur_star_values, pvur_values,
                               unbalance_rate_values)
 from phasebal.network import LoadSeries, original_assignment
 from phasebal.problem import metric_values_exact, metric_values_ld3f
 from reference_impls import (aggregate_per_call, metric_values_exact_per_call,
-                             metric_values_ld3f_per_call, metric_values_loop)
+                             metric_values_ld3f_per_call, metric_values_loop,
+                             p_u_star_values_reduce, pvur_star_values_reduce,
+                             pvur_values_reduce, unbalance_rate_values_reduce)
 
 finite_pos = st.floats(0.2, 5.0, allow_nan=False)
 
@@ -70,6 +73,68 @@ def test_p_u_star_needs_positive_denominator():
 def test_p_u_star_uses_cyclic_pairs():
     # (p1-p2)^2 + (p2-p3)^2 + (p3-p1)^2, not just adjacent pairs
     assert np.isclose(p_u_star_values((1.0, 1.0, 2.0), 1.0), 200.0)
+
+
+# -- the phase axis --------------------------------------------------------------
+
+PHASE_FUNCTIONS = {"pvur": pvur_values, "pvur_star": pvur_star_values,
+                   "unbalance_rate": unbalance_rate_values,
+                   "p_u_star": lambda v: p_u_star_values(v, 1.0)}
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (5, 2)])
+@pytest.mark.parametrize("name", sorted(PHASE_FUNCTIONS))
+def test_metric_needs_a_last_axis_of_three_phases(name, shape):
+    with pytest.raises(ValidationError, match="last axis of 3"):
+        PHASE_FUNCTIONS[name](np.ones(shape))
+
+
+phase_floats = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0e-308, -1.0]))
+
+
+@st.composite
+def phase_arrays(draw):
+    """(..., 3) floats with 0-3 leading axes: contiguous, a [..., :3] slice
+    of a wider array, or a moveaxis view of a phase-major one."""
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4))
+    layout = draw(st.sampled_from(["contiguous", "slice", "moveaxis"]))
+    if layout == "slice":
+        wide = lead + (draw(st.integers(4, 6)),)
+        return draw(hnp.arrays(float, wide, elements=phase_floats))[..., :3]
+    if layout == "moveaxis":
+        return np.moveaxis(draw(hnp.arrays(float, (3,) + lead, elements=phase_floats)), 0, -1)
+    return draw(hnp.arrays(float, lead + (3,), elements=phase_floats))
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equal, except that a NaN's sign and payload are not compared:
+    which NaN operand an add or max returns is up to the compiled loop."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(phase_arrays(), phase_floats)
+def test_phase_kernels_equal_ufunc_reductions(x, denom):
+    with np.errstate(all="ignore"):
+        assert _same_bits(_phase_max(x), np.maximum.reduce(x, axis=-1))
+        # numpy's sum starts from +0.0: three -0.0 sum to +0.0 there, -0.0 here
+        all_neg_zero = np.all((x == 0.0) & np.signbit(x), axis=-1)
+        got, ref = _phase_sum(x), np.add.reduce(x, axis=-1)
+        assert np.all(got[all_neg_zero] == 0.0)
+        assert _same_bits(np.where(all_neg_zero, 0.0, got), np.where(all_neg_zero, 0.0, ref))
+        for v in (x, np.abs(x)):
+            if np.any(v <= 0.0):
+                with pytest.raises(MetricError):
+                    pvur_values(v)
+            else:
+                assert _same_bits(pvur_values(v), pvur_values_reduce(v))
+        assert _same_bits(pvur_star_values(x), pvur_star_values_reduce(x))
+        assert _same_bits(unbalance_rate_values(x), unbalance_rate_values_reduce(x))
+        assert _same_bits(p_u_star_values(x, denom), p_u_star_values_reduce(x, denom))
 
 
 # -- metric invariants -----------------------------------------------------------
