@@ -10,8 +10,11 @@ alternates: the parent in pair 1, the change in pair 2, and so on.  For
 each end-to-end metric it prints the parent's and the change's median and
 quartiles, the ratio of the medians (change / parent) and the pairs the
 change won: strictly better in the direction ``BENCHMARK.json`` in
-CHANGE_DIR declares, lower where it declares none.  It exits 1 if any run
-failed: a nonzero exit, no result line, ``correct: false`` or
+CHANGE_DIR declares, lower where it declares none.  ``--workload`` takes
+a comma-separated list, ``miqp_plan,ga_plan,ld3f_oracle,validate_long``
+say; the workloads run one after another, each with all its pairs, and
+each prints its own table as soon as its pairs are done.  It exits 1 if
+any run failed: a nonzero exit, no result line, ``correct: false`` or
 ``failed > 0``.  The runs write no bytecode, so nothing lands under either
 checkout's ``perfbench/``.
 """
@@ -100,11 +103,43 @@ def declared_directions(checkout: str) -> dict:
         return {}
 
 
+def workload_list(text: str) -> list[str]:
+    """The ``--workload`` names: comma-separated, none empty or repeated."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated names, got {text!r}")
+    return names
+
+
+def run_pairs(dirs, workload: str, seed: int, count: int, seconds: float) -> list[tuple]:
+    """``count`` alternating (parent, change) result pairs of one workload."""
+    pairs = []
+    for k in range(count):
+        order = (0, 1) if k % 2 == 0 else (1, 0)
+        pair = [None, None]
+        for i in order:
+            pair[i] = run_once(dirs[i], workload, seed, seconds)
+            plan = pair[i].get("metrics", {}).get("plan_s", {}).get("value")
+            print(f"{workload} pair {k + 1} {SIDES[i]}: plan_s {plan}", file=sys.stderr,
+                  flush=True)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def report(workload: str, seed: int, seconds: float, pairs, better=None) -> list[str]:
+    """One workload's table: a title line, the metric rows, then one line per
+    failed run."""
+    return ([f"{workload} seed {seed}, {len(pairs)} pairs of {seconds:g} s"]
+            + format_rows(summarize(pairs, better))
+            + [f"failed: {line}" for line in failures(pairs)])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=workload_list,
+                        help="one workload or a comma-separated list")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
@@ -115,21 +150,13 @@ def main(argv=None) -> int:
     for d in dirs:
         if not os.path.isfile(os.path.join(d, "perfbench", "run.py")):
             parser.error(f"{d} has no perfbench/run.py")
-    pairs = []
-    for k in range(args.pairs):
-        order = (0, 1) if k % 2 == 0 else (1, 0)
-        pair = [None, None]
-        for i in order:
-            pair[i] = run_once(dirs[i], args.workload, args.seed, args.seconds)
-            plan = pair[i].get("metrics", {}).get("plan_s", {}).get("value")
-            print(f"pair {k + 1} {SIDES[i]}: plan_s {plan}", file=sys.stderr, flush=True)
-        pairs.append(tuple(pair))
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
-    print("\n".join(format_rows(summarize(pairs, declared_directions(args.change_dir)))))
-    bad = failures(pairs)
-    for line in bad:
-        print(f"failed: {line}")
-    return 1 if bad else 0
+    better, failed = declared_directions(args.change_dir), False
+    for k, workload in enumerate(args.workload):
+        pairs = run_pairs(dirs, workload, args.seed, args.pairs, args.seconds)
+        print(("\n" if k else "") + "\n".join(report(workload, args.seed, args.seconds,
+                                                      pairs, better)), flush=True)
+        failed = failed or bool(failures(pairs))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

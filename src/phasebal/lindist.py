@@ -28,8 +28,14 @@ in the injections, so the map from a one-hot phase choice matrix to
 superposing increments reproduces a direct evaluation to floating-point
 accuracy.
 
-``_sweep`` makes three passes over branch-major work arrays, returns views
-of them, and reads the tables that ``Feeder.sweep_tables`` builds once.
+``_sweep`` takes its loads in its own branch-major work layout, flow
+(branch, p/q, ..., T, 3): each branch holds the per-unit load at its
+to-bus, so users at the reference bus feed none.  ``evaluate_series``
+scatters the users' watts into flow layer by layer, summing from +0, then
+scales it in place by ``1.0 / base_power``: numpy's complex / real
+multiplies each part by that reciprocal, so flow is bitwise the parts of
+``injection_series(...) / base_power``, where ``p / base_power`` is not.
+``sensitivity`` scatters each user's own ``demand / base_power``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Feeder, LoadSeries, PhaseAssignment, injection_series
+from .network import Feeder, LoadSeries, PhaseAssignment, batch_phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,19 +56,20 @@ class Ld3fState:
     flow_q: np.ndarray  # reactive flow
 
 
-def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
+def _sweep(feeder: Feeder, flow: np.ndarray) -> Ld3fState:
     """Accumulate downstream flows, then sweep omega out from the reference.
 
-    p_bus, q_bus: (..., T, n_buses, 3) per-unit load (consumption positive).
-    Three passes over the feeder's ``SweepTables`` on branch-major work
-    arrays, flows (branch, p/q, ..., T, 3) and omega (bus, ..., T, 3), so
-    that each per-branch update is one contiguous block; the returned
-    fields are ``np.moveaxis`` views of them:
+    flow: (n_branches, 2, ..., T, 3) per-unit (p, q) load (consumption
+    positive) at each branch's to-bus, the axes between a batch of load
+    sets; it becomes the flows in place.  Three passes over the feeder's
+    ``SweepTables``, omega as (bus, ..., T, 3), so that each per-branch
+    update is one contiguous block; the fields returned are ``np.moveaxis``
+    views of the two work arrays:
 
-    1. upward: every branch's (p, q) gathered at its to-bus, then one
-       in-place add per (branch, child) pair, leaves first, siblings in order;
+    1. upward: one in-place add per (branch, child) pair, leaves first,
+       siblings in order;
     2. drops: A p and B q as one stacked product each, A.T and B.T broadcast
-       over the leading axes, so that each (branch, leading index) is one
+       over the batch axes, so that each (branch, batch index) is one
        (T, 3) @ (3, 3) product, the same kernel call as a single branch's
        ``p @ A.T``.  A (1, 3) @ (3, 3) product per (t, branch) is not: it
        can differ in the last bit;
@@ -72,13 +79,12 @@ def _sweep(feeder: Feeder, p_bus: np.ndarray, q_bus: np.ndarray) -> Ld3fState:
     same order, so a batched row is bitwise the sweep of that row alone.
     """
     tables = feeder.sweep_tables()
-    flow = np.moveaxis(np.stack((p_bus, q_bus)), -2, 0)[tables.to_bus]
     for k, child in tables.children:
         flow[k] += flow[child]
-    shape = (len(tables.a_t),) + (1,) * (p_bus.ndim - 3) + (3, 3)
+    shape = (len(tables.a_t),) + (1,) * (flow.ndim - 4) + (3, 3)
     drop_p = np.matmul(flow[:, 0], tables.a_t.reshape(shape))
     drop_q = np.matmul(flow[:, 1], tables.b_t.reshape(shape))
-    omega = np.empty((p_bus.shape[-2],) + p_bus.shape[:-2] + (3,))
+    omega = np.empty((len(feeder.buses),) + flow.shape[2:])
     omega[feeder.bus_index(feeder.reference_bus)] = 1.0
     for k, i, j in tables.downward:
         omega[j] = omega[i] - drop_p[k] - drop_q[k]
@@ -89,10 +95,13 @@ def evaluate_series(feeder: Feeder, assignments: PhaseAssignment | list[PhaseAss
                     loads: LoadSeries) -> Ld3fState:
     """State of one assignment, (T, location, 3) arrays, or of a list of K
     from one sweep, (K, T, location, 3), row k bitwise assignment k's own."""
-    s = injection_series(feeder, assignments, loads) / feeder.base_power
-    if not isinstance(assignments, PhaseAssignment):
-        s = s.reshape(len(assignments), loads.horizon, *s.shape[1:])
-    return _sweep(feeder, s.real, s.imag)
+    phases, branch = batch_phases(feeder, assignments), feeder._user_branch
+    demand, k = loads.demand_of(feeder._user_ids, pq=True), np.arange(len(phases))[:, None]
+    flow = np.zeros((len(feeder.branches), 2, len(phases), loads.horizon, 3))
+    for layer in (j[branch[j] >= 0] for j in feeder._user_layers):
+        flow[branch[layer], :, k, :, phases[:, layer]] += demand[layer]
+    flow *= 1.0 / feeder.base_power
+    return _sweep(feeder, flow[:, :, 0] if isinstance(assignments, PhaseAssignment) else flow)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +127,18 @@ def sensitivity(feeder: Feeder, loads: LoadSeries) -> AffineSensitivity:
     One sweep covers the fixed users; one batched sweep covers a stack of
     (n_pr, 3) single-user load sets, user u alone on phase ph+1.
     """
-    pr = feeder.reconfigurable_users()
-    shape = (loads.horizon, len(feeder.buses), 3)
+    branch, at = feeder._user_branch, feeder._reconfigurable_at
+    demand = loads.demand_of(feeder._user_ids, pq=True) / feeder.base_power
     # baseline: every non-reconfigurable user at its original phase
-    p_bus, q_bus = np.zeros(shape), np.zeros(shape)
-    for u in feeder.users:
-        if u.reconfigurable:
-            continue
-        col = loads.column(u.id)
-        b = feeder.bus_index(u.bus)
-        p_bus[:, b, u.original_phase - 1] += loads.p[:, col] / feeder.base_power
-        q_bus[:, b, u.original_phase - 1] += loads.q[:, col] / feeder.base_power
-    base = _sweep(feeder, p_bus, q_bus)
-    p_one, q_one = np.zeros((len(pr), 3) + shape), np.zeros((len(pr), 3) + shape)
-    ph = np.arange(3)
-    for i, u in enumerate(pr):
-        col = loads.column(u.id)
-        b = feeder.bus_index(u.bus)
-        p_one[i, ph, :, b, ph] = loads.p[:, col] / feeder.base_power
-        q_one[i, ph, :, b, ph] = loads.q[:, col] / feeder.base_power
-    one = _sweep(feeder, p_one, q_one)
+    flow0 = np.zeros((len(feeder.branches), 2, loads.horizon, 3))
+    for i, u in enumerate(feeder.users):
+        if not u.reconfigurable and branch[i] >= 0:
+            flow0[branch[i], :, :, feeder._user_phase[i]] += demand[i]
+    base = _sweep(feeder, flow0)
+    one, ph = np.zeros((len(feeder.branches), 2, len(at), 3, loads.horizon, 3)), np.arange(3)
+    on = np.flatnonzero(branch[at] >= 0)[:, None]  # reconfigurable users off the reference
+    one[branch[at[on]], :, on, ph, :, ph] = demand[at[on]]
+    one = _sweep(feeder, one)
     # increments are relative to the no-load plane omega = 1
     return AffineSensitivity(omega0=base.omega, d_omega=one.omega - 1.0,
                              flow0_p=base.flow_p, flow0_q=base.flow_q,

@@ -279,12 +279,13 @@ class Feeder:
         at = sorted((i for i, u in enumerate(self.users) if u.reconfigurable),
                     key=lambda i: self.users[i].id)
         object.__setattr__(self, "_reconfigurable", tuple(self.users[i] for i in at))
-        # per user, its injection slot 3 * bus + phase - 1 on the flat (bus,
-        # phase) axis, at phase 0 if reconfigurable; layer j holds the j-th
-        # user of every bus, so no two users of a layer share a slot
-        object.__setattr__(self, "_user_slot", np.array(
-            [3 * bus_index[u.bus] - 1 + (0 if u.reconfigurable else u.original_phase)
-             for u in self.users], dtype=int))
+        # per user: its bus, the branch into it (-1 at the reference) and its
+        # original phase - 1; layer j holds the j-th user of each bus, one per bus
+        into = {br.to_bus: k for k, br in enumerate(order)}
+        for name, values in (("_user_bus", [bus_index[u.bus] for u in self.users]),
+                             ("_user_branch", [into.get(u.bus, -1) for u in self.users]),
+                             ("_user_phase", [u.original_phase - 1 for u in self.users])):
+            object.__setattr__(self, name, np.array(values, dtype=int))
         object.__setattr__(self, "_reconfigurable_at", np.array(at, dtype=int))
         object.__setattr__(self, "_user_ids", tuple(u.id for u in self.users))
         object.__setattr__(self, "_user_layers", tuple(
@@ -424,13 +425,19 @@ class LoadSeries:
         """Complex demand p + jq in W / var, one contiguous (T,) row per column."""
         return np.ascontiguousarray((self.p + 1j * self.q).T)
 
-    def demand_of(self, user_ids: tuple[str, ...]) -> np.ndarray:
-        """``user_demand`` rows of ``user_ids`` in order, gathered once per tuple."""
-        if user_ids not in self._rows:
-            rows = self.user_demand[[self.column(u) for u in user_ids]]
+    @functools.cached_property
+    def user_demand_pq(self) -> np.ndarray:
+        """Real demand (n_users, 2, T): ``user_demand``'s p and q rows per column."""
+        return np.ascontiguousarray(np.stack((self.p.T, self.q.T), axis=1))
+
+    def demand_of(self, user_ids: tuple[str, ...], pq: bool = False) -> np.ndarray:
+        """``user_demand`` (or ``user_demand_pq``) rows of ``user_ids`` in order, cached."""
+        if (user_ids, pq) not in self._rows:
+            rows = (self.user_demand_pq if pq else self.user_demand)[
+                [self.column(u) for u in user_ids]]
             rows.setflags(write=False)
-            self._rows[user_ids] = rows
-        return self._rows[user_ids]
+            self._rows[user_ids, pq] = rows
+        return self._rows[user_ids, pq]
 
     @functools.cached_property
     def mean_p(self) -> np.ndarray:
@@ -449,27 +456,34 @@ class LoadSeries:
 # -- injections ------------------------------------------------------------
 
 
-def injection_series(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment],
-                     loads: LoadSeries) -> np.ndarray:
-    """Complex (K * T, n_buses, 3) injections in watts of K assignments,
-    candidate-major (one assignment is a batch of one), buses in
-    feeder.buses order.  Each (bus, phase) adds its users in feeder.users
-    order from +0, one scatter per layer (the j-th user of every bus) over
-    all candidates, so each candidate's rows are bitwise its own call's."""
+def batch_phases(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment]):
+    """(K, n_users) phase - 1 of each of ``feeder.users`` under K assignments
+    (one assignment is a batch of one); an empty batch is an error."""
     batch = (assignments,) if isinstance(assignments, PhaseAssignment) else assignments
     n = len(feeder.reconfigurable_users())
-    if any(len(a) != n for a in batch):
+    if not batch or any(len(a) != n for a in batch):
         raise ValidationError(f"phases {[len(a) for a in batch]} for {n} reconfigurable users")
+    phases = np.tile(feeder._user_phase, (len(batch), 1))
+    phases[:, feeder._reconfigurable_at] = np.array([a.phases for a in batch], dtype=int) - 1
+    return phases
+
+
+def injection_series(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment],
+                     loads: LoadSeries) -> np.ndarray:
+    """Complex (K * T, n_buses, 3) injections in watts of K assignments, the
+    exact power flow's input (the linear model scatters into its own layout):
+    candidate-major, buses in feeder.buses order.  Each (bus, phase) adds its
+    users in feeder.users order from +0, one scatter per layer (the j-th user
+    of every bus), so each candidate's rows are bitwise its own call's."""
+    phases = batch_phases(feeder, assignments)
     width = 3 * len(feeder.buses)
     # the out row of each (candidate, user) pair, candidate k's from k * width
-    slots = feeder._user_slot + width * np.arange(len(batch))[:, None]
-    phases = np.array([a.phases for a in batch], dtype=int).reshape(len(batch), n)
-    slots[:, feeder._reconfigurable_at] += phases
+    slots = 3 * feeder._user_bus + phases + width * np.arange(len(phases))[:, None]
     demand = loads.demand_of(feeder._user_ids)
-    out = np.zeros((len(batch) * width, loads.horizon), dtype=complex)
+    out = np.zeros((len(phases) * width, loads.horizon), dtype=complex)
     for layer in feeder._user_layers:
         out[slots[:, layer]] += demand[layer]
-    return out.reshape(len(batch), width, -1).transpose(0, 2, 1).reshape(-1, len(feeder.buses), 3)
+    return out.reshape(len(phases), width, -1).transpose(0, 2, 1).reshape(-1, len(feeder.buses), 3)
 
 
 # -- constraint configuration ----------------------------------------------

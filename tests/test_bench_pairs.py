@@ -71,3 +71,49 @@ def test_failed_runs_are_reported():
 def test_parse_result_takes_the_last_line():
     assert bench_pairs.parse_result(_stdout(0.3, 70.0))["metrics"]["plan_s"]["value"] == 0.3
     assert bench_pairs.parse_result("") == {}
+
+
+def test_workload_list_splits_on_commas():
+    assert bench_pairs.workload_list("ld3f_oracle") == ["ld3f_oracle"]
+    assert bench_pairs.workload_list("miqp_plan, ga_plan") == ["miqp_plan", "ga_plan"]
+    for bad in ("", "miqp_plan,", "ga_plan,,miqp_plan", "ga_plan,ga_plan"):
+        with pytest.raises(bench_pairs.argparse.ArgumentTypeError):
+            bench_pairs.workload_list(bad)
+
+
+def _checkouts(tmp_path):
+    dirs = []
+    for side in bench_pairs.SIDES:
+        os.makedirs(tmp_path / side / "perfbench")
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        dirs.append(str(tmp_path / side))
+    return dirs
+
+
+def test_main_prints_one_table_per_workload(tmp_path, monkeypatch, capsys):
+    # canned result lines: the change is faster on miqp_plan, and one of
+    # its ga_plan runs reports a failed op
+    plan = {("miqp_plan", "parent"): 0.2, ("miqp_plan", "change"): 0.1,
+            ("ga_plan", "parent"): 0.3, ("ga_plan", "change"): 0.3}
+    dirs, calls = _checkouts(tmp_path), []
+
+    def canned(checkout, workload, seed, seconds):
+        side = os.path.basename(checkout)
+        calls.append((workload, side))
+        failed = int(workload == "ga_plan" and side == "change" and len(calls) == 6)
+        return bench_pairs.parse_result(_stdout(plan[workload, side], 60.0, failed=failed))
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    code = bench_pairs.main(dirs + ["--workload", "miqp_plan,ga_plan", "--pairs", "2",
+                                    "--seconds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert calls == [("miqp_plan", "parent"), ("miqp_plan", "change"),
+                     ("miqp_plan", "change"), ("miqp_plan", "parent"),
+                     ("ga_plan", "parent"), ("ga_plan", "change"),
+                     ("ga_plan", "change"), ("ga_plan", "parent")]
+    assert lines[0] == "miqp_plan seed 7, 2 pairs of 1 s"
+    assert lines[2].startswith("plan_s") and "0.500" in lines[2] and "2/2" in lines[2]
+    assert lines[4] == "" and lines[5] == "ga_plan seed 7, 2 pairs of 1 s"
+    assert lines[7].startswith("plan_s") and "1.000" in lines[7] and "0/2" in lines[7]
+    assert lines[9:] == ["failed: pair 1 change: correct=True failed=1"]

@@ -10,7 +10,7 @@ from phasebal.dropmatrices import GAMMA_IM, GAMMA_RE, ab_matrices
 from phasebal.errors import ValidationError
 from phasebal.lindist import AffineSensitivity, _sweep, evaluate_series, sensitivity
 from phasebal.network import (Branch, Feeder, LoadSeries, PhaseAssignment, User,
-                              downstream_users, original_assignment)
+                              downstream_users, injection_series, original_assignment)
 from reference_impls import sensitivity_loop, sweep_by_branch
 from strategies import radial_cases
 
@@ -241,9 +241,13 @@ def test_batched_sweep_rows_equal_single_sweeps(case, lead):
     shape = lead + (loads.horizon, len(feeder.buses), 3)
     p_bus = rng.uniform(-0.5, 0.5, shape)
     q_bus = rng.uniform(-0.5, 0.5, shape)
-    batch = _sweep(feeder, p_bus, q_bus)
+
+    def flow(p, q):  # the sweep's branch-major input, a fresh array per call
+        return np.moveaxis(np.stack((p, q)), -2, 0)[feeder.sweep_tables().to_bus]
+
+    batch = _sweep(feeder, flow(p_bus, q_bus))
     for idx in np.ndindex(*lead):
-        one = _sweep(feeder, p_bus[idx], q_bus[idx])
+        one = _sweep(feeder, flow(p_bus[idx], q_bus[idx]))
         ref = sweep_by_branch(feeder, p_bus[idx], q_bus[idx])
         for got, single, expect in zip((batch.omega, batch.flow_p, batch.flow_q),
                                        (one.omega, one.flow_p, one.flow_q), ref):
@@ -270,6 +274,34 @@ def test_batched_evaluate_series_rows_equal_their_own_call(name, size, data):
     batch[short] = PhaseAssignment(batch[short].phases[:-1])
     with pytest.raises(ValidationError, match="reconfigurable users"):
         evaluate_series(feeder, batch, loads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_cases(), st.integers(1, 4), st.data())
+def test_evaluate_series_is_bitwise_the_complex_route(case, size, data):
+    # the real scatter and its reciprocal scale keep every bit of the
+    # complex injections divided by base_power; radial_cases puts users on
+    # the reference bus, several users on one bus, and fixed users
+    feeder, loads, _ = case
+    n = len(feeder.reconfigurable_users())
+    phases = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)
+    batch = [PhaseAssignment(p) for p in data.draw(st.lists(phases, min_size=size,
+                                                            max_size=size))]
+    state = evaluate_series(feeder, batch, loads)
+    for k, a in enumerate(batch):
+        s = injection_series(feeder, a, loads) / feeder.base_power
+        one = evaluate_series(feeder, a, loads)
+        for got, single, expect in zip((state.omega, state.flow_p, state.flow_q),
+                                       (one.omega, one.flow_p, one.flow_q),
+                                       sweep_by_branch(feeder, s.real, s.imag)):
+            assert got[k].shape == single.shape == expect.shape
+            assert got[k].tobytes() == single.tobytes() == expect.tobytes()
+
+
+def test_evaluate_series_rejects_an_empty_batch(line):
+    feeder, loads = line
+    with pytest.raises(ValidationError, match="reconfigurable users"):
+        evaluate_series(feeder, [], loads)
 
 
 # -- fidelity against exact PF (all fixtures) ---------------------------------

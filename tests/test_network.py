@@ -573,6 +573,12 @@ def test_injection_series_rejects_a_wrong_length_in_a_batch(two_bus):
         injection_series(feeder, [good, PhaseAssignment((1, 2))], loads)
 
 
+def test_injection_series_rejects_an_empty_batch(two_bus):
+    feeder, loads = two_bus
+    with pytest.raises(ValidationError, match="reconfigurable users"):
+        injection_series(feeder, [], loads)
+
+
 def test_user_phases_respects_fixed_users():
     feeder = Feeder(
         buses=["r", "b1"],

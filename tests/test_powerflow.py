@@ -359,6 +359,12 @@ def test_series_singleton(line):
     assert len(sols) == 1
 
 
+def test_series_rejects_an_empty_batch(two_bus):
+    feeder, loads = two_bus
+    with pytest.raises(ValidationError, match="reconfigurable users"):
+        solve_series(feeder, [], loads)
+
+
 def test_series_constant_loads_identical(two_bus):
     feeder, loads = two_bus
     sols = solve_series(feeder, PhaseAssignment((1, 2, 3)), loads)
