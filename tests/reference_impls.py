@@ -28,7 +28,6 @@ import numpy as np
 from phasebal.dropmatrices import ab_matrices
 from phasebal.errors import MetricError, ValidationError
 from phasebal.metrics import ZERO_MEAN_PU, denominator
-from phasebal.network import injection_series
 
 REF = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
 
@@ -62,7 +61,7 @@ def newton_pf(feeder, assignment, loads, t, tol=1e-12, max_iter=60):
     n_bus = len(feeder.buses)
     ref = feeder.bus_index(feeder.reference_bus)
     idx = np.array([k for k in range(3 * n_bus) if k // 3 != ref])
-    s_bus = injection_series(feeder, assignment, loads)[t]
+    s_bus = injection_series_sequential(feeder, assignment, loads)[t]
     s_inj = -(s_bus.reshape(-1) / feeder.base_power)[idx]
 
     u_full = np.tile(REF, n_bus)

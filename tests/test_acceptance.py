@@ -13,9 +13,10 @@ import pytest
 from phasebal import fixtures, ga, lindist, miqp, oracle, powerflow
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
-                              injection_series, original_assignment)
+                              original_assignment)
 from phasebal.problem import Problem, evaluate, evaluate_exact
-from reference_impls import i2r_losses_percent, newton_pf, ybus_by_hand
+from reference_impls import (i2r_losses_percent, injection_series_sequential, newton_pf,
+                             ybus_by_hand)
 
 BUDGET_DEFAULT = 5
 
@@ -197,7 +198,7 @@ def test_criterion_5_exact_pf():
         idx = np.array([k for k in range(3 * len(feeder.buses))
                         if k // 3 != ref])
         sols = powerflow.solve_series(feeder, a, loads)
-        s_all = injection_series(feeder, a, loads) / feeder.base_power
+        s_all = injection_series_sequential(feeder, a, loads) / feeder.base_power
         for t, sol in enumerate(sols):
             u = sol.u.reshape(-1)
             s_calc = (u * np.conj(y @ u))[idx]

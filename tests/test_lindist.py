@@ -10,8 +10,8 @@ from phasebal.dropmatrices import GAMMA_IM, GAMMA_RE, ab_matrices
 from phasebal.errors import ValidationError
 from phasebal.lindist import AffineSensitivity, _sweep, evaluate_series, sensitivity
 from phasebal.network import (Branch, Feeder, LoadSeries, PhaseAssignment, User,
-                              downstream_users, injection_series, original_assignment)
-from reference_impls import sensitivity_loop, sweep_by_branch
+                              downstream_users, original_assignment)
+from reference_impls import injection_series_sequential, sensitivity_loop, sweep_by_branch
 from strategies import radial_cases
 
 S3 = np.sqrt(3.0)
@@ -289,7 +289,7 @@ def test_evaluate_series_is_bitwise_the_complex_route(case, size, data):
                                                             max_size=size))]
     state = evaluate_series(feeder, batch, loads)
     for k, a in enumerate(batch):
-        s = injection_series(feeder, a, loads) / feeder.base_power
+        s = injection_series_sequential(feeder, a, loads) / feeder.base_power
         one = evaluate_series(feeder, a, loads)
         for got, single, expect in zip((state.omega, state.flow_p, state.flow_q),
                                        (one.omega, one.flow_p, one.flow_q),

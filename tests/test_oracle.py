@@ -16,10 +16,11 @@ from phasebal.lindist import Ld3fState
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (ConstraintConfig, LoadSeries, PhaseAssignment,
                               binary_feasible, completion_count, completions,
-                              injection_series, original_assignment)
+                              original_assignment)
 from phasebal.oracle import enumerate_optimal
 from phasebal.problem import Problem, evaluate
-from reference_impls import aggregate_per_call, metric_values_ld3f_per_call, sweep_by_branch
+from reference_impls import (aggregate_per_call, injection_series_sequential,
+                             metric_values_ld3f_per_call, sweep_by_branch)
 from strategies import radial_cases
 
 
@@ -149,7 +150,7 @@ def _reference_ranking(prob):
     for phases in itertools.product((1, 2, 3), repeat=len(c0)):
         if sum(p != p0 for p, p0 in zip(phases, c0)) > prob.constraints.delta_max:
             continue
-        s = injection_series(feeder, PhaseAssignment(phases), loads) / feeder.base_power
+        s = injection_series_sequential(feeder, PhaseAssignment(phases), loads) / feeder.base_power
         state = Ld3fState(*sweep_by_branch(feeder, s.real, s.imag))
         values = metric_values_ld3f_per_call(prob.objective, feeder, loads, state)
         scored.append((aggregate_per_call(prob.objective, values), phases))

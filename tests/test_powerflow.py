@@ -11,12 +11,12 @@ from phasebal.ga import FitnessEvaluator
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
-                              PhaseAssignment, User, injection_series, original_assignment)
+                              PhaseAssignment, User, original_assignment)
 from phasebal.powerflow import (DEFAULT_TOL, REFERENCE_PHASORS, _row_products, losses,
                                 solve_series)
 from phasebal.problem import Problem, check_operational, evaluate_exact
-from reference_impls import (check_operational_per_step, i2r_losses_percent, newton_pf,
-                             ybus_by_hand)
+from reference_impls import (check_operational_per_step, i2r_losses_percent,
+                             injection_series_sequential, newton_pf, ybus_by_hand)
 from strategies import radial_cases
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
@@ -160,7 +160,7 @@ def test_node_power_balance(line):
     feeder, loads = line
     a = original_assignment(feeder)
     sol = solve_step(feeder, a, loads, 18, tol=1e-10)
-    s_spec = injection_series(feeder, a, loads)[18] / feeder.base_power
+    s_spec = injection_series_sequential(feeder, a, loads)[18] / feeder.base_power
     for b, bus in enumerate(feeder.buses):
         if bus == feeder.reference_bus:
             continue
@@ -439,7 +439,8 @@ def test_block_with_every_exit_matches_one_column_solves(name, collapse, stall):
     # each step's stored iterate is the one its mismatch was measured at
     u = series.u.reshape(len(steps), -1)
     s_calc = u * np.conj(u @ ybus_by_hand(feeder).T)
-    s_load = injection_series(feeder, a, block).reshape(len(steps), -1) / feeder.base_power
+    s_load = (injection_series_sequential(feeder, a, block).reshape(len(steps), -1)
+              / feeder.base_power)
     other = np.repeat([b != feeder.reference_bus for b in feeder.buses], 3)
     assert np.allclose(np.abs(s_calc + s_load)[:, other].max(axis=1), series.max_mismatch,
                        rtol=1e-6, atol=1e-10)
@@ -470,7 +471,8 @@ def test_reported_mismatch_is_the_ybus_residual(name):
     for a in batch:
         series = solve_series(feeder, a, loads)
         u = series.u.reshape(len(series), -1)
-        s_load = injection_series(feeder, a, loads).reshape(len(series), -1) / feeder.base_power
+        s_load = (injection_series_sequential(feeder, a, loads).reshape(len(series), -1)
+                  / feeder.base_power)
         residual = np.abs(u * np.conj(u @ y.T) + s_load)[:, other].max(axis=1)
         assert np.abs(series.max_mismatch - residual).max() <= 1e-12, a.phases
         assert (residual[series.converged] <= DEFAULT_TOL).all(), a.phases
