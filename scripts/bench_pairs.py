@@ -16,11 +16,15 @@ say; the workloads run one after another, each with all its pairs, and
 each prints its own table as soon as its pairs are done.  It exits 1 if
 any run failed: a nonzero exit, no result line, ``correct: false`` or
 ``failed > 0``.  The runs write no bytecode, so nothing lands under either
-checkout's ``perfbench/``.
+checkout's ``perfbench/``.  ``--json PATH`` also writes every table (each
+metric's quartiles, ratio, wins and pairs, and the failed runs) with the
+seed, the seconds, the pairs asked for, ``os.cpu_count()`` and both
+directories as given, rewritten as each workload finishes.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -134,6 +138,21 @@ def report(workload: str, seed: int, seconds: float, pairs, better=None) -> list
             + [f"failed: {line}" for line in failures(pairs)])
 
 
+def write_json(path: str, args, tables) -> None:
+    """The run's settings and each ``(workload, rows, failed runs)`` table;
+    a ratio without a parent median is null."""
+    workloads = [{"workload": workload, "failed": failed,
+                  "metrics": [{**r, "ratio": None if math.isnan(r["ratio"]) else r["ratio"]}
+                              for r in rows]}
+                 for workload, rows, failed in tables]
+    doc = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+           "cpu_count": os.cpu_count(), "parent_dir": args.parent_dir,
+           "change_dir": args.change_dir, "workloads": workloads}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir")
@@ -143,6 +162,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--json", metavar="PATH", help="also write every table to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
@@ -150,13 +170,15 @@ def main(argv=None) -> int:
     for d in dirs:
         if not os.path.isfile(os.path.join(d, "perfbench", "run.py")):
             parser.error(f"{d} has no perfbench/run.py")
-    better, failed = declared_directions(args.change_dir), False
+    better, tables = declared_directions(args.change_dir), []
     for k, workload in enumerate(args.workload):
         pairs = run_pairs(dirs, workload, args.seed, args.pairs, args.seconds)
         print(("\n" if k else "") + "\n".join(report(workload, args.seed, args.seconds,
                                                       pairs, better)), flush=True)
-        failed = failed or bool(failures(pairs))
-    return 1 if failed else 0
+        tables.append((workload, summarize(pairs, better), failures(pairs)))
+        if args.json:
+            write_json(args.json, args, tables)
+    return 1 if any(failed for _, _, failed in tables) else 0
 
 
 if __name__ == "__main__":

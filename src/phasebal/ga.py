@@ -14,10 +14,10 @@ the seed, and repeated candidates are served from a memo cache (cache
 hits still count against the fitness-call budget).
 
 A generation's unique, budget-feasible candidates are solved in chunks of
-at most ``CHUNK_ROWS`` power-flow rows, each as one stacked block, and
-each candidate's slice goes through ``evaluate_exact``.  A stacked step
-equals its own solve bitwise, so no fitness depends on the chunking; with
-``threads > 1`` the chunks are spread over the workers.
+at most ``problem.CHUNK_ROWS["exact"]`` power-flow rows, each as one
+stacked block, and each candidate's slice goes through ``evaluate_exact``.
+A stacked step equals its own solve bitwise, so no fitness depends on the
+chunking; with ``threads > 1`` the chunks are spread over the workers.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ import numpy as np
 from .errors import ValidationError
 from .network import (PhaseAssignment, binary_feasible, feasible_mask, fixed_phase_counts,
                       original_assignment)
-from .problem import Problem, batch_states, evaluate_exact
-
-CHUNK_ROWS = 96  # candidates x timesteps per block; larger blocks raise peak memory
+from .problem import CHUNK_ROWS, Problem, batch_states, evaluate_exact
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class FitnessEvaluator:
         if unique:
             ok = feasible_mask(unique, *self._mask_args)
             todo = [c for c, good in zip(unique, ok) if good]
-            size = max(1, CHUNK_ROWS // self.problem.loads.horizon)
+            size = max(1, CHUNK_ROWS["exact"] // self.problem.loads.horizon)
             chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
             if threads > 1 and len(chunks) > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -28,14 +28,8 @@ in the injections, so the map from a one-hot phase choice matrix to
 superposing increments reproduces a direct evaluation to floating-point
 accuracy.
 
-``_sweep`` takes its loads in its own branch-major work layout, flow
-(branch, p/q, ..., T, 3): each branch holds the per-unit load at its
-to-bus, so users at the reference bus feed none.  ``evaluate_series``
-scatters the users' watts into flow layer by layer, summing from +0, then
-scales it in place by ``1.0 / base_power``: numpy's complex / real
-multiplies each part by that reciprocal, so flow is bitwise the parts of
-``injection_series(...) / base_power``, where ``p / base_power`` is not.
-``sensitivity`` scatters each user's own ``demand / base_power``.
+``_sweep`` takes ``network.injection_series``'s branch-major load block,
+the exact power flow's input too; ``sensitivity`` builds its own.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Feeder, LoadSeries, PhaseAssignment, batch_phases
+from .network import Feeder, LoadSeries, PhaseAssignment, injection_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +54,11 @@ def _sweep(feeder: Feeder, flow: np.ndarray) -> Ld3fState:
     """Accumulate downstream flows, then sweep omega out from the reference.
 
     flow: (n_branches, 2, ..., T, 3) per-unit (p, q) load (consumption
-    positive) at each branch's to-bus, the axes between a batch of load
-    sets; it becomes the flows in place.  Three passes over the feeder's
-    ``SweepTables``, omega as (bus, ..., T, 3), so that each per-branch
-    update is one contiguous block; the fields returned are ``np.moveaxis``
-    views of the two work arrays:
+    positive) at each branch's to-bus, ``injection_series``'s layout, the
+    axes between a batch of load sets; it becomes the flows in place.  Three
+    passes over the feeder's ``SweepTables``, omega as (bus, ..., T, 3), so
+    that each per-branch update is one contiguous block; the fields returned
+    are ``np.moveaxis`` views of the two work arrays:
 
     1. upward: one in-place add per (branch, child) pair, leaves first,
        siblings in order;
@@ -95,12 +89,7 @@ def evaluate_series(feeder: Feeder, assignments: PhaseAssignment | list[PhaseAss
                     loads: LoadSeries) -> Ld3fState:
     """State of one assignment, (T, location, 3) arrays, or of a list of K
     from one sweep, (K, T, location, 3), row k bitwise assignment k's own."""
-    phases, branch = batch_phases(feeder, assignments), feeder._user_branch
-    demand, k = loads.demand_of(feeder._user_ids, pq=True), np.arange(len(phases))[:, None]
-    flow = np.zeros((len(feeder.branches), 2, len(phases), loads.horizon, 3))
-    for layer in (j[branch[j] >= 0] for j in feeder._user_layers):
-        flow[branch[layer], :, k, :, phases[:, layer]] += demand[layer]
-    flow *= 1.0 / feeder.base_power
+    flow = injection_series(feeder, assignments, loads)
     return _sweep(feeder, flow[:, :, 0] if isinstance(assignments, PhaseAssignment) else flow)
 
 
@@ -128,7 +117,7 @@ def sensitivity(feeder: Feeder, loads: LoadSeries) -> AffineSensitivity:
     (n_pr, 3) single-user load sets, user u alone on phase ph+1.
     """
     branch, at = feeder._user_branch, feeder._reconfigurable_at
-    demand = loads.demand_of(feeder._user_ids, pq=True) / feeder.base_power
+    demand = loads.demand_of(feeder._user_ids) / feeder.base_power
     # baseline: every non-reconfigurable user at its original phase
     flow0 = np.zeros((len(feeder.branches), 2, loads.horizon, 3))
     for i, u in enumerate(feeder.users):

@@ -159,9 +159,11 @@ class PFTables:
     that axis, ``y_nn`` is the Y-bus reduced to them, ``z_nn`` its inverse
     and ``slack_rhs`` their coupling to the reference phasors; ``z_nn_t``
     is the contiguous transpose of ``z_nn``, the right operand of the
-    iteration's row product.  ``limits`` holds each branch's (apparent
-    power, current) limit per-unit, ``inf`` where none is given.  Branch
-    arrays follow ``feeder.branches`` order.
+    iteration's row product.  ``load_at`` holds each ``other`` entry's
+    (branch, phase) in ``injection_series``'s block: every non-reference bus
+    is one branch's to-bus.  ``limits`` holds each branch's (apparent power,
+    current) limit per-unit, ``inf`` where none is given.  Branch arrays
+    follow ``feeder.branches`` order.
     """
 
     def __init__(self, feeder: Feeder):
@@ -180,6 +182,7 @@ class PFTables:
         self.z_nn = np.linalg.inv(self.y_nn)
         self.z_nn_t = np.ascontiguousarray(self.z_nn.T)
         self.slack_rhs = y[np.ix_(self.other, ref)] @ REFERENCE_PHASORS
+        self.load_at = (np.repeat(np.argsort(feeder.sweep_tables().to_bus), 3), self.other % 3)
         self.limits = np.array([[np.inf if lim is None else lim / base for lim, base in
                                  ((br.power_limit_va, feeder.base_power),
                                   (br.ampacity_a, feeder.i_base))]
@@ -279,17 +282,17 @@ class Feeder:
         at = sorted((i for i, u in enumerate(self.users) if u.reconfigurable),
                     key=lambda i: self.users[i].id)
         object.__setattr__(self, "_reconfigurable", tuple(self.users[i] for i in at))
-        # per user: its bus, the branch into it (-1 at the reference) and its
-        # original phase - 1; layer j holds the j-th user of each bus, one per bus
+        # per user: the branch into its bus (-1 at the reference) and its original
+        # phase - 1; layer j holds the j-th user of each bus off the reference
         into = {br.to_bus: k for k, br in enumerate(order)}
-        for name, values in (("_user_bus", [bus_index[u.bus] for u in self.users]),
-                             ("_user_branch", [into.get(u.bus, -1) for u in self.users]),
+        for name, values in (("_user_branch", [into.get(u.bus, -1) for u in self.users]),
                              ("_user_phase", [u.original_phase - 1 for u in self.users])):
             object.__setattr__(self, name, np.array(values, dtype=int))
         object.__setattr__(self, "_reconfigurable_at", np.array(at, dtype=int))
         object.__setattr__(self, "_user_ids", tuple(u.id for u in self.users))
         object.__setattr__(self, "_user_layers", tuple(
-            np.flatnonzero(np.equal(place, j)) for j in range(max(place, default=-1) + 1)))
+            np.flatnonzero(np.equal(place, j) & (self._user_branch >= 0))
+            for j in range(max(place, default=-1) + 1)))
 
     # -- bases -------------------------------------------------------------
 
@@ -422,22 +425,16 @@ class LoadSeries:
 
     @functools.cached_property
     def user_demand(self) -> np.ndarray:
-        """Complex demand p + jq in W / var, one contiguous (T,) row per column."""
-        return np.ascontiguousarray((self.p + 1j * self.q).T)
-
-    @functools.cached_property
-    def user_demand_pq(self) -> np.ndarray:
-        """Real demand (n_users, 2, T): ``user_demand``'s p and q rows per column."""
+        """Real demand in W / var, (n_users, 2, T): each column's p and q rows."""
         return np.ascontiguousarray(np.stack((self.p.T, self.q.T), axis=1))
 
-    def demand_of(self, user_ids: tuple[str, ...], pq: bool = False) -> np.ndarray:
-        """``user_demand`` (or ``user_demand_pq``) rows of ``user_ids`` in order, cached."""
-        if (user_ids, pq) not in self._rows:
-            rows = (self.user_demand_pq if pq else self.user_demand)[
-                [self.column(u) for u in user_ids]]
+    def demand_of(self, user_ids: tuple[str, ...]) -> np.ndarray:
+        """``user_demand`` of ``user_ids`` in order, (len, 2, T), cached per id tuple."""
+        if user_ids not in self._rows:
+            rows = self.user_demand[[self.column(u) for u in user_ids]]
             rows.setflags(write=False)
-            self._rows[user_ids, pq] = rows
-        return self._rows[user_ids, pq]
+            self._rows[user_ids] = rows
+        return self._rows[user_ids]
 
     @functools.cached_property
     def mean_p(self) -> np.ndarray:
@@ -456,34 +453,29 @@ class LoadSeries:
 # -- injections ------------------------------------------------------------
 
 
-def batch_phases(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment]):
-    """(K, n_users) phase - 1 of each of ``feeder.users`` under K assignments
-    (one assignment is a batch of one); an empty batch is an error."""
+def injection_series(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment],
+                     loads: LoadSeries) -> np.ndarray:
+    """Per-unit real (n_branches, 2, K, T, 3) loads of K assignments, the
+    input of both evaluators (linear sweep and exact power flow): branch k
+    holds the (p, q) demand at its to-bus, so users at the reference bus add
+    nothing.  Each (branch, phase) adds its users in feeder.users order from
+    +0, one scatter per layer (the j-th user of every bus), then the block is
+    scaled in place by ``1.0 / base_power``: numpy's complex / real multiplies
+    each part by that reciprocal, so every part is bitwise that of the
+    complex (p + jq) sum / base_power, where ``p / base_power`` is not.  Each
+    candidate's block is its own call's; one assignment is a batch of one."""
     batch = (assignments,) if isinstance(assignments, PhaseAssignment) else assignments
     n = len(feeder.reconfigurable_users())
     if not batch or any(len(a) != n for a in batch):
         raise ValidationError(f"phases {[len(a) for a in batch]} for {n} reconfigurable users")
     phases = np.tile(feeder._user_phase, (len(batch), 1))
     phases[:, feeder._reconfigurable_at] = np.array([a.phases for a in batch], dtype=int) - 1
-    return phases
-
-
-def injection_series(feeder: Feeder, assignments: PhaseAssignment | Sequence[PhaseAssignment],
-                     loads: LoadSeries) -> np.ndarray:
-    """Complex (K * T, n_buses, 3) injections in watts of K assignments, the
-    exact power flow's input (the linear model scatters into its own layout):
-    candidate-major, buses in feeder.buses order.  Each (bus, phase) adds its
-    users in feeder.users order from +0, one scatter per layer (the j-th user
-    of every bus), so each candidate's rows are bitwise its own call's."""
-    phases = batch_phases(feeder, assignments)
-    width = 3 * len(feeder.buses)
-    # the out row of each (candidate, user) pair, candidate k's from k * width
-    slots = 3 * feeder._user_bus + phases + width * np.arange(len(phases))[:, None]
+    branch, k = feeder._user_branch, np.arange(len(batch))[:, None]
     demand = loads.demand_of(feeder._user_ids)
-    out = np.zeros((len(phases) * width, loads.horizon), dtype=complex)
+    flow = np.zeros((len(feeder.branches), 2, len(batch), loads.horizon, 3))
     for layer in feeder._user_layers:
-        out[slots[:, layer]] += demand[layer]
-    return out.reshape(len(phases), width, -1).transpose(0, 2, 1).reshape(-1, len(feeder.buses), 3)
+        flow[branch[layer], :, k, :, phases[:, layer]] += demand[layer]
+    return np.multiply(flow, 1.0 / feeder.base_power, out=flow)
 
 
 # -- constraint configuration ----------------------------------------------

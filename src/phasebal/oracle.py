@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InfeasibleProgramError, ValidationError
 from .network import (PhaseAssignment, completion_count, completions, feasible_mask,
                       fixed_phase_counts, original_assignment)
-from .problem import EVALUATORS, Problem, batch_states, evaluate
+from .problem import CHUNK_ROWS, EVALUATORS, Problem, batch_states, evaluate
 
 DEFAULT_CAP = 10 ** 6
-CHUNK_ROWS = {"exact": 96, "ld3f": 384}  # configurations x timesteps per batched state
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ one time-major block, one row per active step; a step leaves it, and is
 written out, once converged or flagged as collapsed, so it takes the
 iterations of an independent solve.  K assignments (the GA's chunks)
 stack into K * T rows, candidate k's at ``series[k * T:(k + 1) * T]``.
+The loads are ``network.injection_series``'s per-unit branch-major block,
+the linear model's input too, gathered once into the reduced injections.
 A step's result must not depend on the block's width or other rows.  A
 whole-block BLAS ``@`` picks its kernel and summation order by the
 block's shape, so each row is multiplied on its own (``_row_products``):
@@ -105,16 +107,24 @@ def _row_products(x: np.ndarray, m_t: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], m_t)[:, 0]
 
 
-def _solve_block(feeder: Feeder, s_bus_w: np.ndarray, tol: float, max_iter: int) -> PFSeries:
-    """Solve each timestep of the (T, n_buses, 3) injections as one block row."""
+def _injections(pf, flow: np.ndarray) -> np.ndarray:
+    """Complex (K * T, n) net injections, C order (unit-stride rows, as BLAS
+    takes them uncopied): each reduced (bus, phase) entry gathers its branch's
+    (p, q) rows through ``pf.load_at``, negated, as loads consume."""
+    load = flow[pf.load_at[0], :, :, :, pf.load_at[1]].reshape(len(pf.other), 2, -1)
+    sa = np.empty((load.shape[2], len(pf.other)), dtype=complex)
+    np.negative(load[:, 0].T, out=sa.real)
+    np.negative(load[:, 1].T, out=sa.imag)
+    return sa
+
+
+def _solve_block(feeder: Feeder, flow: np.ndarray, tol: float, max_iter: int) -> PFSeries:
+    """Solve each (candidate, timestep) of ``injection_series``'s per-unit
+    (n_branches, 2, K, T, 3) loads as one block row."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    pf = feeder.pf_tables
-    horizon, n_buses = s_bus_w.shape[:2]
-    # loads consume, so the net injection is negative.  The column gather
-    # returns column-major blocks; in C order each row, and each row of the
-    # temporaries made from it, is unit-stride, as BLAS takes it uncopied
-    sa = np.ascontiguousarray(-(s_bus_w.reshape(horizon, -1) / feeder.base_power)[:, pf.other])
+    sa = _injections(feeder.pf_tables, flow)
+    pf, horizon, n_buses = feeder.pf_tables, len(sa), len(feeder.buses)
     u = np.tile(REFERENCE_PHASORS, (horizon, n_buses))
     ua = np.ascontiguousarray(u[:, pf.other])
     converged, iterations = np.zeros(horizon, dtype=bool), np.zeros(horizon, dtype=int)

@@ -117,3 +117,44 @@ def test_main_prints_one_table_per_workload(tmp_path, monkeypatch, capsys):
     assert lines[4] == "" and lines[5] == "ga_plan seed 7, 2 pairs of 1 s"
     assert lines[7].startswith("plan_s") and "1.000" in lines[7] and "0/2" in lines[7]
     assert lines[9:] == ["failed: pair 1 change: correct=True failed=1"]
+
+
+def test_json_holds_every_table_and_the_settings(tmp_path, monkeypatch, capsys):
+    plan = {"parent": 0.2, "change": 0.1}
+    dirs = _checkouts(tmp_path)
+
+    def canned(checkout, workload, seed, seconds):
+        side = os.path.basename(checkout)
+        failed = int(workload == "ga_plan" and side == "parent")
+        return bench_pairs.parse_result(_stdout(plan[side], 60.0, failed=failed))
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    path = tmp_path / "bench.json"
+    code = bench_pairs.main(dirs + ["--workload", "miqp_plan,ga_plan", "--pairs", "3",
+                                    "--seconds", "2", "--seed", "3", "--json", str(path)])
+    out = capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert code == 1
+    assert {k: doc[k] for k in ("seed", "seconds", "pairs", "parent_dir", "change_dir")} == {
+        "seed": 3, "seconds": 2.0, "pairs": 3, "parent_dir": dirs[0], "change_dir": dirs[1]}
+    assert doc["cpu_count"] == os.cpu_count()
+    assert [w["workload"] for w in doc["workloads"]] == ["miqp_plan", "ga_plan"]
+    miqp, ga = doc["workloads"]
+    assert miqp["failed"] == [] and ga["failed"] == [
+        f"pair {k} parent: correct=True failed=1" for k in (1, 2, 3)]
+    rows = {r["metric"]: r for r in miqp["metrics"]}
+    assert rows["plan_s"] == {"metric": "plan_s", "unit": "s", "parent": [0.2, 0.2, 0.2],
+                              "change": [0.1, 0.1, 0.1], "ratio": 0.5, "wins": 3, "pairs": 3}
+    assert rows["peak_rss_mb"]["wins"] == 0 and rows["peak_rss_mb"]["ratio"] == 1.0
+    # the printed tables carry the same numbers
+    assert "0.500" in out and "3/3" in out
+
+
+def test_json_writes_a_ratio_without_a_parent_median_as_null(tmp_path):
+    pairs = _pairs([0.0, 0.0], [0.1, 0.1], [60.0, 60.0], [60.0, 60.0])
+    args = bench_pairs.argparse.Namespace(seed=7, seconds=1.0, pairs=2, parent_dir="a",
+                                          change_dir="b")
+    path = tmp_path / "bench.json"
+    bench_pairs.write_json(str(path), args, [("ld3f_oracle", bench_pairs.summarize(pairs), [])])
+    rows = {r["metric"]: r for r in json.loads(path.read_text())["workloads"][0]["metrics"]}
+    assert rows["plan_s"]["ratio"] is None and rows["peak_rss_mb"]["ratio"] == 1.0

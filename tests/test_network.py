@@ -368,27 +368,38 @@ def const_loads(user_ids, watts, horizon=2):
     return fixtures.LoadSeries(tuple(user_ids), p, np.zeros_like(p))
 
 
+def at_branches(feeder, s):
+    """The (n_branches, 2, T, 3) real and imaginary parts of complex
+    (T, n_buses, 3) watts s / base_power at each branch's to-bus."""
+    s = s[:, [feeder.bus_index(br.to_bus) for br in feeder.branches]] / feeder.base_power
+    return np.moveaxis(np.stack((s.real, s.imag)), 2, 0)
+
+
 def test_injection_one_hot_placement():
     feeder = one_user_feeder(phase=2)
     loads = const_loads(["u1"], 1000.0)
-    s = injection_series(feeder, PhaseAssignment((2,)), loads.slice_window(0, 1))[0]
-    assert np.allclose(s[feeder.bus_index("b1")], [0, 1000 + 0j, 0])
+    s = injection_series(feeder, PhaseAssignment((2,)), loads.slice_window(0, 1))
+    b1 = feeder.branch_index(feeder.branch("r", "b1"))
+    assert np.allclose(s[b1, :, 0, 0] * feeder.base_power, [[0, 1000, 0], [0, 0, 0]])
 
 
 def test_injection_passive_bus_zero(line):
     feeder, loads = line
-    s = injection_series(feeder, original_assignment(feeder), loads.slice_window(0, 1))[0]
-    # the reference bus carries no load injection
-    assert np.allclose(s[feeder.bus_index("r")], 0.0)
+    s = injection_series(feeder, original_assignment(feeder), loads.slice_window(0, 1))
+    # one slot per non-reference bus: the reference bus carries no load
+    # injection, and neither does a phase without users
+    assert s.shape == (len(feeder.buses) - 1, 2, 1, 1, 3)
+    assert np.all(s[..., 1:] == 0.0) and np.all(s[:, 0, ..., 0] > 0.0)
 
 
 def test_injection_additive_same_phase(two_bus):
     feeder, _ = two_bus
     loads = const_loads(["u1", "u2", "u3"], 1000.0)
-    s = injection_series(feeder, PhaseAssignment((1, 1, 1)), loads.slice_window(0, 1))[0]
-    assert np.allclose(s[feeder.bus_index("b1")], [3000 + 0j, 0, 0])
-    two = injection_series(feeder, PhaseAssignment((1, 1, 2)), loads.slice_window(0, 1))[0]
-    assert np.allclose(two[feeder.bus_index("b1")], [2000 + 0j, 1000 + 0j, 0])
+    b1 = feeder.branch_index(feeder.branch("r", "b1"))
+    s = injection_series(feeder, PhaseAssignment((1, 1, 1)), loads.slice_window(0, 1))
+    assert np.allclose(s[b1, :, 0, 0] * feeder.base_power, [[3000, 0, 0], [0, 0, 0]])
+    two = injection_series(feeder, PhaseAssignment((1, 1, 2)), loads.slice_window(0, 1))
+    assert np.allclose(two[b1, :, 0, 0] * feeder.base_power, [[2000, 1000, 0], [0, 0, 0]])
 
 
 def test_injection_bad_timestep(two_bus):
@@ -527,10 +538,11 @@ def test_injection_series_matches_loop(twenty_user):
             col = loads.column(u.id)
             expected[:, feeder.bus_index(u.bus), phases[u.id] - 1] += (
                 loads.p[:, col] + 1j * loads.q[:, col])
-        assert np.array_equal(injection_series(feeder, a, loads), expected)
+        expected = at_branches(feeder, expected)
+        assert np.array_equal(injection_series(feeder, a, loads)[:, :, 0], expected)
         for t in range(loads.horizon):
             one = injection_series(feeder, a, loads.slice_window(t, t + 1))
-            assert np.array_equal(one[0], expected[t])
+            assert np.array_equal(one[:, :, 0, 0], expected[:, :, t])
 
 
 @given(case=radial_cases(), horizon=st.sampled_from([1, 12, 720]), crowd=st.booleans(),
@@ -538,10 +550,12 @@ def test_injection_series_matches_loop(twenty_user):
 @settings(max_examples=60, deadline=None)
 def test_injection_series_is_bitwise_the_sequential_sum(case, horizon, crowd, data):
     """Users sharing a (bus, phase) add up in feeder.users order, zeros of
-    both signs included, whatever the horizon and the load column order;
-    each candidate of a batch gets exactly the rows of its own sum.  A
-    crowded feeder has every user, fixed ones included, on one bus, and its
-    first candidate puts every reconfigurable user on phase 1."""
+    both signs included, whatever the horizon and the load column order:
+    each branch's parts are bitwise the sequential sum / base_power at its
+    to-bus, so users at the reference bus add nothing, and each candidate
+    of a batch gets exactly the block of its own sum.  A crowded feeder has
+    every user, fixed ones included, on one bus, and its first candidate
+    puts every reconfigurable user on phase 1."""
     feeder, _, rng = case
     if crowd:
         feeder = Feeder(feeder.buses, feeder.branches, feeder.reference_bus,
@@ -559,11 +573,11 @@ def test_injection_series_is_bitwise_the_sequential_sum(case, horizon, crowd, da
     ids = tuple(u.id for u in feeder.users)
     loads = LoadSeries(tuple(ids[k] for k in rng.permutation(len(ids))), p, q)
     stacked = injection_series(feeder, batch, loads)
-    assert stacked.shape == (len(batch) * horizon, len(feeder.buses), 3)
+    assert stacked.shape == (len(feeder.branches), 2, len(batch), horizon, 3)
     for k, a in enumerate(batch):
-        expected = ref.injection_series_sequential(feeder, a, loads).tobytes()
-        assert injection_series(feeder, a, loads).tobytes() == expected
-        assert stacked[k * horizon:(k + 1) * horizon].tobytes() == expected, k
+        expected = at_branches(feeder, ref.injection_series_sequential(feeder, a, loads))
+        assert injection_series(feeder, a, loads)[:, :, 0].tobytes() == expected.tobytes()
+        assert stacked[:, :, k].tobytes() == expected.tobytes(), k
 
 
 def test_injection_series_rejects_a_wrong_length_in_a_batch(two_bus):
@@ -588,6 +602,8 @@ def test_user_phases_respects_fixed_users():
         base_voltage=230.0, base_power=10000.0)
     demand = {"fix": 1000.0, "u1": 10.0}
     loads = LoadSeries(tuple(demand), np.array([list(demand.values())]), np.zeros((1, 2)))
-    s = injection_series(feeder, PhaseAssignment((2,)), loads)[0, feeder.bus_index("b1")]
-    phases = {uid: int(np.flatnonzero(s.real == w)[0]) + 1 for uid, w in demand.items()}
+    b1 = feeder.branch_index(feeder.branch("r", "b1"))
+    s = injection_series(feeder, PhaseAssignment((2,)), loads)[b1, 0, 0, 0]
+    phases = {uid: int(np.flatnonzero(s == w * (1.0 / feeder.base_power))[0]) + 1
+              for uid, w in demand.items()}
     assert phases == {"fix": 3, "u1": 2}

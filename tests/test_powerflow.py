@@ -11,9 +11,9 @@ from phasebal.ga import FitnessEvaluator
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
 from phasebal.metrics import ObjectiveSpec
 from phasebal.network import (Branch, ConstraintConfig, Feeder, LoadSeries,
-                              PhaseAssignment, User, original_assignment)
-from phasebal.powerflow import (DEFAULT_TOL, REFERENCE_PHASORS, _row_products, losses,
-                                solve_series)
+                              PhaseAssignment, User, injection_series, original_assignment)
+from phasebal.powerflow import (DEFAULT_TOL, REFERENCE_PHASORS, _injections, _row_products,
+                                losses, solve_series)
 from phasebal.problem import Problem, check_operational, evaluate_exact
 from reference_impls import (check_operational_per_step, i2r_losses_percent,
                              injection_series_sequential, newton_pf, ybus_by_hand)
@@ -538,6 +538,35 @@ def test_stacked_candidates_equal_their_own_solves(case, data):
     scale = data.draw(st.sampled_from([1.0, 40.0]))  # 40x leaves some steps unconverged
     scaled = LoadSeries(loads.user_ids, loads.p * scale, loads.q * scale)
     assert_stack_is_own_solves(feeder, batch, scaled, max_iter=30)
+
+
+@given(case=radial_cases(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduced_injections_are_bitwise_the_bus_layout_route(case, data):
+    """The reduced injections gathered from the branch-major block are
+    bitwise -(s.reshape(T, -1) / base_power) over the non-reference (bus,
+    phase) entries, s the sequential complex sum, zeros of both signs and
+    users at the reference bus included; candidate k's rows are the k-th T.
+    The bus list is shuffled, so the reference bus is at any index."""
+    feeder, loads, rng = case
+    feeder = Feeder(tuple(rng.permutation(feeder.buses)), feeder.branches, feeder.reference_bus,
+                    feeder.users, feeder.base_voltage, feeder.base_power)
+    n = len(feeder.reconfigurable_users())
+    batch = [PhaseAssignment(tuple(int(p) for p in rng.integers(1, 4, n)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    p, q = loads.p.copy(), loads.q.copy()
+    for x in (p, q):
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[rng.random(x.shape) < 0.1] = 0.0
+    loads = LoadSeries(loads.user_ids, p, q)
+    ref = feeder.bus_index(feeder.reference_bus)
+    other = [k for k in range(3 * len(feeder.buses)) if k // 3 != ref]
+    got = _injections(feeder.pf_tables, injection_series(feeder, batch, loads))
+    assert got.shape == (len(batch) * loads.horizon, len(other)) and got.flags.c_contiguous
+    for k, a in enumerate(batch):
+        s = injection_series_sequential(feeder, a, loads).reshape(loads.horizon, -1)
+        expected = -(s / feeder.base_power)[:, other]
+        assert got[k * loads.horizon:(k + 1) * loads.horizon].tobytes() == expected.tobytes(), k
 
 
 @pytest.fixture(scope="module")
