@@ -29,7 +29,7 @@ from .metrics import ObjectiveSpec
 from .network import ConstraintConfig, Feeder, LoadSeries, PhaseAssignment
 
 EVALUATORS = ("exact", "ld3f")
-CHUNK_ROWS = {"exact": 96, "ld3f": 384}  # candidates x timesteps per batched state
+CHUNK_ROWS = {"exact": 96, "ld3f": 384}  # candidate x timestep rows per batch; caps peak memory
 
 
 @dataclass(frozen=True, eq=False)
