@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, MetricError, ValidationError
-from .network import (REFERENCE_PHASORS, Feeder, LoadSeries, PhaseAssignment,
+from .network import (REFERENCE_PHASORS, Feeder, LoadSeries, PFTables, PhaseAssignment,
                       injection_series)
 
 DEFAULT_TOL = 1e-8
@@ -107,7 +107,7 @@ def _row_products(x: np.ndarray, m_t: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], m_t)[:, 0]
 
 
-def _injections(pf, flow: np.ndarray) -> np.ndarray:
+def _injections(pf: PFTables, flow: np.ndarray) -> np.ndarray:
     """Complex (K * T, n) net injections, C order (unit-stride rows, as BLAS
     takes them uncopied): each reduced (bus, phase) entry gathers its branch's
     (p, q) rows through ``pf.load_at``, negated, as loads consume."""
@@ -119,8 +119,8 @@ def _injections(pf, flow: np.ndarray) -> np.ndarray:
 
 
 def _solve_block(feeder: Feeder, flow: np.ndarray, tol: float, max_iter: int) -> PFSeries:
-    """Solve each (candidate, timestep) of ``injection_series``'s per-unit
-    (n_branches, 2, K, T, 3) loads as one block row."""
+    """Solve each (candidate, timestep) of ``injection_series``'s (n_branches,
+    2, K, T, 3) block as one row, its injections gathered by ``_injections``."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
     sa = _injections(feeder.pf_tables, flow)
