@@ -11,8 +11,9 @@ of the ``phasebal pf`` JSON report (``harness.cmd_pf``) over its horizon.  On
 ``twenty_user`` it also prints one GA run (its trace as ``float.hex``) and
 one ``cmd_validate`` report of the GA's plan.  Each case also prints a
 sha256 over its feeder's derived tables: the branch keys in order, the
-``SweepTables``, the ``PFTables`` arrays and each branch's sorted
-downstream users.  A last line hashes the same tables over 200 seeded
+``SweepTables``, every field ``PFTables`` keeps (``y_branch``,
+``from_bus``, ``other``, ``z_nn_t``, ``u_ref``, ``load_at``, ``limits``)
+and each branch's sorted downstream users.  A last line hashes the same tables over 200 seeded
 random radial feeders, given their buses and branches shuffled, some
 branches drawn toward a random reference.  Run it on two checkouts and
 ``diff`` the outputs to show that a change leaves every power-flow field
@@ -49,7 +50,7 @@ RANDOM_ASSIGNMENTS = 5
 LONG_HORIZON = 720
 RANDOM_TREES = 200
 SWEEP_FIELDS = ("to_bus", "children", "downward", "a_t", "b_t")
-PF_TABLE_FIELDS = ("y_branch", "from_bus", "ybus", "other", "y_nn", "z_nn", "slack_rhs")
+PF_TABLE_FIELDS = ("y_branch", "from_bus", "other", "z_nn_t", "u_ref", "load_at", "limits")
 # ``Feeder`` orients the branches it is given; older checkouts did it in ``make_feeder``
 build_feeder = getattr(network, "make_feeder", Feeder)
 

@@ -151,37 +151,38 @@ class SweepTables:
 
 
 class PFTables:
-    """A feeder's exact power-flow operators, per-unit.
+    """A feeder's exact power-flow operators, per-unit; branch arrays follow
+    ``feeder.branches`` order.
 
-    ``ybus`` is the dense nodal admittance matrix over the flat (bus,
-    phase) axis, index 3 * bus_index + phase, assembled from the branch
-    admittances ``y_branch``; ``other`` lists the non-reference entries of
-    that axis, ``y_nn`` is the Y-bus reduced to them, ``z_nn`` its inverse
-    and ``slack_rhs`` their coupling to the reference phasors; ``z_nn_t``
-    is the contiguous transpose of ``z_nn``, the right operand of the
-    iteration's row product.  ``load_at`` holds each ``other`` entry's
-    (branch, phase) in ``injection_series``'s block: every non-reference bus
-    is one branch's to-bus.  ``limits`` holds each branch's (apparent power,
-    current) limit per-unit, ``inf`` where none is given.  Branch arrays
-    follow ``feeder.branches`` order.
+    ``other`` lists the non-reference entries of the flat (bus, phase) axis,
+    3 * bus_index + phase, and ``u_ref`` the reference phasor of each.
+    ``z_nn_t`` is the transpose of the reduced Z-bus over them, built from
+    the tree with no Y-bus and no inverse: block (i, j) sums the impedances
+    of the branches on both buses' paths to the reference, in branch order
+    (the Z-bus building algorithm for a radial network without shunts;
+    Grainger and Stevenson, *Power System Analysis*, 1994).  ``y_branch``
+    holds the branch admittances, for the branch currents.  ``load_at``
+    holds each ``other`` entry's (branch, phase) in ``injection_series``'s
+    block, as every non-reference bus is one branch's to-bus.  ``limits``
+    holds each branch's (apparent power, current) limit, ``inf`` if none.
     """
 
     def __init__(self, feeder: Feeder):
-        self.y_branch = np.stack([np.linalg.inv(feeder.z_pu(br)) for br in feeder.branches])
+        z_pu = [feeder.z_pu(br) for br in feeder.branches]
+        self.y_branch = np.stack([np.linalg.inv(z) for z in z_pu])
         self.from_bus = np.array([feeder.bus_index(br.from_bus) for br in feeder.branches])
-        n = 3 * len(feeder.buses)
-        y = self.ybus = np.zeros((n, n), dtype=complex)
-        for yb, i, j in zip(self.y_branch, 3 * self.from_bus, 3 * feeder.sweep_tables().to_bus):
-            y[i:i + 3, i:i + 3] += yb
-            y[j:j + 3, j:j + 3] += yb
-            y[i:i + 3, j:j + 3] -= yb
-            y[j:j + 3, i:i + 3] -= yb
+        n_buses = len(feeder.buses)
+        on_path = np.zeros((len(z_pu), n_buses), dtype=bool)  # [k, b]: k on b's path
+        for k, i, j in feeder.sweep_tables().downward:  # root first: i's path is known
+            on_path[:, j] = on_path[:, i]
+            on_path[k, j] = True
+        z_t = np.zeros((n_buses, 3, n_buses, 3), dtype=complex)
+        for z, on in zip(z_pu, on_path):
+            z_t[np.ix_(on, range(3), on, range(3))] += z.T[:, None, :]
         ref = 3 * feeder.bus_index(feeder.reference_bus) + np.arange(3)
-        self.other = np.setdiff1d(np.arange(n), ref)
-        self.y_nn = y[np.ix_(self.other, self.other)]
-        self.z_nn = np.linalg.inv(self.y_nn)
-        self.z_nn_t = np.ascontiguousarray(self.z_nn.T)
-        self.slack_rhs = y[np.ix_(self.other, ref)] @ REFERENCE_PHASORS
+        self.other = np.setdiff1d(np.arange(3 * n_buses), ref)
+        self.z_nn_t = z_t.reshape(3 * n_buses, -1)[np.ix_(self.other, self.other)]
+        self.u_ref = REFERENCE_PHASORS[self.other % 3]
         self.load_at = (np.repeat(np.argsort(feeder.sweep_tables().to_bus), 3), self.other % 3)
         self.limits = np.array([[np.inf if lim is None else lim / base for lim, base in
                                  ((br.power_limit_va, feeder.base_power),
@@ -613,32 +614,14 @@ def load_feeder(path) -> Feeder:
         raise InputParseError(f"cannot parse feeder file {path}: {exc}") from exc
     try:
         buses = [str(b) for b in raw["buses"]]
-        branches = []
-        for spec in raw["branches"]:
-            branches.append(Branch(
-                from_bus=str(spec["from"]),
-                to_bus=str(spec["to"]),
-                r=spec["R"],
-                x=spec["X"],
-                ampacity_a=spec.get("ampacity_A"),
-                power_limit_va=spec.get("power_limit_VA"),
-            ))
-        users = []
-        for spec in raw["users"]:
-            users.append(User(
-                id=str(spec["id"]),
-                bus=str(spec["bus"]),
-                original_phase=spec["phase"],
-                reconfigurable=spec.get("reconfigurable", True),
-            ))
-        return Feeder(
-            buses=buses,
-            branches=branches,
-            reference_bus=raw["reference_bus"],
-            users=users,
-            base_voltage=float(raw["base_voltage_V"]),
-            base_power=float(raw["base_power_VA"]),
-        )
+        branches = [Branch(str(spec["from"]), str(spec["to"]), spec["R"], spec["X"],
+                           spec.get("ampacity_A"), spec.get("power_limit_VA"))
+                    for spec in raw["branches"]]
+        users = [User(str(spec["id"]), str(spec["bus"]), spec["phase"],
+                      spec.get("reconfigurable", True)) for spec in raw["users"]]
+        return Feeder(buses, branches, raw["reference_bus"], users,
+                      base_voltage=float(raw["base_voltage_V"]),
+                      base_power=float(raw["base_power_VA"]))
     except KeyError as exc:
         raise InputParseError(f"feeder file {path}: missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -1,14 +1,16 @@
 """Exact three-wire unbalanced power flow by fixed-point current injection.
 
 Voltages are per-unit, line-to-neutral, with the reference bus pinned to
-the balanced set (1 at 0 deg, 1 at -120 deg, 1 at +120 deg).  Each
-iteration turns the net injections s into currents conj(w), w = s / u,
-at the present voltages and solves the reduced nodal admittance system by
-one reduced Z-bus product, u' = Z (conj(w) - slack).  As Y u' + slack =
-conj(w), the new iterate's power mismatch u' conj(Y u' + slack) - s is
-w (u' - u) and needs no Y-bus product (the Z-bus fixed point's identity;
-Bazrafshan and Gatsis, IEEE Trans. Power Syst. 2018).  A step converges
-once its infinity norm is at most the tolerance.
+the balanced set u_ref (1 at 0 deg, 1 at -120 deg, 1 at +120 deg).  Each
+iteration turns the net injections s into currents conj(w), w = s / u, at
+the present voltages and solves the reduced nodal admittance system by one
+product with the tree-built reduced Z-bus, u' = u_ref + Z conj(w), u_ref
+tiled over the non-reference buses.  As Y_nn Z = I and a flat feeder
+carries no current (Y_nn u_ref + Y_nr u_ref = 0), Y_nn u' + Y_nr u_ref =
+conj(w): the new iterate's power mismatch is w (u' - u) and needs no Y-bus
+product (the Z-bus fixed point's identity; Bazrafshan and Gatsis, IEEE
+Trans. Power Syst. 2018).  A step converges once its infinity norm is at
+most the tolerance.
 
 A series is the only entry point; one timestep is a one-step window
 (``LoadSeries.slice_window``).  All timesteps of a series are solved as
@@ -18,17 +20,15 @@ iterations of an independent solve.  K assignments (the GA's chunks)
 stack into K * T rows, candidate k's at ``series[k * T:(k + 1) * T]``.
 The loads are ``network.injection_series``'s per-unit branch-major block,
 the linear model's input too, gathered once into the reduced injections.
-A step's result must not depend on the block's width or other rows.  A
-whole-block BLAS ``@`` picks its kernel and summation order by the
-block's shape, so each row is multiplied on its own (``_row_products``):
-one (1, n) @ (n, n) product of the same shape at any width, against the
-contiguous transpose of Z built once per feeder (``Feeder.pf_tables``);
-every other term is elementwise within its row.  A row's bits depend on
-the BLAS kernel (OpenBLAS ``DYNAMIC_ARCH`` picks one per CPU), not on the
-block.  From n of about 64 (3 per non-reference bus: about 22 buses)
-OpenBLAS splits each row product over its threads, so the bits also
-depend on ``OPENBLAS_NUM_THREADS`` and every row pays a thread hand-off;
-every bundled fixture has n <= 36.  No ``lu_solve`` runs in the loop,
+A step's result must not depend on the block's width, other rows or
+thread count.  A whole-block BLAS ``@`` picks its kernel and summation
+order by the block's shape, and OpenBLAS splits a large product over its
+threads, so ``_row_products`` multiplies each row on its own, in fixed
+36-wide tiles of both axes, against the transpose of Z built once per
+feeder (``Feeder.pf_tables``); every other term is elementwise within its
+row.  A row's bits depend only on the BLAS kernel (OpenBLAS
+``DYNAMIC_ARCH`` picks one per CPU); every bundled fixture has n <= 36
+(3 per non-reference bus), one tile.  No ``lu_solve`` runs in the loop,
 so worker threads share no pivot array.  Complex products are written
 out of place, ``np.multiply``: in the operator form numpy reuses a
 temporary operand as the output once it reaches 256 KiB, and that
@@ -51,6 +51,7 @@ DEFAULT_MAX_ITER = 100
 
 # |u| below this is treated as voltage collapse rather than a slow iterate
 _COLLAPSE_PU = 0.05
+_TILE = 36  # row-product tile width: OpenBLAS runs a 36-wide tile on one thread
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +103,17 @@ class PFSeries(Sequence):
 
 
 def _row_products(x: np.ndarray, m_t: np.ndarray) -> np.ndarray:
-    """``x @ m_t`` as one (1, n) @ (n, n) product per row of ``x``, so a
-    row's bits do not depend on the other rows or their number."""
-    return np.matmul(x[:, None, :], m_t)[:, 0]
+    """``x @ m_t`` in ``_TILE``-wide tiles: each output tile of a row sums
+    its contraction tiles' products in order, starting from the first (so
+    -0.0 keeps its sign), and no bit depends on other rows or on BLAS
+    threads.  n <= ``_TILE`` is one (1, n) @ (n, n) product per row."""
+    x, out = x[:, None, :], np.empty((len(x), 1, len(m_t)), dtype=complex)
+    for c in range(0, len(m_t), _TILE):
+        tile = out[..., c:c + _TILE]  # written in place: no fresh block per tile
+        np.matmul(x[..., :_TILE], m_t[:_TILE, c:c + _TILE], out=tile)
+        for r in range(_TILE, len(m_t), _TILE):
+            tile += np.matmul(x[..., r:r + _TILE], m_t[r:r + _TILE, c:c + _TILE])
+    return out[:, 0]
 
 
 def _injections(pf: PFTables, flow: np.ndarray) -> np.ndarray:
@@ -132,7 +141,8 @@ def _solve_block(feeder: Feeder, flow: np.ndarray, tol: float, max_iter: int) ->
     mismatch, idx = np.full(horizon, np.inf), np.arange(horizon)
     for it in range(1, max_iter + 1):
         w = sa / ua
-        ua, u_old = _row_products(np.conj(w) - pf.slack_rhs, pf.z_nn_t), ua
+        ua, u_old = _row_products(np.conj(w), pf.z_nn_t), ua
+        ua += pf.u_ref  # u' = u_ref + Z conj(w), in place: no fresh block to fault in
         iterations[idx], mismatch[idx] = it, np.max(np.abs(np.multiply(w, ua - u_old)), axis=1)
         done = mismatch[idx] <= tol
         # a collapsed iterate is caught before the next iteration starts from it

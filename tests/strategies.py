@@ -34,3 +34,18 @@ def radial_cases(draw):
     p = rng.uniform(0.0, 5000.0, (horizon, len(users)))
     loads = LoadSeries(tuple(u.id for u in users), p, p * rng.uniform(0.0, 0.5, p.shape))
     return feeder, loads, rng
+
+
+def seeded_radial_feeder(n_bus, seed, horizon=12):
+    """A seeded random radial feeder of ``n_bus`` buses, each bus's parent
+    drawn from the buses before it, one user on a random phase at each
+    non-reference bus, and ``horizon`` steps of their loads."""
+    rng = np.random.default_rng(seed)
+    buses = [f"b{k}" for k in range(n_bus)]
+    branches = [Branch(buses[rng.integers(k)], buses[k], _impedance(rng), _impedance(rng))
+                for k in range(1, n_bus)]
+    users = [User(f"u{k}", bus, int(rng.integers(1, 4))) for k, bus in enumerate(buses[1:])]
+    feeder = Feeder(buses, branches, "b0", users, 230.0, 10000.0)
+    p = rng.uniform(0.0, 1000.0, (horizon, len(users)))
+    loads = LoadSeries(tuple(u.id for u in users), p, p * rng.uniform(0.0, 0.5, p.shape))
+    return feeder, loads

@@ -1,11 +1,15 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasebal
 from phasebal import fixtures
 from phasebal.ga import FitnessEvaluator
 from phasebal.errors import ConvergenceError, MetricError, ValidationError
@@ -17,7 +21,7 @@ from phasebal.powerflow import (DEFAULT_TOL, REFERENCE_PHASORS, _injections, _ro
 from phasebal.problem import Problem, check_operational, evaluate_exact
 from reference_impls import (check_operational_per_step, i2r_losses_percent,
                              injection_series_sequential, newton_pf, ybus_by_hand)
-from strategies import radial_cases
+from strategies import radial_cases, seeded_radial_feeder
 
 Z_R = [[0.1, 0.03, 0.03], [0.03, 0.1, 0.03], [0.03, 0.03, 0.1]]
 Z_X = [[0.06, 0.02, 0.02], [0.02, 0.06, 0.02], [0.02, 0.02, 0.06]]
@@ -45,7 +49,14 @@ def seeded_batch(feeder, k=3, seed=0):
         PhaseAssignment(tuple(int(p) for p in rng.integers(1, 4, n))) for _ in range(k)]
 
 
-# -- Y-bus -------------------------------------------------------------------
+# -- Y-bus and Z-bus --------------------------------------------------------
+
+
+def assert_z_inverts_reduced_ybus(feeder, y):
+    """The power flow's tree-built Z-bus times the reduced Y-bus is I."""
+    pf = feeder.pf_tables
+    eye = y[np.ix_(pf.other, pf.other)] @ pf.z_nn_t.T
+    assert np.allclose(eye, np.eye(len(pf.other)), rtol=0.0, atol=1e-12)
 
 
 def test_ybus_single_branch_block_structure():
@@ -56,33 +67,49 @@ def test_ybus_single_branch_block_structure():
         reference_bus="r",
         users=[User("u1", "b1", 1)],
         base_voltage=230.0, base_power=10000.0)
-    y = feeder.pf_tables.ybus
+    y = ybus_by_hand(feeder)
     yb = np.diag(1.0 / np.diag(z / feeder.z_base))
     assert np.allclose(y[:3, :3], yb)
     assert np.allclose(y[3:, 3:], yb)
     assert np.allclose(y[:3, 3:], -yb)
     assert np.allclose(y[3:, :3], -yb)
+    assert_z_inverts_reduced_ybus(feeder, y)
 
 
 def test_ybus_line_dimension(line):
     feeder, _ = line
-    assert feeder.pf_tables.ybus.shape == (12, 12)
+    y = ybus_by_hand(feeder)
+    assert y.shape == (12, 12)
+    assert_z_inverts_reduced_ybus(feeder, y)
 
 
 def test_ybus_row_sums_zero(line):
     feeder, _ = line
-    y = feeder.pf_tables.ybus
+    y = ybus_by_hand(feeder)
     ref = 3 * feeder.bus_index(feeder.reference_bus)
     for row in range(12):
         if ref <= row < ref + 3:
             continue
         assert abs(y[row].sum()) < 1e-12
+    assert_z_inverts_reduced_ybus(feeder, y)
 
 
 def test_ybus_symmetric(twenty_user):
     feeder, _ = twenty_user
-    y = feeder.pf_tables.ybus
+    y = ybus_by_hand(feeder)
     assert np.allclose(y, y.T)
+    assert_z_inverts_reduced_ybus(feeder, y)
+
+
+@given(case=radial_cases())
+@settings(max_examples=40, deadline=None)
+def test_tree_zbus_is_the_inverse_of_the_reduced_ybus(case):
+    """Path sums over the tree equal the inverted reduced Y-bus, on random
+    feeders with branches drawn either way."""
+    feeder, _, _ = case
+    pf = feeder.pf_tables
+    z = np.linalg.inv(ybus_by_hand(feeder)[np.ix_(pf.other, pf.other)])
+    assert np.allclose(pf.z_nn_t.T, z, rtol=0.0, atol=1e-12 * np.abs(z).max())
 
 
 # -- one timestep ------------------------------------------------------------
@@ -508,6 +535,42 @@ def test_row_products_equal_one_row_products(n):
             assert block.tobytes() == alone[start:start + width].tobytes(), (width, start)
     for rows in (slice(1, None, 3), slice(None, 720, 2)):
         assert _row_products(x[rows], m_t).tobytes() == alone[rows].tobytes(), rows
+
+
+_SOLVE_SEEDED_FEEDER = """
+import sys
+import numpy as np
+from phasebal.network import original_assignment
+from phasebal.powerflow import solve_series
+from strategies import seeded_radial_feeder
+feeder, loads = seeded_radial_feeder(int(sys.argv[1]), seed=int(sys.argv[1]))
+series = solve_series(feeder, original_assignment(feeder), loads)
+np.savez(sys.argv[2], **{field: getattr(series, field) for field in sys.argv[3:]})
+"""
+
+
+@pytest.mark.parametrize("n_bus", [40, 80])
+def test_series_bits_do_not_depend_on_blas_threads(n_bus, tmp_path):
+    """A feeder far past one row-product tile (n = 117 and 237) solves to
+    the same bytes in every field on one OpenBLAS thread and on two; each
+    count needs its own process, as OpenBLAS reads it on load."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(phasebal.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.path.dirname(os.path.abspath(__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    fields = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _SOLVE_SEEDED_FEEDER, str(n_bus), str(out),
+                              *PF_FIELDS], capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        with np.load(out) as saved:
+            fields.append({f: saved[f] for f in PF_FIELDS})
+    one, two = fields
+    assert one["converged"].all()
+    for field in PF_FIELDS:
+        assert one[field].dtype == two[field].dtype, field
+        assert one[field].tobytes() == two[field].tobytes(), field
 
 
 # -- stacked candidate blocks ------------------------------------------------
